@@ -28,6 +28,7 @@ from .cubical import (
 )
 from .graphs import graph_to_rack, rack_to_graph, unit_component, validate_group_like
 from .hopf import (
+    DepthTooShallow,
     augmentation_filtration,
     build_lm_hopf,
     coinvariant_module,
@@ -73,6 +74,10 @@ def _check_manifest(m: Manifest) -> None:
         raise SchemaError("", "tolerance must be positive")
     if m.samples < 1:
         raise SchemaError("", "sample count must be positive")
+    try:
+        FieldSpec.parse(m.field)
+    except ValueError as exc:
+        raise SchemaError("", str(exc)) from None
 
 
 def _report_from(rep) -> dict:
@@ -164,9 +169,12 @@ def _cmd_hopf(m: Manifest, kind, obj) -> tuple[int, dict]:
     field = FieldSpec.parse(m.field)
     b = build_lm_hopf(q, field)
     hopf_rep = verify_hopf(b)
-    filt = augmentation_filtration(b, depth=m.max_degree)
+    try:
+        filt = augmentation_filtration(b, depth=m.max_degree)
+        coinv = coinvariant_module(a, field, depth=m.max_degree)
+    except DepthTooShallow as exc:
+        raise SchemaError("", str(exc)) from None
     lemma_rep = verify_connected_lemma(b, filt)
-    coinv = coinvariant_module(a, field, depth=m.max_degree)
     graded_rep = verify_graded_structure(b, filt, coinv)
     _, connected = unit_component(q)
     ok = hopf_rep.ok and lemma_rep.ok and graded_rep.ok

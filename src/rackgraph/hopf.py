@@ -4,9 +4,10 @@ The span of the vertices is a group algebra H; the span of the arrows is an
 H-bimodule A mapped to H by phi(a) = t(a) - s(a).  The pair carries a
 coproduct on each part (group-like on vertices, a(x)t(a) + s(a)(x)a on
 arrows), antipodes, and a counit.  Downstream of the structure maps live the
-powers of the augmentation ideal, the induced filtration of A, the levels of
-the G-action on the rack labels (whose graded pieces form the coinvariant
-module), and finite truncation stages of the filtration quotients.
+powers of the augmentation ideal, the induced filtration of A, and the
+levels of the G-action on the rack labels, whose graded pieces form the
+coinvariant module.  The graded checks read degrees off bases adapted to
+these filtrations (linalg.FilteredSpace).
 
 Tensor index conventions, used consistently everywhere:
   H(x)H:  (g, h)  ->  g * |G| + h
@@ -23,7 +24,7 @@ from .graphs import GroupLikeGraph, unit_component
 from .linalg import (
     ExactMatrix,
     FieldSpec,
-    QuotientSpace,
+    FilteredSpace,
     SubquotientBasis,
     Subspace,
     induced_matrix,
@@ -322,6 +323,10 @@ class FiltrationLevels:
         return max(self.stab_g, self.stab_a)
 
 
+class DepthTooShallow(RuntimeError):
+    """An explicit depth ends before a filtration chain repeats."""
+
+
 def _chain(first: Subspace, step, depth: int | None):
     """Decreasing subspace chain from `first`; stops at first repeat.
 
@@ -348,90 +353,58 @@ def _chain(first: Subspace, step, depth: int | None):
     return levels, stab
 
 
-def _augmentation_ideal(group: FiniteGroup, field: FieldSpec) -> Subspace:
-    one, zero = field.one(), field.zero()
-    e = group.identity
-    vecs = []
-    for g in range(group.order):
-        if g == e:
-            continue
-        v = [zero] * group.order
-        v[g] = one
-        v[e] = field.neg(one)
-        vecs.append(v)
-    return Subspace.from_vectors(field, group.order, vecs)
-
-
-def _ideal_product_step(group: FiniteGroup, field: FieldSpec):
-    """One more ideal power: multiply the level by every g - 1 on the left."""
-    mul = group.mul
-    e = group.identity
+def _difference_span(field: FieldSpec, dim: int, tables):
+    """Step map sending a level to the span of sigma(v) - v, over every
+    permutation table sigma (sigma[i] is the image of basis vector i) and
+    every basis row v of the level."""
 
     def step(level: Subspace) -> Subspace:
         vecs = []
-        for g in range(group.order):
-            if g == e:
-                continue
+        for table in tables:
             for row in level.basis:
                 w = [field.neg(v) for v in row]
                 for i, v in enumerate(row):
                     if v:
-                        j = mul[g][i]
-                        w[j] = field.add(w[j], v)
+                        w[table[i]] = field.add(w[table[i]], v)
                 vecs.append(w)
-        return Subspace.from_vectors(field, group.order, vecs)
+        return Subspace.from_vectors(field, dim, vecs)
 
     return step
+
+
+def _right_mul_table(group: FiniteGroup, g: int) -> list[int]:
+    return [group.mul[i][g] for i in range(group.order)]
 
 
 def group_ideal_levels(
     group: FiniteGroup, field: FieldSpec, depth: int | None = None, min_len: int = 0
 ) -> tuple[list[Subspace], int]:
     """[H, I, I^2, ...] with the first-repeat index; at least min_len entries."""
-    full = Subspace.full(field, group.order)
-    step = _ideal_product_step(group, field)
-    first = _augmentation_ideal(group, field)
-    levels, stab = _chain(first, step, depth)
-    levels = [full] + levels
+    tables = [group.mul[g] for g in range(group.order) if g != group.identity]
+    step = _difference_span(field, group.order, tables)
+    levels, stab = _chain(
+        Subspace.full(field, group.order), step, depth + 1 if depth is not None else None
+    )
     while len(levels) < min_len:
         levels.append(step(levels[-1]))
-    return levels, (stab + 1 if stab is not None else None)
-
-
-def _module_level_step(b: LMBialgebra):
-    """One more level of A: (g-1).level plus level.(g-1) over all g."""
-    f = b.field
-    grp = b.group
-    e = grp.identity
-    la, ra = b.graph.left_act, b.graph.right_act
-
-    def step(level: Subspace) -> Subspace:
-        vecs = []
-        for g in range(grp.order):
-            if g == e:
-                continue
-            for row in level.basis:
-                for act in (la[g], ra[g]):
-                    w = [f.neg(v) for v in row]
-                    for i, v in enumerate(row):
-                        if v:
-                            w[act[i]] = f.add(w[act[i]], v)
-                    vecs.append(w)
-        return Subspace.from_vectors(f, b.a_dim, vecs)
-
-    return step
+    return levels, stab
 
 
 def augmentation_filtration(b: LMBialgebra, depth: int | None = None) -> FiltrationLevels:
-    """Levels of H and A; depth=None computes until both chains repeat."""
-    step_a = _module_level_step(b)
+    """Levels of H and A; depth=None computes until both chains repeat.
+
+    Level n+1 of A is (g-1).level + level.(g-1) over all g."""
+    grp = b.group
+    la, ra = b.graph.left_act, b.graph.right_act
+    tables = [t for g in range(grp.order) if g != grp.identity for t in (la[g], ra[g])]
+    step_a = _difference_span(b.field, b.a_dim, tables)
     levels_a, stab_a = _chain(Subspace.full(b.field, b.a_dim), step_a, depth)
     levels_g, stab_g = group_ideal_levels(
         b.group, b.field, depth=depth + 1 if depth is not None else None,
         min_len=len(levels_a) + 2,
     )
     if stab_a is None or stab_g is None:
-        raise RuntimeError("depth too small to observe stabilization")
+        raise DepthTooShallow("depth too small to observe stabilization")
     return FiltrationLevels(
         field=b.field,
         levels_g=tuple(levels_g),
@@ -453,39 +426,16 @@ def relative_ideal_levels(
     collapsing each left coset of the subgroup spanned by `component`."""
     f = b.field
     grp = b.group
-    mul = grp.mul
-    vecs = []
-    one = f.one()
-    for g in range(grp.order):
-        for t in component:
-            k = mul[g][t]
-            if k == g:
-                continue
-            v = [f.zero()] * grp.order
-            v[k] = one
-            v[g] = f.sub(v[g], one)
-            vecs.append(v)
-    first = Subspace.from_vectors(f, grp.order, vecs)
+    n = grp.order
     e = grp.identity
-
-    def conv(g: int, row, side: str):
-        w = [f.neg(v) for v in row]
-        for i, v in enumerate(row):
-            if v:
-                j = mul[g][i] if side == "l" else mul[i][g]
-                w[j] = f.add(w[j], v)
-        return w
-
-    levels = [Subspace.full(f, grp.order), first]
+    full = Subspace.full(f, n)
+    first = _difference_span(f, n, [_right_mul_table(grp, t) for t in component if t != e])
+    both_sides = [grp.mul[g] for g in range(n) if g != e]
+    both_sides += [_right_mul_table(grp, g) for g in range(n) if g != e]
+    step = _difference_span(f, n, both_sides)
+    levels = [full, first(full)]
     for _ in range(depth - 1):
-        prods = []
-        for g in range(grp.order):
-            if g == e:
-                continue
-            for row in levels[-1].basis:
-                prods.append(conv(g, row, "l"))
-                prods.append(conv(g, row, "r"))
-        levels.append(Subspace.from_vectors(f, grp.order, prods))
+        levels.append(step(levels[-1]))
     return levels
 
 
@@ -542,23 +492,15 @@ def coinvariant_module(
     f = field
     m = a.x_size
 
-    def step(level: Subspace) -> Subspace:
-        vecs = []
-        for g in range(a.group.order):
-            if g == a.group.identity:
-                continue
-            for row in level.basis:
-                w = [f.neg(v) for v in row]
-                for i, v in enumerate(row):
-                    if v:
-                        j = a.action[i][g]
-                        w[j] = f.add(w[j], v)
-                vecs.append(w)
-        return Subspace.from_vectors(f, m, vecs)
-
+    tables = [
+        [a.action[x][g] for x in range(m)]
+        for g in range(a.group.order)
+        if g != a.group.identity
+    ]
+    step = _difference_span(f, m, tables)
     levels_x, stab_x = _chain(Subspace.full(f, m), step, depth)
     if stab_x is None:
-        raise RuntimeError("depth too small to observe stabilization")
+        raise DepthTooShallow("depth too small to observe stabilization")
     levels_g, _ = group_ideal_levels(a.group, f, min_len=len(levels_x) + 2)
 
     p_dims = tuple(
@@ -603,40 +545,6 @@ def coinvariant_module(
 # graded structure
 
 
-def _tensor_subspace(u: Subspace, v: Subspace) -> Subspace:
-    """Span of pairwise tensors u_i (x) v_j inside k^(dim_u_ambient * dim_v_ambient)."""
-    f = u.field
-    n = v.ambient_dim
-    amb = u.ambient_dim * n
-    vecs = []
-    for ur in u.basis:
-        for vr in v.basis:
-            w = [f.zero()] * amb
-            for i, uv in enumerate(ur):
-                if uv:
-                    base = i * n
-                    for j, vv in enumerate(vr):
-                        if vv:
-                            w[base + j] = f.mul(uv, vv)
-            vecs.append(w)
-    return Subspace.from_vectors(f, amb, vecs)
-
-
-def _level(levels: tuple, n: int) -> Subspace:
-    """Level n, reading past the computed (stabilized) tail as the last entry."""
-    return levels[min(n, len(levels) - 1)]
-
-
-def _tensor_filtration_ah(b: LMBialgebra, f: FiltrationLevels, m: int) -> Subspace:
-    """Sum over p+q=m of (level p of A) tensor (level q of H) in A(x)H."""
-    total = Subspace.zero(b.field, b.a_dim * b.h_dim)
-    for p in range(m + 1):
-        total = total.add(
-            _tensor_subspace(_level(f.levels_a, p), _level(f.levels_g, m - p))
-        )
-    return total
-
-
 def _delta1_prime_vector(b: LMBialgebra, v) -> list:
     """a (x) phi(a), extended linearly, as a vector in A(x)H."""
     f = b.field
@@ -652,283 +560,81 @@ def _delta1_prime_vector(b: LMBialgebra, v) -> list:
     return w
 
 
+def _raises_at(fa: FilteredSpace, image_degrees: list, n: int) -> bool:
+    """Every adapted row of degree >= n maps to degree >= n + 1."""
+    return all(t > n for d, t in zip(fa.degrees, image_degrees) if d >= n)
+
+
 def verify_graded_structure(
     b: LMBialgebra, f: FiltrationLevels, c: CoinvariantModule
 ) -> ValidationReport:
     """Graded dimension identity, filtration raising of the reduced arrow
-    coproduct, and degree raising of phi."""
+    coproduct, and degree raising of phi.
+
+    All three read degrees off adapted bases of A and H: level m of the
+    filtration of A(x)H is spanned by the products of adapted rows whose
+    degrees sum to at least m, so no tensor level is ever row-reduced."""
     if b.field != f.field or b.field != c.field:
         raise ValueError("field mismatch")
+    fa, fg = FilteredSpace(f.levels_a), FilteredSpace(f.levels_g)
     violations: list[str] = []
     checked = 0
 
-    def gr(levels: tuple, n: int) -> int:
-        return _level(levels, n).dim - _level(levels, n + 1).dim
-
     n_max = f.stab_g + c.stab_x + f.stab_a + 1
     for n in range(n_max + 1):
-        lhs = gr(f.levels_a, n)
+        lhs = fa.graded_dim(n)
         rhs = 0
         for p in range(n + 1):
             q = n - p
             pq_dim = c.p_dims[q] if q < len(c.p_dims) else 0
-            rhs += gr(f.levels_g, p) * pq_dim
+            rhs += fg.graded_dim(p) * pq_dim
         checked += 1
         if lhs != rhs:
             violations.append(
                 f"graded dimension identity fails at degree {n}: {lhs} != {rhs}"
             )
 
+    coproduct_deg = [fa.tensor_degree(fg, _delta1_prime_vector(b, row)) for row in fa.rows]
     for n in range(len(f.levels_a)):
-        target = _tensor_filtration_ah(b, f, n + 1)
         checked += 1
-        bad = next(
-            (
-                row
-                for row in f.levels_a[n].basis
-                if not target.contains(_delta1_prime_vector(b, list(row)))
-            ),
-            None,
-        )
-        if bad is not None:
+        if not _raises_at(fa, coproduct_deg, n):
             violations.append(
                 f"reduced arrow coproduct does not raise the filtration at level {n}"
             )
 
+    phi_deg = [fg.degree(b.phi.apply(list(row))) for row in fa.rows]
     for n in range(len(f.levels_a)):
-        img = _phi_image(b, f.levels_a[n])
         checked += 1
-        if not _level(f.levels_g, n + 1).contains_space(img):
+        if not _raises_at(fa, phi_deg, n):
             violations.append(f"phi does not raise the degree at level {n}")
 
     return ValidationReport.collect(violations, checked)
-
-
-# ---------------------------------------------------------------------------
-# truncation stages
-
-
-@dataclass(frozen=True)
-class TruncatedHopf:
-    """Stage n of the filtration quotient tower.
-
-    The arrow part is A modulo level n, the vertex part H modulo level n+1.
-    Coproducts land in tensor squares modulo the convolution filtration (the
-    sum of level p (x) level q pieces), which is exactly where they stay
-    well-defined on cosets; every induced map is kernel-checked on build.
-    """
-
-    level: int
-    field: FieldSpec
-    qa: QuotientSpace
-    qh: QuotientSpace
-    qhh: QuotientSpace
-    qm: QuotientSpace
-    den_a: Subspace
-    den_h: Subspace
-    phi_n: ExactMatrix
-    delta0_n: ExactMatrix
-    delta1_n: ExactMatrix
-    s0_n: ExactMatrix
-    s1_n: ExactMatrix
-
-
-def _tensor_filtration_hh(b: LMBialgebra, f: FiltrationLevels, m: int) -> Subspace:
-    total = Subspace.zero(b.field, b.h_dim * b.h_dim)
-    for p in range(m + 1):
-        total = total.add(
-            _tensor_subspace(_level(f.levels_g, p), _level(f.levels_g, m - p))
-        )
-    return total
-
-
-def _tensor_filtration_mixed(b: LMBialgebra, f: FiltrationLevels, m: int) -> Subspace:
-    """Sum over p+q=m of level_A(p)(x)level_H(q) (+) level_H(q)(x)level_A(p)."""
-    field = b.field
-    na, h = b.a_dim, b.h_dim
-    off = na * h
-    amb = na * h + h * na
-    vecs = []
-    for p in range(m + 1):
-        q = m - p
-        ah = _tensor_subspace(_level(f.levels_a, p), _level(f.levels_g, q))
-        for row in ah.basis:
-            vecs.append(list(row) + [field.zero()] * (h * na))
-        ha = _tensor_subspace(_level(f.levels_g, q), _level(f.levels_a, p))
-        for row in ha.basis:
-            vecs.append([field.zero()] * off + list(row))
-    return Subspace.from_vectors(field, amb, vecs)
-
-
-def truncated_hopf(b: LMBialgebra, f: FiltrationLevels, n: int) -> TruncatedHopf:
-    if n < 0 or n >= len(f.levels_a) or n + 1 >= len(f.levels_g):
-        raise ValueError("truncation level outside the computed filtration")
-    field = b.field
-    h, na = b.h_dim, b.a_dim
-    off = na * h
-    den_a = f.levels_a[n]
-    den_h = f.levels_g[n + 1]
-    qa = QuotientSpace(den_a)
-    qh = QuotientSpace(den_h)
-    qhh = QuotientSpace(_tensor_filtration_hh(b, f, n + 1))
-    qm = QuotientSpace(_tensor_filtration_mixed(b, f, n))
-
-    def apply_phi(v):
-        return b.phi.apply(list(v))
-
-    def apply_d0(v):
-        w = [field.zero()] * (h * h)
-        for g, c in enumerate(v):
-            if c:
-                w[g * h + g] = field.add(w[g * h + g], c)
-        return w
-
-    def apply_d1(v):
-        w = [field.zero()] * (na * h + h * na)
-        for a, c in enumerate(v):
-            if c:
-                s, t = b.graph.graph.arrows[a]
-                w[a * h + t] = field.add(w[a * h + t], c)
-                w[off + s * na + a] = field.add(w[off + s * na + a], c)
-        return w
-
-    def apply_s0(v):
-        return b.s0.apply(list(v))
-
-    def apply_s1(v):
-        return b.s1.apply(list(v))
-
-    return TruncatedHopf(
-        level=n,
-        field=field,
-        qa=qa,
-        qh=qh,
-        qhh=qhh,
-        qm=qm,
-        den_a=den_a,
-        den_h=den_h,
-        phi_n=induced_matrix(apply_phi, qa, qh, check_kernel=den_a),
-        delta0_n=induced_matrix(apply_d0, qh, qhh, check_kernel=den_h),
-        delta1_n=induced_matrix(apply_d1, qa, qm, check_kernel=den_a),
-        s0_n=induced_matrix(apply_s0, qh, qh, check_kernel=den_h),
-        s1_n=induced_matrix(apply_s1, qa, qa, check_kernel=den_a),
-    )
-
-
-def truncation_surjection(
-    high: TruncatedHopf, low: TruncatedHopf
-) -> tuple[ExactMatrix, ExactMatrix]:
-    """Canonical projections (arrow part, vertex part) from a deeper stage."""
-    if high.level < low.level:
-        raise ValueError("surjection goes from the deeper stage to the shallower")
-
-    def ident(v):
-        return list(v)
-
-    on_a = induced_matrix(ident, high.qa, low.qa, check_kernel=high.den_a)
-    on_h = induced_matrix(ident, high.qh, low.qh, check_kernel=high.den_h)
-    return on_a, on_h
-
-
-def verify_edge_like(t: TruncatedHopf, b: LMBialgebra) -> ValidationReport:
-    """Canonical images stay group-like/edge-like in the truncation, and the
-    source, target, and vertex actions agree with the original graph."""
-    field = t.field
-    h, na = b.h_dim, b.a_dim
-    off = na * h
-    grp = b.group
-    la, ra = b.graph.left_act, b.graph.right_act
-    violations: list[str] = []
-    checked = 0
-
-    def unit_h(g: int):
-        v = [field.zero()] * h
-        v[g] = field.one()
-        return v
-
-    def unit_a(a: int):
-        v = [field.zero()] * na
-        v[a] = field.one()
-        return v
-
-    for g in range(h):
-        lhs = t.delta0_n.apply(t.qh.coords(unit_h(g)))
-        w = [field.zero()] * (h * h)
-        w[g * h + g] = field.one()
-        rhs = t.qhh.coords(w)
-        checked += 1
-        if lhs != rhs:
-            violations.append(f"vertex image not group-like at {g}")
-
-    for a in range(na):
-        s, tt = b.graph.graph.arrows[a]
-        lhs = t.delta1_n.apply(t.qa.coords(unit_a(a)))
-        w = [field.zero()] * (na * h + h * na)
-        w[a * h + tt] = field.one()
-        w[off + s * na + a] = field.one()
-        rhs = t.qm.coords(w)
-        checked += 1
-        if lhs != rhs:
-            violations.append(f"arrow image not edge-like at {a}")
-
-    # vertex multiplication and the two actions descend coherently
-    for g in range(h):
-        mul_g = induced_matrix(
-            lambda v, g=g: _left_mul_vector(grp, field, g, v),
-            t.qh,
-            t.qh,
-            check_kernel=t.den_h,
-        )
-        lg = induced_matrix(
-            lambda v, g=g: _permute_vector(field, la[g], v), t.qa, t.qa, check_kernel=t.den_a
-        )
-        rg = induced_matrix(
-            lambda v, g=g: _permute_vector(field, ra[g], v), t.qa, t.qa, check_kernel=t.den_a
-        )
-        for k in range(h):
-            checked += 1
-            if mul_g.apply(t.qh.coords(unit_h(k))) != t.qh.coords(unit_h(grp.mul[g][k])):
-                violations.append(f"vertex product disagrees at ({g}, {k})")
-        for a in range(na):
-            checked += 2
-            if lg.apply(t.qa.coords(unit_a(a))) != t.qa.coords(unit_a(la[g][a])):
-                violations.append(f"left action disagrees at ({g}, {a})")
-            if rg.apply(t.qa.coords(unit_a(a))) != t.qa.coords(unit_a(ra[g][a])):
-                violations.append(f"right action disagrees at ({g}, {a})")
-
-    return ValidationReport.collect(violations, checked)
-
-
-def _left_mul_vector(grp: FiniteGroup, field: FieldSpec, g: int, v):
-    w = [field.zero()] * grp.order
-    for i, c in enumerate(v):
-        if c:
-            w[grp.mul[g][i]] = field.add(w[grp.mul[g][i]], c)
-    return w
-
-
-def _permute_vector(field: FieldSpec, table, v):
-    w = [field.zero()] * len(v)
-    for i, c in enumerate(v):
-        if c:
-            w[table[i]] = field.add(w[table[i]], c)
-    return w
 
 
 def graded_primitive_subspace(b: LMBialgebra, f: FiltrationLevels, n: int) -> Subspace:
     """Classes [v] in graded piece n of H whose reduced coproduct
     Delta0(v) - v(x)1 - 1(x)v falls one filtration stage deeper.
 
-    Returned in the coordinates of the graded piece's representative basis.
+    Returned in the coordinates of the graded piece's representative basis,
+    which are the adapted rows of degree n.
     """
     if n < 1:
         raise ValueError("graded primitives live in positive degrees")
     field = b.field
     h = b.h_dim
     e = b.group.identity
-    level = _level(f.levels_g, n)
-    below = _level(f.levels_g, n + 1)
-    target = QuotientSpace(_tensor_filtration_hh(b, f, n + 1))
+    fg = FilteredSpace(f.levels_g)
+    level = [i for i, d in enumerate(fg.degrees) if d >= n]
+    piece = [k for k, i in enumerate(level) if fg.degrees[i] == n]
+    if not piece:
+        return Subspace.zero(field, 0)
+    # coordinates modulo level n+1 of H(x)H: products of degree sum <= n
+    shallow = [
+        (r, s)
+        for r, dr in enumerate(fg.degrees)
+        for s, ds in enumerate(fg.degrees)
+        if dr + ds <= n
+    ]
 
     def reduced_coproduct(v):
         w = [field.zero()] * (h * h)
@@ -939,20 +645,11 @@ def graded_primitive_subspace(b: LMBialgebra, f: FiltrationLevels, n: int) -> Su
                 w[e * h + g] = field.sub(w[e * h + g], c)
         return w
 
-    gr_basis = SubquotientBasis(level, below)
-    if level.dim == 0:
-        return Subspace.zero(field, 0)
-    if target.dim == 0:
-        kernel = Subspace.full(field, level.dim)
-    else:
-        cols = [target.coords(reduced_coproduct(list(row))) for row in level.basis]
-        rows = [list(col) for col in zip(*cols)]
+    coeffs = [fg.tensor_coefficients(fg, reduced_coproduct(fg.rows[i])) for i in level]
+    rows = [[c[r][s] for c in coeffs] for r, s in shallow]
+    if rows:
         kernel = nullspace(ExactMatrix.from_rows(field, rows))
-    coords = []
-    for coeffs in kernel.basis:
-        v = [field.zero()] * h
-        for c, row in zip(coeffs, level.basis):
-            if c:
-                v = [field.add(a2, field.mul(c, r)) for a2, r in zip(v, row)]
-        coords.append(gr_basis.coords(v))
-    return Subspace.from_vectors(field, gr_basis.dim, coords)
+    else:
+        kernel = Subspace.full(field, len(level))
+    coords = [[kappa[k] for k in piece] for kappa in kernel.basis]
+    return Subspace.from_vectors(field, len(piece), coords)

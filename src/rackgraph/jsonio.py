@@ -185,6 +185,8 @@ def load_rack(doc) -> FiniteRack:
     op_raw = _need(doc, "op", "")
     n = len(op_raw) if isinstance(op_raw, list) else 0
     op = _int_table(op_raw, "/op", rows=None, cols=n, lo=0, hi=max(n, 1))
+    if not op:
+        raise SchemaError("/op", "a rack needs at least one element")
     return FiniteRack.make(op)
 
 

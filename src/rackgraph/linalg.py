@@ -9,6 +9,7 @@ on Python lists (the rational spaces in this package stay small).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -520,20 +521,101 @@ class SubquotientBasis:
         return list(self.rep_rows[i])
 
     def coords(self, vector) -> list:
-        """Coset coordinates of a vector of V; raises if vector not in V."""
-        f = self.field
-        u = [f.coerce(x) for x in vector]
-        out = [f.zero()] * self.dim
-        rep_pos = {p: k for k, p in enumerate(self.rep_pivots)}
-        for row, p in zip(self.v.basis, self.v.pivots()):
-            c = u[p]
-            if c:
-                u = [f.sub(a, f.mul(c, b)) for a, b in zip(u, row)]
-            if p in rep_pos:
-                out[rep_pos[p]] = c
-        if any(u):
+        """Coset coordinates of a vector of V; raises if vector not in V.
+
+        Reducing by W clears W's pivot columns without leaving the coset;
+        what is left is a combination of the representative rows alone, so
+        its entries at their pivots are the coordinates."""
+        u = self.w.reduce(vector)
+        if not self.v.contains(u):
             raise ValueError("vector not in the subspace V")
-        return out
+        return [u[p] for p in self.rep_pivots]
+
+
+class FilteredSpace:
+    """A decreasing filtration of field^n held through an adapted basis.
+
+    Built from a level chain [V_0 = field^n, V_1, ..., V_k] whose last entry
+    is stable (V_m = V_k for m > k).  `rows` lists, for each d < k, the
+    SubquotientBasis(V_d, V_(d+1)) representatives with degree d, then the
+    basis of V_k with degree inf, so level m is spanned by the rows of degree
+    >= m.  The inverse of the row matrix is computed once; coefficients and
+    filtration degrees are then products with it.  For tensors of two
+    filtered spaces, level m of the sum of V_p (x) W_q over p + q = m is
+    spanned by the products of rows whose degrees sum to at least m.
+    """
+
+    def __init__(self, levels):
+        full = levels[0]
+        if full.dim != full.ambient_dim:
+            raise ValueError("level 0 must be the whole space")
+        field, n = full.field, full.ambient_dim
+        rows, degrees = [], []
+        for d in range(len(levels) - 1):
+            reps = SubquotientBasis(levels[d], levels[d + 1]).rep_rows
+            rows += reps
+            degrees += [d] * len(reps)
+        rows += levels[-1].basis
+        degrees += [math.inf] * levels[-1].dim
+        one, zero = field.one(), field.zero()
+        augmented = [
+            list(row) + [one if i == j else zero for j in range(n)]
+            for i, row in enumerate(rows)
+        ]
+        self.field = field
+        self.dim = n
+        self.rows = tuple(rows)
+        self.degrees = tuple(degrees)
+        self.inverse = tuple(row[n:] for row in rref(field, augmented))
+
+    def graded_dim(self, d: int) -> int:
+        return self.degrees.count(d)
+
+    def coefficients(self, vector) -> list:
+        """c with sum c_i rows[i] = vector."""
+        return _product(self.field, [vector], self.inverse)[0]
+
+    def degree(self, vector):
+        """Deepest level containing `vector`; inf inside the stable last level."""
+        return min(
+            (d for d, c in zip(self.degrees, self.coefficients(vector)) if c),
+            default=math.inf,
+        )
+
+    def tensor_coefficients(self, other: "FilteredSpace", tensor) -> list:
+        """C with tensor = sum C_ij rows_i (x) other.rows_j, the tensor
+        indexed i * other.dim + j; C = E^-T W F^-1."""
+        m = other.dim
+        w = [tensor[i * m:(i + 1) * m] for i in range(self.dim)]
+        inv_t = [list(col) for col in zip(*self.inverse)]
+        return _product(self.field, _product(self.field, inv_t, w), other.inverse)
+
+    def tensor_degree(self, other: "FilteredSpace", tensor):
+        """Smallest deg e_i + deg f_j over the nonzero C_ij (inf for zero)."""
+        c = self.tensor_coefficients(other, tensor)
+        return min(
+            (
+                di + dj
+                for di, row in zip(self.degrees, c)
+                for dj, x in zip(other.degrees, row)
+                if x
+            ),
+            default=math.inf,
+        )
+
+
+def _product(field: FieldSpec, a, b) -> list:
+    """Row-list matrix product a @ b, skipping zero entries of a."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0]) if b else []
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append([field.coerce(v) for v in acc])
+    return out
 
 
 def induced_matrix(

@@ -72,6 +72,40 @@ def test_nonpositive_degree_bound():
     assert "positive" in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["homology"], ["hopf"], ["presentation"], ["convert", "--to", "graph"]],
+)
+def test_empty_rack_rejected(tmp_path, capsys, argv):
+    path = write_doc(tmp_path, {"schema": 1, "kind": "rack", "op": []})
+    code = cli.main([argv[0], path, *argv[1:]])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["error"]["path"] == "/op"
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "spelling,message",
+    [("f4", "field characteristic must be prime, got 4"), ("x", "unknown field spec 'x'")],
+)
+def test_bad_field_spelling(spelling, message):
+    code, report, _ = run_cli(["hopf", "corpus/toy_c2.json", "--field", spelling])
+    assert code == 2
+    assert report["error"] == {"path": "", "message": message}
+
+
+def test_degree_bound_too_shallow_for_hopf():
+    code, report, _ = run_cli(
+        ["hopf", "corpus/toy_c2.json", "--field", "f2", "--max-degree", "1"]
+    )
+    assert code == 2
+    assert report["error"] == {
+        "path": "",
+        "message": "depth too small to observe stabilization",
+    }
+
+
 def test_wrong_kind_for_dgla():
     code, report, _ = run_cli(["dgla", "corpus/dihedral_3.json"])
     assert code == 2

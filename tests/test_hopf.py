@@ -1,4 +1,4 @@
-"""Arrow bialgebra, filtration, coinvariants, truncations."""
+"""Arrow bialgebra, filtration, coinvariants, graded checks."""
 
 import dataclasses
 from fractions import Fraction
@@ -13,15 +13,11 @@ from rackgraph.hopf import (
     graded_primitive_subspace,
     group_ideal_levels,
     relative_ideal_levels,
-    truncated_hopf,
-    truncation_surjection,
     verify_connected_lemma,
-    verify_edge_like,
     verify_graded_structure,
     verify_hopf,
 )
-from rackgraph.hopf import _tensor_subspace
-from rackgraph.linalg import ExactMatrix, FieldSpec, Subspace
+from rackgraph.linalg import ExactMatrix, FieldSpec, FilteredSpace, Subspace
 from rackgraph.racks import (
     conjugacy_class_rack,
     conjugation_rack,
@@ -29,6 +25,7 @@ from rackgraph.racks import (
     dihedral_group_4,
     dihedral_quandle,
     inner_group,
+    quaternion_group_8,
     symmetric_group_3,
     toy_rack_c2,
     trivial_augmented_rack,
@@ -174,6 +171,10 @@ def test_pi_star_two_element_example_mod_two():
     c = coinvariant_module(toy_rack_c2(), F2)
     assert c.p_dims[0] == 1
     assert c.pi_star[0].entries == ((1,),)
+    # I/I^2 is G_ab (x) F2 and degree 0 sends an orbit to the class of pi(x):
+    # a transposition is odd in S3, u^2 is twice the generator of C4
+    for name, image in (("s3_transpositions", ((1,),)), ("c4_u2", ((0,),))):
+        assert coinvariant_module(sample_racks()[name], F2).pi_star[0].entries == image
 
 
 def test_graded_dimension_identity_and_raising():
@@ -195,58 +196,58 @@ def test_graded_dims_two_element_example():
 
 def test_module_levels_split_as_tensor_sums():
     # under (g, x) -> g (x) x the n-th level of A is the sum of
-    # (ideal power p) (x) (label level q) over p + q = n
+    # (ideal power p) (x) (label level q) over p + q = n, which is spanned by
+    # the products of adapted rows whose degrees sum to at least n
     for name in ("toy_c2", "s3_transpositions", "c4_u2"):
         rack = sample_racks()[name]
         b = hopf_of(rack, F2)
         f = augmentation_filtration(b)
         c = coinvariant_module(rack, F2)
+        fg, fx = FilteredSpace(f.levels_g), FilteredSpace(c.levels_x)
         for n in range(len(f.levels_a)):
-            expected = Subspace.zero(F2, b.a_dim)
-            for p in range(n + 1):
-                q = min(n - p, len(c.levels_x) - 1)
-                gp = f.levels_g[min(p, len(f.levels_g) - 1)]
-                expected = expected.add(_tensor_subspace(gp, c.levels_x[q]))
+            products = [
+                [u * v % 2 for u in gr for v in xr]
+                for gr, dg in zip(fg.rows, fg.degrees)
+                for xr, dx in zip(fx.rows, fx.degrees)
+                if dg + dx >= n
+            ]
+            expected = Subspace.from_vectors(F2, b.a_dim, products)
             assert f.levels_a[n] == expected, (name, n)
 
 
-def test_truncation_dims_two_element_example():
-    rack = toy_rack_c2()
-    b2 = hopf_of(rack, F2)
-    f2 = augmentation_filtration(b2)
-    t = truncated_hopf(b2, f2, 1)
-    assert (t.qa.dim, t.qh.dim) == (1, 2)
-    bq = hopf_of(rack, Q)
-    fq = augmentation_filtration(bq)
-    tq = truncated_hopf(bq, fq, 1)
-    assert (tq.qa.dim, tq.qh.dim) == (1, 1)
-
-
-def test_truncation_edge_like_and_corruption():
-    rack = sample_racks()["s3_transpositions"]
-    b = hopf_of(rack, F2)
+@pytest.mark.parametrize(
+    "name,field,depth,checked",
+    [("toy_c2", F2, 2, 15), ("s3_transpositions", F3, 3, 11)],
+)
+def test_corrupted_phi_fails_the_graded_check(name, field, depth, checked):
+    rack = sample_racks()[name]
+    b = hopf_of(rack, field)
     f = augmentation_filtration(b)
-    t = truncated_hopf(b, f, 1)
-    report = verify_edge_like(t, b)
-    assert report.ok, report.violations[:3]
-    if t.delta1_n.nrows and t.delta1_n.ncols:
-        rows = [list(r) for r in t.delta1_n.entries]
-        rows[0][0] = (rows[0][0] + 1) % 2
-        bad = dataclasses.replace(t, delta1_n=ExactMatrix.from_rows(F2, rows))
-        assert not verify_edge_like(bad, b).ok
+    c = coinvariant_module(rack, field)
+    assert verify_graded_structure(b, f, c).ok
+    rows = [list(r) for r in b.phi.entries]
+    rows[0][0] = 0  # arrow 0 now maps outside the augmentation ideal
+    bad = dataclasses.replace(b, phi=ExactMatrix.from_rows(field, rows))
+    report = verify_graded_structure(bad, f, c)
+    assert not report.ok
+    assert report.checked == checked
+    coproduct = "reduced arrow coproduct does not raise the filtration at level"
+    assert list(report.violations) == (
+        [f"{coproduct} {n}" for n in range(depth)]
+        + [f"phi does not raise the degree at level {n}" for n in range(depth)]
+    )
 
 
-def test_truncation_tower_composes():
-    b = hopf_of(toy_rack_c2(), F2)
-    f = augmentation_filtration(b)
-    t0, t1, t2 = (truncated_hopf(b, f, n) for n in range(3))
-    a21, h21 = truncation_surjection(t2, t1)
-    a10, h10 = truncation_surjection(t1, t0)
-    a20, h20 = truncation_surjection(t2, t0)
-    assert a10.mul(a21).entries == a20.entries
-    assert h10.mul(h21).entries == h20.entries
-    with pytest.raises(ValueError):
-        truncation_surjection(t0, t2)
+def test_graded_primitives_follow_the_jennings_series():
+    # Quillen: gr F_p[G] is the restricted enveloping algebra of the Lie
+    # algebra of the Jennings series, whose primitives are that Lie algebra.
+    # For D4 and Q8 the Jennings quotients have ranks 2 and 1
+    for group in (dihedral_group_4(), quaternion_group_8()):
+        x = next(g for g in range(8) if group.mul[g][g] != group.identity)
+        b = hopf_of(conjugacy_class_rack(group, [x]), F2)
+        f = augmentation_filtration(b)
+        dims = [graded_primitive_subspace(b, f, n).dim for n in (1, 2, 3, 4)]
+        assert dims == [2, 1, 0, 0]
 
 
 def test_pi_star_lands_in_graded_primitives():

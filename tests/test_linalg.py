@@ -4,12 +4,14 @@ Expected values here were computed by hand row reduction before the
 implementation existed (see comments), then frozen.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from rackgraph.linalg import (
     ExactMatrix,
     FieldSpec,
+    FilteredSpace,
     QuotientSpace,
     SubquotientBasis,
     Subspace,
@@ -160,6 +162,10 @@ def test_subquotient_basis():
         assert False, "vector outside V must be rejected"
     except ValueError:
         pass
+    # W's pivot column need not be one of V's non-representative rows:
+    # (1, 0) and (1, 0) - (1, 1) lie in one coset of span{(1, 1)}
+    sq = SubquotientBasis(Subspace.full(Q, 2), Subspace.from_vectors(Q, 2, [[1, 1]]))
+    assert sq.coords([1, 0]) == sq.coords([0, -1]) == [Fraction(-1)]
 
 
 def test_prime_field_arithmetic():
@@ -167,3 +173,89 @@ def test_prime_field_arithmetic():
     assert F3.mul(2, 2) == 1
     assert FieldSpec.parse("f5").p == 5
     assert FieldSpec.parse("q").kind == "q"
+
+
+def _random_chain(rng, field, n):
+    # [full, span(v_0..v_r), span(v_1..v_r), ...] with r < n, run down to
+    # zero or stopped at a random depth; the last entry is listed twice
+    vecs = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(rng.randrange(0, n))]
+    levels = [Subspace.full(field, n)]
+    for d in range(rng.randrange(1, len(vecs) + 2)):
+        levels.append(Subspace.from_vectors(field, n, vecs[d:]))
+    levels.append(levels[-1])
+    return levels
+
+
+def test_filtered_space_adapted_basis():
+    rng = random.Random(5)
+    for field in (Q, F2, F3):
+        for _ in range(20):
+            n = rng.randrange(1, 6)
+            levels = _random_chain(rng, field, n)
+            fs = FilteredSpace(levels)
+            assert len(fs.rows) == n
+            for d in range(len(levels) - 1):
+                assert fs.graded_dim(d) == levels[d].dim - levels[d + 1].dim
+            assert fs.degrees.count(math.inf) == levels[-1].dim
+            for m, level in enumerate(levels):
+                deep = [row for row, d in zip(fs.rows, fs.degrees) if d >= m]
+                assert Subspace.from_vectors(field, n, deep) == level
+
+
+def _random_member(rng, field, space):
+    v = [field.zero()] * space.ambient_dim
+    for row in space.basis:
+        c = field.coerce(rng.randrange(-2, 3))
+        v = [field.add(x, field.mul(c, y)) for x, y in zip(v, row)]
+    return v
+
+
+def test_filtered_space_coefficients_and_degree():
+    rng = random.Random(6)
+    for field in (Q, F3):
+        for _ in range(30):
+            n = rng.randrange(1, 6)
+            levels = _random_chain(rng, field, n)
+            fs = FilteredSpace(levels)
+            v = _random_member(rng, field, rng.choice(levels[:-1]))
+            c = fs.coefficients(v)
+            back = [field.zero()] * n
+            for ci, row in zip(c, fs.rows):
+                back = [field.add(x, field.mul(ci, y)) for x, y in zip(back, row)]
+            assert back == v
+            deepest = max(m for m, level in enumerate(levels) if level.contains(v))
+            if deepest == len(levels) - 1:
+                assert fs.degree(v) >= deepest
+            else:
+                assert fs.degree(v) == deepest
+
+
+def _tensor_level(field, lv, lw, m):
+    # level m of V(x)W as the sum over p + q = m of V_p (x) W_q, row reducing
+    # every product of level bases (levels past a chain's end repeat its last)
+    n, k = lv[0].ambient_dim, lw[0].ambient_dim
+    return Subspace.from_vectors(field, n * k, [
+        [field.mul(x, y) for x in u for y in w]
+        for p in range(m + 1)
+        for u in lv[min(p, len(lv) - 1)].basis
+        for w in lw[min(m - p, len(lw) - 1)].basis
+    ])
+
+
+def test_tensor_degree_matches_the_row_reduced_tensor_levels():
+    rng = random.Random(8)
+    for field in (Q, F2, F3):
+        for _ in range(20):
+            n, k = rng.randrange(1, 5), rng.randrange(1, 5)
+            lv, lw = _random_chain(rng, field, n), _random_chain(rng, field, k)
+            top = len(lv) + len(lw)
+            # below len(lv) + len(lw) - 4 the level still has rows of finite degree
+            start = rng.randrange(0, max(1, top - 4))
+            t = _random_member(rng, field, _tensor_level(field, lv, lw, start))
+            levels = [_tensor_level(field, lv, lw, m) for m in range(top + 1)]
+            deepest = max(m for m, level in enumerate(levels) if level.contains(t))
+            degree = FilteredSpace(lv).tensor_degree(FilteredSpace(lw), t)
+            if deepest == top:
+                assert degree >= top
+            else:
+                assert degree == deepest
