@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from . import jsonio, liealg, lierack
 from .cubical import (
+    ComplexTooLarge,
     assert_boundary_squares_to_zero,
     betti_numbers_rational,
     bq_chain_complex,
@@ -140,7 +141,10 @@ def _cmd_homology(m: Manifest, kind, obj) -> tuple[int, dict]:
     a = _as_augmented(kind, obj)
     top = (m.max_degree if m.max_degree is not None else 3) + 1
     build = bq_chain_complex if m.complex_kind == "bq" else eq_chain_complex
-    complex_ = build(a, max_degree=top)
+    try:
+        complex_ = build(a, max_degree=top)
+    except ComplexTooLarge as exc:
+        raise SchemaError("", str(exc)) from None
     assert_boundary_squares_to_zero(complex_)
     result = homology(complex_)
     rational = betti_numbers_rational(complex_)

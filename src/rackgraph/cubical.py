@@ -20,7 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix, FieldSpec, rank as field_rank, smith_normal_form
+from .linalg import (
+    ExactMatrix,
+    FieldSpec,
+    eliminate_unit_pivots,
+    smith_normal_form,
+    sparse_rank,
+)
 from .racks import AugmentedRack
 
 
@@ -114,10 +120,14 @@ class ChainComplex:
 DEFAULT_SIZE_CAP = 10**6
 
 
-def _check_cap(base: int, n: int, cap: int) -> None:
-    if base**n > cap:
-        raise ValueError(
-            f"memory bound exceeded: basis size {base}^{n} > cap {cap}"
+class ComplexTooLarge(ValueError):
+    """The top chain group of a requested complex is over the size cap."""
+
+
+def _check_cap(size: int, formula: str, cap: int) -> None:
+    if size > cap:
+        raise ComplexTooLarge(
+            f"memory bound exceeded: basis size {size} ({formula}) > cap {cap}"
         )
 
 
@@ -131,7 +141,8 @@ def _enumerate_tuples(size: int, n: int) -> list[tuple[int, ...]]:
 def bq_chain_complex(a: AugmentedRack, max_degree: int = 4, size_cap: int = DEFAULT_SIZE_CAP) -> ChainComplex:
     """Reduced complex on basis X^n (C_0 has rank 1)."""
     m = a.x_size
-    _check_cap(max(m, 1), max_degree, size_cap)
+    base = max(m, 1)
+    _check_cap(base**max_degree, f"{base}^{max_degree}", size_cap)
     # derived operation is all the reduced faces need
     op = a.derived_rack().op
     ranks = []
@@ -166,9 +177,10 @@ def eq_chain_complex(a: AugmentedRack, max_degree: int = 4, size_cap: int = DEFA
     """Full complex on basis G x X^n."""
     m = a.x_size
     order = a.group.order
-    _check_cap(max(m, 1), max_degree, size_cap)
-    if order * max(m, 1) ** max_degree > size_cap:
-        raise ValueError("memory bound exceeded on the full complex")
+    base = max(m, 1)
+    _check_cap(
+        order * base**max_degree, f"{order} x {base}^{max_degree}, full complex", size_cap
+    )
     ranks = []
     labels = []
     for n in range(max_degree + 1):
@@ -221,14 +233,17 @@ class HomologyResult:
 def homology(c: ChainComplex) -> HomologyResult:
     """Integer homology from Smith normal forms of the boundary matrices.
 
-    Degree n needs d_{n+1}, so only degrees up to max_degree-1 are reported.
+    The unit pivots of each boundary are eliminated sparsely first; only the
+    dense core left over goes through `smith_normal_form`.  Degree n needs
+    d_{n+1}, so only degrees up to max_degree-1 are reported.
     """
     ranks_d = [0] * (c.max_degree + 1)
     divisors = [[] for _ in range(c.max_degree + 1)]
     for n in range(1, c.max_degree + 1):
-        r, d = smith_normal_form(c.boundary_matrix(n))
-        ranks_d[n] = r
-        divisors[n] = d
+        units, core = eliminate_unit_pivots(c.boundaries[n - 1])
+        r, d = smith_normal_form(core)
+        ranks_d[n] = units + r
+        divisors[n] = [1] * units + d
     betti = []
     torsion = []
     for n in range(c.max_degree):
@@ -241,16 +256,15 @@ def homology(c: ChainComplex) -> HomologyResult:
 def homology_dimensions_over_field(c: ChainComplex, field: FieldSpec) -> tuple[int, ...]:
     """dim H_n(field) for n < max_degree by rank-nullity over the field.
 
-    Entirely independent of the Smith normal form route, so the two can be
-    played against each other: over the rationals the answer is the Betti
-    vector, over F_p it picks up the p-torsion from the two adjacent
-    boundary maps (universal coefficients).
+    Field elimination on the sparse columns; it shares only the storage
+    with the Smith normal form route, so the two can be played against
+    each other: over the rationals the answer is the Betti vector, over F_p
+    it picks up the p-torsion from the two adjacent boundary maps
+    (universal coefficients).
     """
     ranks_d = [0] * (c.max_degree + 1)
     for n in range(1, c.max_degree + 1):
-        dense = c.boundary_matrix(n)
-        m = ExactMatrix.from_rows(field, dense.entries)
-        ranks_d[n] = field_rank(m)
+        ranks_d[n] = sparse_rank(field, c.boundaries[n - 1])
     return tuple(
         (c.ranks[n] - ranks_d[n]) - ranks_d[n + 1] for n in range(c.max_degree)
     )

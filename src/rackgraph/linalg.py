@@ -2,9 +2,17 @@
 
 Scalars are `fractions.Fraction` over the rationals and plain ints in
 [0, p) over a prime field.  Subspaces are kept in reduced row echelon
-form, which makes equality and membership canonical.  Prime-field row
-reduction is vectorized with numpy int64; rational row reduction works
-on Python lists (the rational spaces in this package stay small).
+form, which makes equality and membership canonical.  Dense row reduction
+over F_p is vectorized with numpy int64, which holds the product of two
+residues exactly only for p < 2^31, so larger primes are refused; dense
+row reduction over Q works on Python lists of Fractions, whose cost grows
+with the square of the row length.
+
+Boundary matrices are sparse with entries +-1 and are never made dense
+whole.  They are held as one dict {row: coeff} per column and go through
+two independent eliminations: `eliminate_unit_pivots` strips the unit
+pivots before a Smith normal form of the small dense core that is left,
+and `sparse_rank` is plain elimination over a field.
 """
 
 from __future__ import annotations
@@ -16,6 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 Scalar = "Fraction | int"
+
+# int64 row reduction mod p forms products of two residues
+MAX_PRIME_BOUND = 2**31
 
 
 def _is_prime(n: int) -> bool:
@@ -42,6 +53,11 @@ class FieldSpec:
 
     @staticmethod
     def prime(p: int) -> "FieldSpec":
+        # before the primality test, whose trial division is sqrt(p) steps
+        if p >= MAX_PRIME_BOUND:
+            raise ValueError(
+                f"field characteristic must be below 2^31 = {MAX_PRIME_BOUND}, got {p}"
+            )
         if not _is_prime(p):
             raise ValueError(f"field characteristic must be prime, got {p}")
         return FieldSpec("fp", p)
@@ -377,7 +393,7 @@ def nullspace(m: ExactMatrix) -> Subspace:
 def rank(m: ExactMatrix) -> int:
     if m.field is None:
         raise ValueError("rank over a field; use smith_normal_form for integers")
-    return len(rref(m.field, [list(r) for r in m.entries]))
+    return sparse_rank(m.field, ({j: v for j, v in enumerate(r) if v} for r in m.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +479,124 @@ def smith_normal_form(matrix) -> tuple[int, list[int]]:
     for d1, d2 in zip(divisors, divisors[1:]):
         assert d2 % d1 == 0, "divisor chain broken"
     return len(divisors), divisors
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination on columns {row: coeff}
+
+
+def eliminate_unit_pivots(columns) -> tuple[int, list[list[int]]]:
+    """Strip the +-1 pivots of an integer matrix given by sparse columns.
+
+    Taking a unit pivot at (i, j) clears row i by integer column operations
+    with column j; column j is then cleared by row operations with row i that
+    change nothing else, so the pivot splits off as a divisor 1 of the Smith
+    normal form.  Pivots are taken cheapest first by the Markowitz cost
+    (column nnz - 1) * (row nnz - 1), which keeps fill-in low; a cost in the
+    queue is refreshed only when its entry comes up, and the entry is taken
+    when its fresh cost is still no more than every queued one.  Returns k,
+    the number of pivots taken, and the dense core of the rows and columns
+    left with nonzeros; the divisors of the input are [1] * k followed by
+    those of the core.  The input columns are not modified.
+    """
+    # only a run that eliminates pays for the import
+    from heapq import heapify, heappop, heappush
+
+    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    rows: dict[int, set] = {}
+    for j, col in cols.items():
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+
+    def cost(j, i):
+        return (len(cols[j]) - 1) * (len(rows[i]) - 1)
+
+    heap = [
+        (cost(j, i), j, i) for j, col in cols.items() for i, v in col.items() if v in (1, -1)
+    ]
+    heapify(heap)
+    k = 0
+    while heap:
+        _, j, i = heappop(heap)
+        if j not in cols or cols[j].get(i) not in (1, -1):
+            continue
+        now = cost(j, i)
+        if heap and now > heap[0][0]:
+            heappush(heap, (now, j, i))
+            continue
+        pivot = cols.pop(j)
+        sign = pivot.pop(i)
+        others = rows.pop(i)
+        others.discard(j)
+        for r in pivot:
+            rows[r].discard(j)
+        for j2 in others:
+            col = cols[j2]
+            c = col.pop(i) * sign
+            units = []
+            for r, v in pivot.items():
+                old = col.get(r, 0)
+                w = old - c * v
+                if w:
+                    if not old:
+                        rows[r].add(j2)
+                    col[r] = w
+                    if w in (1, -1) and old not in (1, -1):
+                        units.append(r)
+                elif old:
+                    del col[r]
+                    rows[r].discard(j2)
+            if not col:
+                del cols[j2]
+            for r in units:
+                heappush(heap, (cost(j2, r), j2, r))
+        k += 1
+    live = sorted(i for i, js in rows.items() if js)
+    order = sorted(cols)
+    return k, [[cols[j].get(i, 0) for j in order] for i in live]
+
+
+def sparse_rank(field: FieldSpec, vectors) -> int:
+    """Rank over `field` of sparse vectors {index: value}.
+
+    Plain elimination: each vector is reduced by the pivot rows kept so far,
+    keyed by their least index and scaled to lead 1, until it vanishes or
+    becomes a new pivot row.  Over Q the values stay ints until a division
+    is needed, so +-1 data never pays for Fraction arithmetic.
+    """
+    if field.is_prime_field:
+        p = field.p
+
+        def clean(v):
+            return {k: x % p for k, x in v.items() if x % p}
+
+        def scaled(v, a):
+            inv = pow(a, p - 2, p)
+            return {k: x * inv % p for k, x in v.items()}
+    else:
+
+        def clean(v):
+            return {k: x for k, x in v.items() if x}
+
+        def scaled(v, a):
+            if a in (1, -1):
+                return {k: x * a for k, x in v.items()}
+            return {k: Fraction(x) / a for k, x in v.items()}
+
+    pivots: dict[int, dict] = {}
+    for vec in vectors:
+        v = clean(vec)
+        while v:
+            lead = min(v)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = scaled(v, v[lead])
+                break
+            c = v[lead]
+            for k, x in prow.items():
+                v[k] = v.get(k, 0) - c * x
+            v = clean(v)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -147,12 +147,20 @@ def test_criterion_04_trivial_rack_homology():
 
 
 def test_criterion_05_low_degree_homology_vs_orbits():
-    with _stamp(5, "H0(BQ) = Z everywhere; H1(BQ) = Z^(#orbits) (cross-module)"):
+    label = "H0(BQ) = Z, H1(BQ) free, rank H_n(BQ) = #orbits^n for n <= 3; Z_p in H3 of R_p"
+    with _stamp(5, label):
+        results = {
+            name: homology(bq_chain_complex(a, max_degree=4)) for name, a in AUGMENTED.items()
+        }
         for name, a in AUGMENTED.items():
-            h = homology(bq_chain_complex(a, max_degree=2))
+            h = results[name]
             orbits = len(rack_orbits(a.derived_rack()))
-            assert h.betti[0] == 1 and h.torsion[0] == (), name
-            assert h.betti[1] == orbits and h.torsion[1] == (), name
+            assert h.torsion[0] == () and h.torsion[1] == (), name
+            # Etingof and Grana, "On rack cohomology", JPAA 177 (2003)
+            assert h.betti == tuple(orbits**n for n in range(4)), name
+        # Niebrzydowski and Przytycki, "Homology of dihedral quandles", JPAA 213 (2009)
+        for p in (3, 5):
+            assert any(d % p == 0 for d in results[f"dihedral_{p}"].torsion[3]), p
 
 
 def test_criterion_06_betti_cross_validation():

@@ -87,10 +87,42 @@ def test_empty_rack_rejected(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "spelling,message",
-    [("f4", "field characteristic must be prime, got 4"), ("x", "unknown field spec 'x'")],
+    [
+        ("f4", "field characteristic must be prime, got 4"),
+        ("x", "unknown field spec 'x'"),
+        # a prime past the int64 row reduction, and a 19-digit number that
+        # must be refused before its primality is tested by trial division
+        (
+            "f4294967311",
+            "field characteristic must be below 2^31 = 2147483648, got 4294967311",
+        ),
+        (
+            "f1000000000000000003",
+            "field characteristic must be below 2^31 = 2147483648, got 1000000000000000003",
+        ),
+    ],
 )
 def test_bad_field_spelling(spelling, message):
     code, report, _ = run_cli(["hopf", "corpus/toy_c2.json", "--field", spelling])
+    assert code == 2
+    assert report["error"] == {"path": "", "message": message}
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (
+            ["--max-degree", "8"],
+            "memory bound exceeded: basis size 10077696 (6^9) > cap 1000000",
+        ),
+        (
+            ["--complex", "eq", "--max-degree", "6"],
+            "memory bound exceeded: basis size 1679616 (6 x 6^7, full complex) > cap 1000000",
+        ),
+    ],
+)
+def test_oversize_complex_refused(flags, message):
+    code, report, _ = run_cli(["homology", "corpus/dihedral_6.json", *flags])
     assert code == 2
     assert report["error"] == {"path": "", "message": message}
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from rackgraph import cubical, linalg
 from rackgraph.cubical import (
     ArrowWord,
     ProductCube,
@@ -201,6 +202,21 @@ def test_betti_routes_agree():
         deg = 4 if a.x_size <= 3 else 2
         c = bq_chain_complex(a, max_degree=deg)
         assert homology(c).betti == betti_numbers_rational(c), name
+
+
+def test_rational_route_never_uses_the_integer_route(monkeypatch):
+    c = bq_chain_complex(small_corpus()["dihedral_3"], max_degree=4)
+    betti = homology(c).betti
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integer elimination called")
+
+    for module in (linalg, cubical):
+        monkeypatch.setattr(module, "eliminate_unit_pivots", refuse)
+        monkeypatch.setattr(module, "smith_normal_form", refuse)
+    with pytest.raises(AssertionError):
+        homology(c)
+    assert betti_numbers_rational(c) == betti == (1, 1, 1, 1)
 
 
 def test_universal_coefficients_consistency():

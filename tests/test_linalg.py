@@ -8,6 +8,9 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from rackgraph.linalg import (
     ExactMatrix,
     FieldSpec,
@@ -15,10 +18,13 @@ from rackgraph.linalg import (
     QuotientSpace,
     SubquotientBasis,
     Subspace,
+    eliminate_unit_pivots,
     image_and_rank,
     nullspace,
     rank,
+    rref,
     smith_normal_form,
+    sparse_rank,
 )
 
 Q = FieldSpec.rationals()
@@ -173,6 +179,69 @@ def test_prime_field_arithmetic():
     assert F3.mul(2, 2) == 1
     assert FieldSpec.parse("f5").p == 5
     assert FieldSpec.parse("q").kind == "q"
+
+
+def test_largest_prime_field_reduces_exactly():
+    # 2^31 - 1 is prime and the largest characteristic accepted; the second
+    # row is c times the first, so exact reduction leaves one row
+    p = 2**31 - 1
+    field = FieldSpec.prime(p)
+    a, b, c = p - 1, p - 2, p - 3
+    reduced = rref(field, [[a, b], [a * c % p, b * c % p]])
+    assert reduced == ((1, b * pow(a, p - 2, p) % p),)
+    with pytest.raises(ValueError, match="below 2\\^31"):
+        FieldSpec.prime(2**31)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Block diagonal of a block with entries -3..3 and a block without
+    units, plus zero rows and zero columns, rows and columns shuffled."""
+    rows, width = [], 0
+    for entry in (st.integers(-3, 3), st.sampled_from([-3, -2, 0, 2, 3])):
+        m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        block = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+        rows = [r + [0] * n for r in rows] + [[0] * width + r for r in block]
+        width += n
+    rows += [[0] * width] * draw(st.integers(0, 2))
+    width += draw(st.integers(0, 2))
+    rows = [r + [0] * (width - len(r)) for r in draw(st.permutations(rows))]
+    order = draw(st.permutations(range(width)))
+    return [[r[j] for j in order] for r in rows], width
+
+
+@settings(deadline=None)
+@given(integer_matrices())
+def test_unit_pivots_then_core_snf_equals_dense_snf(case):
+    rows, width = case
+    columns = [{i: r[j] for i, r in enumerate(rows) if r[j]} for j in range(width)]
+    k, core = eliminate_unit_pivots(columns)
+    r, d = smith_normal_form(core)
+    assert (k + r, [1] * k + d) == smith_normal_form(rows)
+    assert all(any(row) for row in core)
+    assert all(any(col) for col in zip(*core))
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([Q, F2, F3]),
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                min_size=n,
+                max_size=n,
+            ),
+            max_size=6,
+        )
+    ),
+)
+def test_sparse_rank_equals_rref_rank(field, rows):
+    if field.is_prime_field:
+        # integer entries; over Q fractional ones take the division path
+        rows = [[int(v) for v in row] for row in rows]
+    vectors = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    assert sparse_rank(field, vectors) == len(rref(field, rows))
 
 
 def _random_chain(rng, field, n):
