@@ -230,20 +230,59 @@ class HomologyResult:
     torsion: tuple  # tuple of tuples of divisors > 1
 
 
+def reduce_unit_pairs(c: ChainComplex) -> ChainComplex:
+    """A smaller complex with the same homology, cut down by unit pairs.
+
+    A +-1 entry of d_n at (b, a) pairs a cell a of C_n with a cell b of
+    C_{n-1}.  Dropping both cells, taking the Schur complement on d_n,
+    deleting row a of d_{n+1} and column b of d_{n-1} leaves a chain complex
+    with the same homology (Kaczynski, Mischaikow and Mrozek, Computational
+    Homology, 2004, ch. 4).  `eliminate_unit_pivots` takes the pairs of each
+    d_n in turn, from d_1 up, on the rows still alive; a dropped face b
+    takes its column of d_{n-1} with it.  Surviving cells keep their labels.
+    """
+    gone = [set() for _ in range(c.max_degree + 1)]
+    left = []  # left[n - 1] = surviving columns of d_n, {cell: {face: coeff}}
+    for n in range(1, c.max_degree + 1):
+        below = gone[n - 1]
+        pivots, cols = eliminate_unit_pivots(
+            {i: v for i, v in col.items() if i not in below} for col in c.boundaries[n - 1]
+        )
+        for i, j in pivots:
+            below.add(i)
+            gone[n].add(j)
+        left.append(cols)
+    alive = [[i for i in range(r) if i not in gone[n]] for n, r in enumerate(c.ranks)]
+    index = [{old: new for new, old in enumerate(cells)} for cells in alive]
+    boundaries = tuple(
+        tuple(
+            {index[n - 1][i]: v for i, v in left[n - 1].get(j, {}).items()}
+            for j in alive[n]
+        )
+        for n in range(1, c.max_degree + 1)
+    )
+    return ChainComplex(
+        c.max_degree,
+        tuple(len(cells) for cells in alive),
+        boundaries,
+        tuple(tuple(c.labels[n][i] for i in cells) for n, cells in enumerate(alive)),
+    )
+
+
 def homology(c: ChainComplex) -> HomologyResult:
     """Integer homology from Smith normal forms of the boundary matrices.
 
-    The unit pivots of each boundary are eliminated sparsely first; only the
-    dense core left over goes through `smith_normal_form`.  Degree n needs
+    The complex is first cut down by `reduce_unit_pairs`; only the small
+    boundaries left over go through `smith_normal_form`.  Degree n needs
     d_{n+1}, so only degrees up to max_degree-1 are reported.
     """
+    c = reduce_unit_pairs(c)
     ranks_d = [0] * (c.max_degree + 1)
     divisors = [[] for _ in range(c.max_degree + 1)]
     for n in range(1, c.max_degree + 1):
-        units, core = eliminate_unit_pivots(c.boundaries[n - 1])
-        r, d = smith_normal_form(core)
-        ranks_d[n] = units + r
-        divisors[n] = [1] * units + d
+        r, d = smith_normal_form(c.boundary_matrix(n))
+        ranks_d[n] = r
+        divisors[n] = d
     betti = []
     torsion = []
     for n in range(c.max_degree):
@@ -264,7 +303,7 @@ def homology_dimensions_over_field(c: ChainComplex, field: FieldSpec) -> tuple[i
     """
     ranks_d = [0] * (c.max_degree + 1)
     for n in range(1, c.max_degree + 1):
-        ranks_d[n] = sparse_rank(field, c.boundaries[n - 1])
+        ranks_d[n] = sparse_rank(field, c.ranks[n - 1], c.boundaries[n - 1])
     return tuple(
         (c.ranks[n] - ranks_d[n]) - ranks_d[n + 1] for n in range(c.max_degree)
     )

@@ -8,11 +8,12 @@ residues exactly only for p < 2^31, so larger primes are refused; dense
 row reduction over Q works on Python lists of Fractions, whose cost grows
 with the square of the row length.
 
-Boundary matrices are sparse with entries +-1 and are never made dense
-whole.  They are held as one dict {row: coeff} per column and go through
-two independent eliminations: `eliminate_unit_pivots` strips the unit
-pivots before a Smith normal form of the small dense core that is left,
-and `sparse_rank` is plain elimination over a field.
+Boundary matrices are sparse, with entries mostly +-1, and are never made
+dense whole.  They are held as one dict {row: coeff} per column and go
+through two independent eliminations: `eliminate_unit_pivots` strips the
+unit pivots, so that only a small core is left for the Smith normal form,
+and `sparse_rank` is elimination over a field that hands only the vectors
+that fill up to the dense `rref`.
 """
 
 from __future__ import annotations
@@ -390,12 +391,6 @@ def nullspace(m: ExactMatrix) -> Subspace:
     return space
 
 
-def rank(m: ExactMatrix) -> int:
-    if m.field is None:
-        raise ValueError("rank over a field; use smith_normal_form for integers")
-    return sparse_rank(m.field, ({j: v for j, v in enumerate(r) if v} for r in m.entries))
-
-
 # ---------------------------------------------------------------------------
 # integer Smith normal form
 
@@ -414,6 +409,10 @@ def smith_normal_form(matrix) -> tuple[int, list[int]]:
         a = [list(r) for r in matrix.entries]
     else:
         a = [[int(v) for v in r] for r in matrix]
+    # zero rows and columns change neither the rank nor the divisors
+    a = [r for r in a if any(r)]
+    keep = [j for j, col in enumerate(zip(*a)) if any(col)]
+    a = [[r[j] for j in keep] for r in a]
     m = len(a)
     n = len(a[0]) if m else 0
     divisors: list[int] = []
@@ -485,84 +484,72 @@ def smith_normal_form(matrix) -> tuple[int, list[int]]:
 # sparse elimination on columns {row: coeff}
 
 
-def eliminate_unit_pivots(columns) -> tuple[int, list[list[int]]]:
+def eliminate_unit_pivots(columns) -> tuple[list[tuple[int, int]], dict[int, dict[int, int]]]:
     """Strip the +-1 pivots of an integer matrix given by sparse columns.
 
     Taking a unit pivot at (i, j) clears row i by integer column operations
     with column j; column j is then cleared by row operations with row i that
     change nothing else, so the pivot splits off as a divisor 1 of the Smith
-    normal form.  Pivots are taken cheapest first by the Markowitz cost
-    (column nnz - 1) * (row nnz - 1), which keeps fill-in low; a cost in the
-    queue is refreshed only when its entry comes up, and the entry is taken
-    when its fresh cost is still no more than every queued one.  Returns k,
-    the number of pivots taken, and the dense core of the rows and columns
-    left with nonzeros; the divisors of the input are [1] * k followed by
-    those of the core.  The input columns are not modified.
+    normal form.  Columns are scanned in order and each takes its first +-1
+    entry as pivot; fill-in can make new units, so the scan repeats until a
+    pass takes none.  Returns the pivots taken as (row, column) pairs and
+    the nonzero columns left, {column: {row: coeff}}, none of which meets a
+    pivot row; the divisors of the input are one 1 per pivot followed by
+    those of what is left.  The input columns are not modified.
     """
-    # only a run that eliminates pays for the import
-    from heapq import heapify, heappop, heappush
-
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
     rows: dict[int, set] = {}
     for j, col in cols.items():
         for i in col:
             rows.setdefault(i, set()).add(j)
-
-    def cost(j, i):
-        return (len(cols[j]) - 1) * (len(rows[i]) - 1)
-
-    heap = [
-        (cost(j, i), j, i) for j, col in cols.items() for i, v in col.items() if v in (1, -1)
-    ]
-    heapify(heap)
-    k = 0
-    while heap:
-        _, j, i = heappop(heap)
-        if j not in cols or cols[j].get(i) not in (1, -1):
-            continue
-        now = cost(j, i)
-        if heap and now > heap[0][0]:
-            heappush(heap, (now, j, i))
-            continue
-        pivot = cols.pop(j)
-        sign = pivot.pop(i)
-        others = rows.pop(i)
-        others.discard(j)
-        for r in pivot:
-            rows[r].discard(j)
-        for j2 in others:
-            col = cols[j2]
-            c = col.pop(i) * sign
-            units = []
-            for r, v in pivot.items():
-                old = col.get(r, 0)
-                w = old - c * v
-                if w:
-                    if not old:
-                        rows[r].add(j2)
-                    col[r] = w
-                    if w in (1, -1) and old not in (1, -1):
-                        units.append(r)
-                elif old:
-                    del col[r]
-                    rows[r].discard(j2)
-            if not col:
-                del cols[j2]
-            for r in units:
-                heappush(heap, (cost(j2, r), j2, r))
-        k += 1
-    live = sorted(i for i, js in rows.items() if js)
-    order = sorted(cols)
-    return k, [[cols[j].get(i, 0) for j in order] for i in live]
+    pivots = []
+    taken = True
+    while taken:
+        taken = False
+        for j in list(cols):
+            col = cols.get(j)
+            i = next((i for i, v in col.items() if v in (1, -1)), None) if col else None
+            if i is None:
+                continue
+            pivot = cols.pop(j)
+            sign = pivot.pop(i)
+            others = rows.pop(i)
+            others.discard(j)
+            for r in pivot:
+                rows[r].discard(j)
+            for j2 in others:
+                col = cols[j2]
+                c = col.pop(i) * sign
+                for r, v in pivot.items():
+                    old = col.get(r, 0)
+                    w = old - c * v
+                    if w:
+                        if not old:
+                            rows[r].add(j2)
+                        col[r] = w
+                    elif old:
+                        del col[r]
+                        rows[r].discard(j2)
+                if not col:
+                    del cols[j2]
+            pivots.append((i, j))
+            taken = True
+    return pivots, cols
 
 
-def sparse_rank(field: FieldSpec, vectors) -> int:
-    """Rank over `field` of sparse vectors {index: value}.
+def sparse_rank(field: FieldSpec, dim: int, vectors) -> int:
+    """Rank over `field` of sparse vectors {index: value} in field^dim.
 
-    Plain elimination: each vector is reduced by the pivot rows kept so far,
-    keyed by their least index and scaled to lead 1, until it vanishes or
-    becomes a new pivot row.  Over Q the values stay ints until a division
-    is needed, so +-1 data never pays for Fraction arithmetic.
+    Each vector is reduced by the pivot rows kept so far, keyed by their
+    least index and scaled to lead 1, until it vanishes or leads at an
+    index that has no pivot row.  Over Q the values stay ints until a
+    division is needed, so +-1 data never pays for Fraction arithmetic.
+    A vector left more than half full does not become a pivot row: a dict
+    is then no cheaper than a list, and as a pivot it would spread its fill
+    into every later vector it reduces.  Such vectors wait; once every
+    vector is in, they are cleared at every pivot index and ranked by the
+    dense `rref`.  Cleared vectors meet the span of the pivot rows only in
+    0, so the two ranks add.
     """
     if field.is_prime_field:
         p = field.p
@@ -584,19 +571,34 @@ def sparse_rank(field: FieldSpec, vectors) -> int:
             return {k: Fraction(x) / a for k, x in v.items()}
 
     pivots: dict[int, dict] = {}
+
+    def subtract(v, lead):
+        c = v[lead]
+        for k, x in pivots[lead].items():
+            v[k] = v.get(k, 0) - c * x
+        return clean(v)
+
+    waiting = []
     for vec in vectors:
         v = clean(vec)
-        while v:
+        while v and min(v) in pivots:
+            v = subtract(v, min(v))
+        if 2 * len(v) > dim:
+            waiting.append(v)
+        elif v:
             lead = min(v)
-            prow = pivots.get(lead)
-            if prow is None:
-                pivots[lead] = scaled(v, v[lead])
-                break
-            c = v[lead]
-            for k, x in prow.items():
-                v[k] = v.get(k, 0) - c * x
-            v = clean(v)
-    return len(pivots)
+            pivots[lead] = scaled(v, v[lead])
+    if not waiting:
+        return len(pivots)
+    rest = []
+    for v in waiting:
+        hits = [k for k in v if k in pivots]
+        while hits:
+            v = subtract(v, min(hits))
+            hits = [k for k in v if k in pivots]
+        rest.append(v)
+    index = sorted({k for v in rest for k in v})
+    return len(pivots) + len(rref(field, [[v.get(k, 0) for k in index] for v in rest]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from rackgraph.cubical import (
     homology,
     homology_dimensions_over_field,
     normalize_word,
+    reduce_unit_pairs,
 )
 from rackgraph.linalg import FieldSpec, smith_normal_form
 from rackgraph.racks import (
@@ -202,6 +203,25 @@ def test_betti_routes_agree():
         deg = 4 if a.x_size <= 3 else 2
         c = bq_chain_complex(a, max_degree=deg)
         assert homology(c).betti == betti_numbers_rational(c), name
+
+
+def test_unit_pair_reduction_keeps_homology():
+    def dense_homology(c):
+        snf = [(0, [])] + [smith_normal_form(c.boundary_matrix(n)) for n in range(1, c.max_degree + 1)]
+        betti = tuple(c.ranks[n] - snf[n][0] - snf[n + 1][0] for n in range(c.max_degree))
+        torsion = tuple(tuple(d for d in snf[n + 1][1] if d > 1) for n in range(c.max_degree))
+        return betti, torsion
+
+    for name, a in small_corpus().items():
+        for build in (bq_chain_complex, eq_chain_complex):
+            c = build(a, max_degree=3)
+            r = reduce_unit_pairs(c)
+            assert_boundary_squares_to_zero(r)
+            assert all(set(r.labels[n]) <= set(c.labels[n]) for n in range(4)), name
+            assert r.ranks == tuple(len(cells) for cells in r.labels)
+            assert dense_homology(r) == dense_homology(c), (name, build.__name__)
+            h = homology(c)
+            assert (h.betti, h.torsion) == dense_homology(c), (name, build.__name__)
 
 
 def test_rational_route_never_uses_the_integer_route(monkeypatch):
