@@ -43,6 +43,7 @@ from .racks import (
     abelianization,
     associated_group_presentation,
     inner_group,
+    translation_violations,
     validate_augmented,
     validate_rack,
 )
@@ -85,13 +86,29 @@ def _report_from(rep) -> dict:
     return {"ok": rep.ok, "checked": rep.checked, "violations": list(rep.violations)}
 
 
+class CheckFailed(Exception):
+    """A well-formed input fails a check that the command needs before it
+    can start; the command exits 1 with these violations."""
+
+    def __init__(self, violations):
+        super().__init__(violations)
+        self.violations = list(violations)
+
+
 def _as_augmented(kind, obj):
     """Any rack-like document as an augmented rack."""
     if kind == "augmented_rack":
         return obj
     if kind == "rack":
+        # the inner group is generated by the right translations
+        bad = translation_violations(obj)
+        if bad:
+            raise CheckFailed(bad)
         return inner_group(obj)[1]
     if kind == "graph":
+        rep = validate_group_like(obj)
+        if not rep.ok:
+            raise CheckFailed(rep.violations)
         return graph_to_rack(obj)
     raise SchemaError("/kind", f"expected a rack-like document, got {kind!r}")
 
@@ -129,7 +146,7 @@ def _cmd_convert(m: Manifest, kind, obj) -> tuple[int, dict]:
         return 0, jsonio.dump_graph(rack_to_graph(_as_augmented(kind, obj)))
     if m.to == "rack":
         if kind == "graph":
-            return 0, jsonio.dump_augmented(graph_to_rack(obj))
+            return 0, jsonio.dump_augmented(_as_augmented(kind, obj))
         if kind == "augmented_rack":
             return 0, jsonio.dump_augmented(obj)
         if kind == "rack":
@@ -214,7 +231,10 @@ def _cmd_dgla(m: Manifest, kind, obj) -> tuple[int, dict]:
         report["ok"] = False
         return 1, report
     top = m.max_degree if m.max_degree is not None else 3
-    t = liealg.e_functor(obj, top, convention=m.convention)
+    try:
+        t = liealg.e_functor(obj, top, convention=m.convention)
+    except liealg.TruncationTooLarge as exc:
+        raise SchemaError("", str(exc)) from None
     ver = liealg.verify_e_truncation(t, obj)
     report["dims"] = list(t.dims)
     report["truncation_check"] = _report_from(ver)
@@ -293,13 +313,15 @@ def run(m: Manifest) -> tuple[int, dict]:
         }
         return 2, report
     except TableNotGroup as exc:
-        report = {
-            "schema": jsonio.SCHEMA_VERSION,
-            "command": m.command,
-            "ok": False,
-            "violations": [f"multiplication table is not a group: {exc}"],
-        }
-        return 1, report
+        violations = [f"multiplication table is not a group: {exc}"]
+    except CheckFailed as exc:
+        violations = exc.violations
+    return 1, {
+        "schema": jsonio.SCHEMA_VERSION,
+        "command": m.command,
+        "ok": False,
+        "violations": violations,
+    }
 
 
 # ---------------------------------------------------------------------------

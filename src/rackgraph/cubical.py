@@ -105,15 +105,21 @@ class ChainComplex:
     labels: tuple  # labels[n] = tuple of basis labels for C_n
 
     def boundary_matrix(self, n: int) -> ExactMatrix:
-        """Dense integer matrix of d_n (rows C_{n-1}, cols C_n)."""
+        """Dense integer matrix of the nonzero rows and columns of d_n.
+
+        Zero rows and columns change neither the rank nor the Smith
+        divisors, and the reduced complex keeps its cycles as zero columns,
+        so they are never made dense."""
         if not 1 <= n <= self.max_degree:
             raise ValueError("degree out of range")
-        cols = self.boundaries[n - 1]
-        rows = self.ranks[n - 1]
-        dense = [[0] * len(cols) for _ in range(rows)]
+        cols = [col for col in self.boundaries[n - 1] if any(col.values())]
+        rows = sorted({i for col in cols for i, v in col.items() if v})
+        index = {i: k for k, i in enumerate(rows)}
+        dense = [[0] * len(cols) for _ in index]
         for j, col in enumerate(cols):
             for i, v in col.items():
-                dense[i][j] = v
+                if v:
+                    dense[index[i]][j] = v
         return ExactMatrix.from_rows(None, dense)
 
 

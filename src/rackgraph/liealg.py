@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import FieldSpec, QuotientSpace, Subspace
+from .linalg import FieldSpec, SubquotientBasis, Subspace, bilinear, combine
 from .racks import ValidationReport
 
 _Q = FieldSpec.rationals()
@@ -69,41 +69,12 @@ class LMLieAlgebra:
         return LMLieAlgebra(ng, nm, c_t, rho_t, f_t)
 
 
-def _vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def _vec_scale(u, s):
-    return [s * a for a in u]
-
-
 def _zero(n):
     return [Fraction(0)] * n
 
 
-def _g_bracket(l: LMLieAlgebra, u, v):
-    """[u, v] for coordinate vectors in g."""
-    out = _zero(l.dim_g)
-    for i, ci in enumerate(u):
-        if ci:
-            for j, cj in enumerate(v):
-                if cj:
-                    out = _vec_add(out, _vec_scale(l.c[i][j], ci * cj))
-    return out
-
-
-def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            v = a[i][t]
-            if v:
-                row = b[t]
-                for j in range(m):
-                    if row[j]:
-                        out[i][j] += v * row[j]
-    return out
+def _neg(u) -> tuple:
+    return tuple(-a for a in u)
 
 
 def validate_lm_lie(l: LMLieAlgebra) -> ValidationReport:
@@ -118,45 +89,36 @@ def validate_lm_lie(l: LMLieAlgebra) -> ValidationReport:
             if any(a + b for a, b in zip(l.c[i][j], l.c[j][i])):
                 violations.append(f"antisymmetry fails at ({i}, {j})")
 
-    basis = [[Fraction(int(i == t)) for t in range(ng)] for i in range(ng)]
+    # right[k][t] = [e_t, e_k], so [u, e_k] = sum_t u_t right[k][t]
+    right = [tuple(l.c[t][k] for t in range(ng)) for k in range(ng)]
     for i in range(ng):
         for j in range(ng):
             for k in range(ng):
                 checked += 1
-                total = _vec_add(
-                    _vec_add(
-                        _g_bracket(l, _g_bracket(l, basis[i], basis[j]), basis[k]),
-                        _g_bracket(l, _g_bracket(l, basis[j], basis[k]), basis[i]),
-                    ),
-                    _g_bracket(l, _g_bracket(l, basis[k], basis[i]), basis[j]),
+                total = combine(
+                    _Q, l.c[i][j] + l.c[j][k] + l.c[k][i], right[k] + right[i] + right[j], ng
                 )
                 if any(total):
                     violations.append(f"Jacobi fails at ({i}, {j}, {k})")
 
-    rho = [[list(r) for r in mat] for mat in l.rho]
     for a in range(ng):
         for b in range(ng):
             checked += 1
-            want = [[Fraction(0)] * nm for _ in range(nm)]
-            for k, coeff in enumerate(l.c[a][b]):
-                if coeff:
-                    for i in range(nm):
-                        for j in range(nm):
-                            want[i][j] += coeff * rho[k][i][j]
-            got_ab = _mat_mul(rho[a], rho[b])
-            got_ba = _mat_mul(rho[b], rho[a])
-            got = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(got_ab, got_ba)]
-            if want != got:
+            # row i of rho[a] rho[b] - rho[b] rho[a] against sum_k c[a][b][k] rho[k]
+            if any(
+                combine(_Q, l.rho[a][i] + _neg(l.rho[b][i]), l.rho[b] + l.rho[a], nm)
+                != combine(_Q, l.c[a][b], [rho_k[i] for rho_k in l.rho], nm)
+                for i in range(nm)
+            ):
                 violations.append(f"module axiom fails at ({a}, {b})")
 
-    f_rows = [list(r) for r in l.f]
     for a in range(ng):
-        # bracketing with e_a on the right, as a matrix acting on rows of g
-        c_a = [[l.c[j][a][k] for k in range(ng)] for j in range(ng)]
         checked += 1
-        lhs = _mat_mul(rho[a], f_rows)
-        rhs = _mat_mul(f_rows, c_a)
-        if lhs != rhs:
+        # f(m_i ^ e_a) against [f(m_i), e_a]
+        if any(
+            combine(_Q, l.rho[a][i], l.f, ng) != combine(_Q, l.f[i], right[a], ng)
+            for i in range(nm)
+        ):
             violations.append(f"equivariance fails at action element {a}")
 
     return ValidationReport.collect(violations, checked)
@@ -172,35 +134,21 @@ class LeibnizAlgebra:
     bracket: tuple  # bracket[i][j] -> coord tuple
 
 
-def _leibniz_eval(b: LeibnizAlgebra, u, v):
-    out = _zero(b.dim)
-    for i, ci in enumerate(u):
-        if ci:
-            for j, cj in enumerate(v):
-                if cj:
-                    out = _vec_add(out, _vec_scale(b.bracket[i][j], ci * cj))
-    return out
-
-
 def verify_leibniz(b: LeibnizAlgebra) -> ValidationReport:
     """Right Leibniz identity [x,[y,z]] = [[x,y],z] - [[x,z],y] on basis triples."""
-    n = b.dim
-    basis = [[Fraction(int(i == t)) for t in range(n)] for i in range(n)]
+    n, br = b.dim, b.bracket
+    # right[z][t] = [e_t, e_z]
+    right = [tuple(br[t][z] for t in range(n)) for z in range(n)]
     violations: list[str] = []
     checked = 0
     for x in range(n):
         for y in range(n):
             for z in range(n):
                 checked += 1
-                lhs = _leibniz_eval(b, basis[x], _leibniz_eval(b, basis[y], basis[z]))
-                rhs = [
-                    p - q
-                    for p, q in zip(
-                        _leibniz_eval(b, _leibniz_eval(b, basis[x], basis[y]), basis[z]),
-                        _leibniz_eval(b, _leibniz_eval(b, basis[x], basis[z]), basis[y]),
-                    )
-                ]
-                if lhs != rhs:
+                total = combine(
+                    _Q, br[y][z] + _neg(br[x][y]) + br[x][z], br[x] + right[z] + right[y], n
+                )
+                if any(total):
                     violations.append(f"Leibniz identity fails at ({x}, {y}, {z})")
     return ValidationReport.collect(violations, checked)
 
@@ -208,17 +156,13 @@ def verify_leibniz(b: LeibnizAlgebra) -> ValidationReport:
 def leibniz_bracket(l: LMLieAlgebra) -> LeibnizAlgebra:
     """[m, n] := m ^ f(n), which is a (generally non-Lie) Leibniz bracket."""
     nm = l.dim_m
-    table = []
-    for i in range(nm):
-        row = []
-        for j in range(nm):
-            out = _zero(nm)
-            for k, coeff in enumerate(l.f[j]):
-                if coeff:
-                    out = _vec_add(out, _vec_scale(list(l.rho[k][i]), coeff))
-            row.append(tuple(out))
-        table.append(tuple(row))
-    out = LeibnizAlgebra(nm, tuple(table))
+    table = tuple(
+        tuple(
+            tuple(combine(_Q, l.f[j], [rho_k[i] for rho_k in l.rho], nm)) for j in range(nm)
+        )
+        for i in range(nm)
+    )
+    out = LeibnizAlgebra(nm, table)
     report = verify_leibniz(out)
     if not report.ok:
         raise AssertionError(f"derived bracket is not Leibniz: {report.violations[0]}")
@@ -229,6 +173,10 @@ def leibniz_bracket(l: LMLieAlgebra) -> LeibnizAlgebra:
 # free graded extension
 
 WORD_BUDGET = 300_000
+
+
+class TruncationTooLarge(ValueError):
+    """A degree bound needs more bracket words than WORD_BUDGET."""
 
 
 def _sigma(p: int, q: int, convention: str) -> Fraction:
@@ -252,7 +200,7 @@ def _words_by_degree(m: int, max_degree: int) -> list:
         size = sum(len(words[p]) * len(words[n - p]) for p in range(1, n))
         total += size
         if total > WORD_BUDGET:
-            raise ValueError(
+            raise TruncationTooLarge(
                 f"degree bound needs {total} bracket words, over the budget {WORD_BUDGET}"
             )
         layer = []
@@ -283,9 +231,7 @@ class GradedLieTruncation:
     max_degree: int
     source: LMLieAlgebra
     dims: tuple[int, ...]
-    words: tuple  # words[n - 1] = all degree-n bracket words
     basis_words: tuple
-    quotients: tuple  # quotients[n - 1] = word-span quotient in degree n
     bracket: dict
     differential: tuple
 
@@ -346,10 +292,13 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
                     rows.append(right)
         relations.append(Subspace.from_vectors(_Q, nwords, rows))
 
-    quotients = [None] + [QuotientSpace(relations[n]) for n in range(1, max_degree + 1)]
+    quotients = [None] + [
+        SubquotientBasis(Subspace.full(_Q, len(words[n])), relations[n])
+        for n in range(1, max_degree + 1)
+    ]
     dims = [l.dim_g] + [quotients[n].dim for n in range(1, max_degree + 1)]
     basis_words = [()] + [
-        tuple(words[n][i] for i in quotients[n].rep_indices)
+        tuple(words[n][i] for i in quotients[n].rep_pivots)
         for n in range(1, max_degree + 1)
     ]
 
@@ -415,16 +364,6 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
                 table.append(tuple(row))
             bracket[(p, q)] = tuple(table)
 
-    def eval_bracket(p: int, vp, q: int, vq) -> list:
-        out = _zero(dims[p + q])
-        tab = bracket[(p, q)]
-        for i, ci in enumerate(vp):
-            if ci:
-                for j, cj in enumerate(vq):
-                    if cj:
-                        out = _vec_add(out, _vec_scale(tab[i][j], ci * cj))
-        return out
-
     d_cache: dict = {}
 
     def d_word(w) -> list:
@@ -435,19 +374,18 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
             return d_cache[w]
         u, v = w
         p, q = _word_degree(u), _word_degree(v)
-        nu = nf(p, word_vector(p, {u: Fraction(1)})) if p >= 1 else None
+        nu = nf(p, word_vector(p, {u: Fraction(1)}))
         nv = nf(q, word_vector(q, {v: Fraction(1)}))
         du = d_word(u)
         dv = d_word(v)
+        dim = dims[p + q - 1]
         if p == 1:
-            term1 = [Fraction(-1) * x for x in eval_bracket(q, nv, 0, du)]
+            # [du, v] with du in degree 0 is -[v, du]
+            sign1, term1 = -1, bilinear(_Q, bracket[(q, 0)], nv, du, dim)
         else:
-            term1 = eval_bracket(p - 1, du, q, nv)
-        if q == 1:
-            term2 = eval_bracket(p, nu, 0, dv)
-        else:
-            term2 = eval_bracket(p, nu, q - 1, dv)
-        out = _vec_add(term1, _vec_scale(term2, _d_sign(p, convention)))
+            sign1, term1 = 1, bilinear(_Q, bracket[(p - 1, q)], du, nv, dim)
+        term2 = bilinear(_Q, bracket[(p, q - 1)], nu, dv, dim)
+        out = combine(_Q, (sign1, _d_sign(p, convention)), (term1, term2), dim)
         d_cache[w] = out
         return out
 
@@ -457,11 +395,11 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
         differential.append(tuple(tuple(d_word(w)) for w in basis_words[n]))
         # the differential also descends on relation rows
         for rel in relations[n].basis:
-            acc = _zero(dims[n - 1])
-            for i, coeff in enumerate(rel):
-                if coeff:
-                    acc = _vec_add(acc, _vec_scale(d_word(words[n][i]), coeff))
-            if any(acc):
+            support = [i for i, coeff in enumerate(rel) if coeff]
+            image = combine(
+                _Q, [rel[i] for i in support], [d_word(words[n][i]) for i in support], dims[n - 1]
+            )
+            if any(image):
                 raise AssertionError(f"differential does not descend at degree {n}")
 
     return GradedLieTruncation(
@@ -469,9 +407,7 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
         max_degree=max_degree,
         source=l,
         dims=tuple(dims),
-        words=tuple(tuple(words[n]) for n in range(1, max_degree + 1)),
         basis_words=tuple(basis_words),
-        quotients=tuple(quotients[1:]),
         bracket=bracket,
         differential=tuple(differential),
     )
@@ -481,23 +417,12 @@ def table_bracket(t: GradedLieTruncation, p: int, vp, q: int, vq) -> list:
     """Bracket of coordinate vectors through the truncation tables."""
     if p + q > t.max_degree:
         raise ValueError("bracket degree exceeds the bound")
-    out = _zero(t.dims[p + q])
-    tab = t.bracket[(p, q)]
-    for i, ci in enumerate(vp):
-        if ci:
-            for j, cj in enumerate(vq):
-                if cj:
-                    out = _vec_add(out, _vec_scale(tab[i][j], Fraction(ci) * cj))
-    return out
+    return bilinear(_Q, t.bracket[(p, q)], vp, vq, t.dims[p + q])
 
 
 def apply_differential(t: GradedLieTruncation, n: int, v) -> list:
     """d on a degree-n coordinate vector (n >= 1)."""
-    out = _zero(t.dims[n - 1])
-    for j, c in enumerate(v):
-        if c:
-            out = _vec_add(out, _vec_scale(t.differential[n][j], Fraction(c)))
-    return out
+    return combine(_Q, v, t.differential[n], t.dims[n - 1])
 
 
 def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationReport:
@@ -536,7 +461,7 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
             for i in range(t.dims[p]):
                 for j in range(t.dims[q]):
                     lhs = list(t.bracket[(p, q)][i][j])
-                    rhs = _vec_scale(t.bracket[(q, p)][j][i], -s)
+                    rhs = [-s * x for x in t.bracket[(q, p)][j][i]]
                     record(
                         lhs == rhs,
                         f"antisymmetry fails in degrees ({p}, {q}) at ({i}, {j})",
@@ -559,10 +484,8 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
                             x, y, z = unit(p, i), unit(q, j), unit(r, k)
                             lhs = table_bracket(t, p, x, q + r, table_bracket(t, q, y, r, z))
                             mid = table_bracket(t, p + q, table_bracket(t, p, x, q, y), r, z)
-                            rgt = _vec_scale(
-                                table_bracket(t, q, y, p + r, table_bracket(t, p, x, r, z)), s
-                            )
-                            total = [a - b - c2 for a, b, c2 in zip(lhs, mid, rgt)]
+                            rgt = table_bracket(t, q, y, p + r, table_bracket(t, p, x, r, z))
+                            total = combine(_Q, (1, -1, -s), (lhs, mid, rgt), t.dims[p + q + r])
                             record(
                                 not any(total),
                                 f"Jacobi fails in degrees ({p},{q},{r}) at ({i},{j},{k})",
@@ -576,18 +499,17 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
             for i in range(t.dims[p]):
                 for j in range(t.dims[q]):
                     x, y = unit(p, i), unit(q, j)
-                    br = table_bracket(t, p, x, q, y)
-                    lhs = apply_differential(t, n, br) if n >= 1 else None
-                    dx = apply_differential(t, p, x) if p >= 1 else None
-                    dy = apply_differential(t, q, y) if q >= 1 else None
-                    rhs = _zero(t.dims[n - 1])
-                    if dx is not None:
-                        rhs = _vec_add(rhs, table_bracket(t, p - 1, dx, q, y))
-                    if dy is not None:
-                        sign = _d_sign(p, t.convention)
-                        rhs = _vec_add(
-                            rhs, _vec_scale(table_bracket(t, p, x, q - 1, dy), sign)
-                        )
+                    lhs = apply_differential(t, n, table_bracket(t, p, x, q, y))
+                    signs, terms = [], []
+                    if p >= 1:
+                        dx = apply_differential(t, p, x)
+                        signs.append(1)
+                        terms.append(table_bracket(t, p - 1, dx, q, y))
+                    if q >= 1:
+                        dy = apply_differential(t, q, y)
+                        signs.append(_d_sign(p, t.convention))
+                        terms.append(table_bracket(t, p, x, q - 1, dy))
+                    rhs = combine(_Q, signs, terms, t.dims[n - 1])
                     record(
                         lhs == rhs,
                         f"derivation rule fails in degrees ({p},{q}) at ({i},{j})",
@@ -599,40 +521,6 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
             record(not any(dd), f"d.d nonzero in degree {n} at basis element {j}")
 
     return ValidationReport.collect(violations, checked)
-
-
-def induced_degree_maps(t: GradedLieTruncation, h0, h1) -> list:
-    """Degree-wise matrices induced by a morphism (h0 on g, h1 on M).
-
-    Row convention: row j is the image of the j-th basis element.  Degree n
-    images substitute h1 at every leaf and reduce to the basis.
-    """
-    h0 = _frac_rows(h0)
-    h1 = _frac_rows(h1)
-
-    def expand(w) -> dict:
-        if isinstance(w, int):
-            return {k: coeff for k, coeff in enumerate(h1[w]) if coeff}
-        u, v = w
-        out: dict = {}
-        for u2, cu in expand(u).items():
-            for v2, cv in expand(v).items():
-                key = (u2, v2)
-                out[key] = out.get(key, Fraction(0)) + cu * cv
-        return out
-
-    maps = [tuple(h0)]
-    for n in range(1, t.max_degree + 1):
-        rows = []
-        all_words = t.words[n - 1]
-        word_index = {w: i for i, w in enumerate(all_words)}
-        for w in t.basis_words[n]:
-            vec = _zero(len(all_words))
-            for w2, coeff in expand(w).items():
-                vec[word_index[w2]] += coeff
-            rows.append(tuple(t.quotients[n - 1].coords(vec)))
-        maps.append(tuple(rows))
-    return maps
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liealg import LMLieAlgebra
+from .liealg import LMLieAlgebra, leibniz_bracket
 
 # denominator coefficients of the degree-13 diagonal Pade approximant
 _PADE13 = (
@@ -261,9 +261,7 @@ def derivative_check(
     nx = r.lie.dim_x
     if nx == 0:
         return NumericReport(True, {"err_h": 0.0, "err_h_half": 0.0})
-    table = np.array(
-        [[[float(v) for v in cell] for cell in row] for row in _leibniz_table(l_exact)]
-    )
+    table = np.array(leibniz_bracket(l_exact).bracket, dtype=float)
     pairs = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 2, nx))
 
     def max_error(step: float) -> float:
@@ -286,23 +284,6 @@ def derivative_check(
     ok = 3.0 <= ratio <= 5.0
     violations = () if ok else (f"convergence ratio {ratio:.3f} outside [3, 5]",)
     return NumericReport(ok, residuals, violations)
-
-
-def _leibniz_table(l: LMLieAlgebra):
-    """[m_i, m_j] = m_i ^ f(m_j) as exact coordinate vectors."""
-    nm = l.dim_m
-    table = []
-    for i in range(nm):
-        row = []
-        for j in range(nm):
-            acc = [0] * nm
-            for k, coeff in enumerate(l.f[j]):
-                if coeff:
-                    for t in range(nm):
-                        acc[t] += coeff * l.rho[k][i][t]
-            row.append(acc)
-        table.append(row)
-    return table
 
 
 # ---------------------------------------------------------------------------

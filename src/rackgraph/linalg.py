@@ -8,6 +8,12 @@ residues exactly only for p < 2^31, so larger primes are refused; dense
 row reduction over Q works on Python lists of Fractions, whose cost grows
 with the square of the row length.
 
+Every linear combination of vectors goes through one kernel: `combine`
+(sum of c_j * rows[j]) and `bilinear` (a bilinear map from its structure
+constants) accumulate in place, skip zeros, and reduce mod p once at the
+end.  Matrix products, matrix-vector products and Lie brackets are
+built on them.
+
 Boundary matrices are sparse, with entries mostly +-1, and are never made
 dense whole.  They are held as one dict {row: coeff} per column and go
 through two independent eliminations: `eliminate_unit_pivots` strips the
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -85,7 +92,7 @@ class FieldSpec:
     def coerce(self, x):
         if self.is_prime_field:
             return int(x) % self.p
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
 
     def add(self, a, b):
         return (a + b) % self.p if self.is_prime_field else a + b
@@ -111,6 +118,45 @@ class FieldSpec:
 
     def label(self) -> str:
         return "q" if self.kind == "q" else f"f{self.p}"
+
+
+# ---------------------------------------------------------------------------
+# linear combinations
+
+
+def _axpy(acc: list, c, row) -> None:
+    """acc += c * row in place, skipping zero entries of row."""
+    for k, x in enumerate(row):
+        if x:
+            acc[k] += c * x
+
+
+def _settle(field: FieldSpec, acc: list) -> list:
+    """Entries of an accumulator in [0, p) over F_p; over Q they are exact."""
+    if field.is_prime_field:
+        return [x % field.p for x in acc]
+    return acc
+
+
+def combine(field: FieldSpec, coeffs, rows, n: int) -> list:
+    """sum_j coeffs[j] * rows[j] in field^n, skipping zero coefficients."""
+    acc = [field.zero()] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            _axpy(acc, c, row)
+    return _settle(field, acc)
+
+
+def bilinear(field: FieldSpec, table, u, v, n: int) -> list:
+    """sum_ij u_i v_j * table[i][j] in field^n: a bilinear map from its
+    structure constants, skipping zero coefficients."""
+    acc = [field.zero()] * n
+    for a, cells in zip(u, table):
+        if a:
+            for b, cell in zip(v, cells):
+                if b:
+                    _axpy(acc, a * b, cell)
+    return _settle(field, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +275,24 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def pivots(self) -> list[int]:
-        return _pivots_of(self.basis)
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(_pivots_of(self.basis))
 
     def reduce(self, vector):
         """Eliminate this subspace from `vector`; result depends only on the coset."""
         f = self.field
         v = [f.coerce(x) for x in vector]
-        for row, pcol in zip(self.basis, self.pivots()):
-            c = v[pcol]
+        for row, pcol in zip(self.basis, self.pivots):
+            c = v[pcol] % f.p if f.is_prime_field else v[pcol]
             if c:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
+                _axpy(v, -c, row)
+        return _settle(f, v)
 
     def contains(self, vector) -> bool:
+        # the whole space: reducing would clear every entry one by one
+        if self.dim == self.ambient_dim:
+            return True
         return not any(self.reduce(vector))
 
     def contains_space(self, other: "Subspace") -> bool:
@@ -309,64 +359,12 @@ class ExactMatrix:
             ent = tuple(tuple(field.coerce(v) for v in r) for r in rows)
         return ExactMatrix(field, nrows, ncols, ent)
 
-    @staticmethod
-    def zeros(field: FieldSpec | None, nrows: int, ncols: int) -> "ExactMatrix":
-        z = 0 if field is None else field.zero()
-        return ExactMatrix(field, nrows, ncols, tuple(tuple(z for _ in range(ncols)) for _ in range(nrows)))
-
-    def row(self, i: int):
-        return self.entries[i]
-
     def column(self, j: int):
         return tuple(self.entries[i][j] for i in range(self.nrows))
 
-    def transpose(self) -> "ExactMatrix":
-        ent = tuple(tuple(self.entries[i][j] for i in range(self.nrows)) for j in range(self.ncols))
-        return ExactMatrix(self.field, self.ncols, self.nrows, ent)
-
     def apply(self, vector):
-        """Matrix times column vector (length ncols) -> length nrows."""
-        f = self.field
-        if f is None:
-            return [sum(r[j] * vector[j] for j in range(self.ncols)) for r in self.entries]
-        out = []
-        for r in self.entries:
-            acc = f.zero()
-            for j in range(self.ncols):
-                v = vector[j]
-                if v:
-                    acc = f.add(acc, f.mul(r[j], v))
-            out.append(acc)
-        return out
-
-    def mul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        f = self.field
-        cols = [other.column(j) for j in range(other.ncols)]
-        rows = []
-        for r in self.entries:
-            row = []
-            for col in cols:
-                if f is None:
-                    row.append(sum(a * b for a, b in zip(r, col)))
-                else:
-                    acc = f.zero()
-                    for a, b in zip(r, col):
-                        if a and b:
-                            acc = f.add(acc, f.mul(a, b))
-                    row.append(acc)
-            rows.append(row)
-        return ExactMatrix.from_rows(f, rows)
-
-
-def image_and_rank(m: ExactMatrix) -> tuple[Subspace, int]:
-    """Column space of `m` as a canonical subspace of field^nrows, plus rank."""
-    if m.field is None:
-        raise ValueError("image_and_rank needs a field")
-    cols = [m.column(j) for j in range(m.ncols)]
-    img = Subspace.from_vectors(m.field, m.nrows, cols)
-    return img, img.dim
+        """Matrix times column vector (length ncols) -> length nrows, over a field."""
+        return combine(self.field, vector, zip(*self.entries), self.nrows)
 
 
 def nullspace(m: ExactMatrix) -> Subspace:
@@ -409,10 +407,6 @@ def smith_normal_form(matrix) -> tuple[int, list[int]]:
         a = [list(r) for r in matrix.entries]
     else:
         a = [[int(v) for v in r] for r in matrix]
-    # zero rows and columns change neither the rank nor the divisors
-    a = [r for r in a if any(r)]
-    keep = [j for j, col in enumerate(zip(*a)) if any(col)]
-    a = [[r[j] for j in keep] for r in a]
     m = len(a)
     n = len(a[0]) if m else 0
     divisors: list[int] = []
@@ -605,34 +599,6 @@ def sparse_rank(field: FieldSpec, dim: int, vectors) -> int:
 # quotients
 
 
-class QuotientSpace:
-    """field^ambient_dim modulo a subspace; canonical coset coordinates.
-
-    The quotient basis is the image of the standard basis vectors at the
-    subspace's non-pivot columns.
-    """
-
-    def __init__(self, subspace: Subspace):
-        self.field = subspace.field
-        self.ambient_dim = subspace.ambient_dim
-        self.subspace = subspace
-        piv = set(subspace.pivots())
-        self.rep_indices = [j for j in range(self.ambient_dim) if j not in piv]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rep_indices)
-
-    def coords(self, vector) -> list:
-        reduced = self.subspace.reduce(vector)
-        return [reduced[j] for j in self.rep_indices]
-
-    def rep_vector(self, i: int) -> list:
-        v = [self.field.zero()] * self.ambient_dim
-        v[self.rep_indices[i]] = self.field.one()
-        return v
-
-
 class SubquotientBasis:
     """Basis data for V/W with W <= V <= field^ambient, both in RREF."""
 
@@ -645,9 +611,9 @@ class SubquotientBasis:
         self.ambient_dim = v.ambient_dim
         self.v = v
         self.w = w
-        wpiv = set(w.pivots())
-        self.rep_rows = [row for row, p in zip(v.basis, v.pivots()) if p not in wpiv]
-        self.rep_pivots = [p for p in v.pivots() if p not in wpiv]
+        wpiv = set(w.pivots)
+        self.rep_rows = [row for row, p in zip(v.basis, v.pivots) if p not in wpiv]
+        self.rep_pivots = [p for p in v.pivots if p not in wpiv]
 
     @property
     def dim(self) -> int:
@@ -741,23 +707,15 @@ class FilteredSpace:
 
 
 def _product(field: FieldSpec, a, b) -> list:
-    """Row-list matrix product a @ b, skipping zero entries of a."""
-    out = []
-    for row in a:
-        acc = [0] * len(b[0]) if b else []
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += x * y
-        out.append([field.coerce(v) for v in acc])
-    return out
+    """Row-list matrix product a @ b."""
+    n = len(b[0]) if b else 0
+    return [combine(field, row, b, n) for row in a]
 
 
 def induced_matrix(
     apply_map,
-    src: "QuotientSpace | SubquotientBasis",
-    dst: "QuotientSpace | SubquotientBasis",
+    src: SubquotientBasis,
+    dst: SubquotientBasis,
     check_kernel: Subspace | None = None,
 ) -> ExactMatrix:
     """Matrix of the map induced on quotients by `apply_map` (vector -> vector).
@@ -766,10 +724,8 @@ def induced_matrix(
     denominator of `dst` (well-definedness on cosets).
     """
     if check_kernel is not None:
-        dst_den = dst.subspace if isinstance(dst, QuotientSpace) else dst.w
         for row in check_kernel.basis:
-            img = apply_map(list(row))
-            if not dst_den.contains(img):
+            if not dst.w.contains(apply_map(list(row))):
                 raise ValueError("map is not well-defined on cosets")
     cols = []
     for i in range(src.dim):

@@ -188,15 +188,20 @@ class FiniteRack:
         return FiniteRack(len(op), op)
 
 
-def validate_rack(r: FiniteRack) -> ValidationReport:
-    violations: list[str] = []
+def translation_violations(r: FiniteRack) -> list[str]:
+    """One violation per right translation that is not a bijection."""
     n = r.size
-    checked = 0
-    for y in range(n):
-        checked += 1
-        col = [r.op[x][y] for x in range(n)]
-        if sorted(col) != list(range(n)):
-            violations.append(f"right translation by {y} is not a bijection")
+    return [
+        f"right translation by {y} is not a bijection"
+        for y in range(n)
+        if sorted(r.op[x][y] for x in range(n)) != list(range(n))
+    ]
+
+
+def validate_rack(r: FiniteRack) -> ValidationReport:
+    violations = translation_violations(r)
+    n = r.size
+    checked = n
     for x in range(n):
         for y in range(n):
             for z in range(n):

@@ -144,6 +144,15 @@ def test_wrong_kind_for_dgla():
     assert report["error"]["path"] == "/kind"
 
 
+def test_dgla_over_word_budget_refused():
+    code, report, _ = run_cli(["dgla", "corpus/free_two.json", "--max-degree", "12"])
+    assert code == 2
+    assert report["error"] == {
+        "path": "",
+        "message": "degree bound needs 862118 bracket words, over the budget 300000",
+    }
+
+
 # ---------------------------------------------------------------------------
 # check failures -> exit 1 with a witness
 
@@ -156,6 +165,42 @@ def test_corrupted_rack_reported(tmp_path):
     assert code == 1
     assert report["ok"] is False
     assert report["violations"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["homology"], ["hopf"], ["presentation"], ["convert", "--to", "graph"]]
+)
+def test_rack_with_non_bijective_translation_reported(tmp_path, argv):
+    doc = json.loads(Path("corpus/dihedral_3.json").read_text())
+    doc["op"][0][0] = 1  # column 0 becomes (1, 2, 1)
+    path = write_doc(tmp_path, doc)
+    code, report, _ = run_cli([argv[0], path, *argv[1:]])
+    assert code == 1
+    assert report == {
+        "schema": 1,
+        "command": argv[0],
+        "ok": False,
+        "violations": ["right translation by 0 is not a bijection"],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv", [["homology"], ["hopf"], ["presentation"], ["convert", "--to", "rack"]]
+)
+def test_graph_not_group_like_reported(tmp_path, argv):
+    doc = json.loads(Path("corpus/graph_s3_transpositions.json").read_text())
+    doc["left_act"] = [[0] * len(row) for row in doc["left_act"]]
+    path = write_doc(tmp_path, doc)
+    _, validated, _ = run_cli(["validate", path])
+    assert validated["violations"]
+    code, report, _ = run_cli([argv[0], path, *argv[1:]])
+    assert code == 1
+    assert report == {
+        "schema": 1,
+        "command": argv[0],
+        "ok": False,
+        "violations": validated["violations"],
+    }
 
 
 def test_non_group_table_reported(tmp_path):

@@ -224,6 +224,31 @@ def test_unit_pair_reduction_keeps_homology():
             assert (h.betti, h.torsion) == dense_homology(c), (name, build.__name__)
 
 
+def test_boundary_matrix_keeps_only_nonzero_rows_and_columns():
+    # every boundary of a trivial rack vanishes: both faces of a cube agree
+    c = bq_chain_complex(trivial_augmented_rack(3), max_degree=3)
+    for n in range(1, 4):
+        m = c.boundary_matrix(n)
+        assert (m.nrows, m.ncols) == (0, 0)
+        assert smith_normal_form(m) == (0, [])
+
+    def dense(c, n):
+        rows = [[0] * c.ranks[n] for _ in range(c.ranks[n - 1])]
+        for j, col in enumerate(c.boundaries[n - 1]):
+            for i, v in col.items():
+                rows[i][j] = v
+        return rows
+
+    for name, a in small_corpus().items():
+        reduced = reduce_unit_pairs(eq_chain_complex(a, max_degree=3))
+        for c in (bq_chain_complex(a, max_degree=3), reduced):
+            for n in range(1, 4):
+                m = c.boundary_matrix(n)
+                assert all(any(row) for row in m.entries), name
+                assert all(any(col) for col in zip(*m.entries)), name
+                assert smith_normal_form(m) == smith_normal_form(dense(c, n)), (name, n)
+
+
 def test_rational_route_never_uses_the_integer_route(monkeypatch):
     c = bq_chain_complex(small_corpus()["dihedral_3"], max_degree=4)
     betti = homology(c).betti

@@ -17,15 +17,12 @@ from rackgraph.liealg import (
     PLAIN,
     LeibnizAlgebra,
     LMLieAlgebra,
-    apply_differential,
     e_functor,
     free_generators,
-    induced_degree_maps,
     leibniz_bracket,
     nilpotent_pair,
     one_generator,
     sl2_adjoint,
-    table_bracket,
     validate_lm_lie,
     verify_e_truncation,
     verify_leibniz,
@@ -180,38 +177,3 @@ def test_tampered_table_detected():
     report = verify_e_truncation(bad, l)
     assert not report.ok
     assert any("derivation" in v or "antisymmetry" in v for v in report.violations)
-
-
-def _apply(rows, vec):
-    n = len(rows[0]) if rows else 0
-    out = [Fraction(0)] * n
-    for j, c in enumerate(vec):
-        if c:
-            for k in range(n):
-                out[k] += Fraction(c) * rows[j][k]
-    return out
-
-
-def test_induced_maps_commute_with_structure():
-    l = nilpotent_pair()
-    t = e_functor(l, 3, KOSZUL)
-    h0 = [[2]]
-    h1 = [[4, 0], [0, 2]]
-    maps = induced_degree_maps(t, h0, h1)
-    assert maps[1] == ((Fraction(4), Fraction(0)), (Fraction(0), Fraction(2)))
-    for (p, q), tab in t.bracket.items():
-        if p + q > t.max_degree:
-            continue
-        for i in range(t.dims[p]):
-            for j in range(t.dims[q]):
-                xi = [Fraction(int(a == i)) for a in range(t.dims[p])]
-                yj = [Fraction(int(a == j)) for a in range(t.dims[q])]
-                lhs = _apply(maps[p + q], tab[i][j]) if t.dims[p + q] else []
-                rhs = table_bracket(t, p, _apply(maps[p], xi), q, _apply(maps[q], yj))
-                assert lhs == rhs, (p, q, i, j)
-    for n in range(1, t.max_degree + 1):
-        for j in range(t.dims[n]):
-            basis = [Fraction(int(a == j)) for a in range(t.dims[n])]
-            lhs = _apply(maps[n - 1], apply_differential(t, n, basis))
-            rhs = apply_differential(t, n, _apply(maps[n], basis))
-            assert lhs == rhs, (n, j)

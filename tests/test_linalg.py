@@ -15,11 +15,11 @@ from rackgraph.linalg import (
     ExactMatrix,
     FieldSpec,
     FilteredSpace,
-    QuotientSpace,
     SubquotientBasis,
     Subspace,
+    bilinear,
+    combine,
     eliminate_unit_pivots,
-    image_and_rank,
     nullspace,
     rref,
     smith_normal_form,
@@ -129,26 +129,22 @@ def test_membership_and_equality():
 
 
 def test_rank_nullity_and_image():
+    # rank 2: the second row is twice the first
     m = ExactMatrix.from_rows(Q, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     ker = nullspace(m)
-    img, r = image_and_rank(m)
-    assert r == 2 and r + ker.dim == 3
+    assert ker.dim == 1
     for row in ker.basis:
         assert all(v == 0 for v in m.apply(list(row)))
 
 
-def test_matrix_multiply_int_and_field():
-    a = ExactMatrix.from_rows(None, [[1, 2], [3, 4]])
-    b = ExactMatrix.from_rows(None, [[0, 1], [1, 0]])
-    assert a.mul(b).entries == ((2, 1), (4, 3))
-    c = ExactMatrix.from_rows(F2, [[1, 1], [0, 1]])
-    assert c.mul(c).entries == ((1, 0), (0, 1))
-
-
 def test_quotient_space_coords():
+    # the quotient of the whole space by W: representatives are the unit
+    # vectors at W's non-pivot columns
     w = Subspace.from_vectors(Q, 3, [[1, 1, 0]])
-    q = QuotientSpace(w)
+    q = SubquotientBasis(Subspace.full(Q, 3), w)
     assert q.dim == 2
+    assert q.rep_pivots == [1, 2]
+    assert q.rep_vector(0) == [0, 1, 0]
     # e0 and e0 - e1 lie in the same coset mod span{e0+e1}... e0-(e0+e1) = -e1
     assert q.coords([1, 0, 0]) == q.coords([0, -1, 0])
     assert q.coords([1, 1, 0]) == [Fraction(0), Fraction(0)]
@@ -176,6 +172,11 @@ def test_prime_field_arithmetic():
     assert F3.mul(2, 2) == 1
     assert FieldSpec.parse("f5").p == 5
     assert FieldSpec.parse("q").kind == "q"
+    # the combination kernel: 2 (1, 2) + (2, 2) = (4, 6) = (1, 0) mod 3, and a
+    # zero coefficient never reads its row
+    assert combine(F3, [2, 1], [[1, 2], [2, 2]], 2) == [1, 0]
+    assert combine(Q, [Fraction(1, 2), 0], [[2, 0], None], 2) == [1, 0]
+    assert bilinear(F3, [[[1, 0], None]], [2], [2, 0], 2) == [1, 0]
 
 
 def test_largest_prime_field_reduces_exactly():
