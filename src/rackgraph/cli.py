@@ -40,6 +40,7 @@ from .hopf import (
 from .jsonio import SchemaError, TableNotGroup, canonical_json
 from .linalg import FieldSpec
 from .racks import (
+    GroupTooLarge,
     abelianization,
     associated_group_presentation,
     inner_group,
@@ -104,7 +105,10 @@ def _as_augmented(kind, obj):
         bad = translation_violations(obj)
         if bad:
             raise CheckFailed(bad)
-        return inner_group(obj)[1]
+        try:
+            return inner_group(obj)[1]
+        except GroupTooLarge as exc:
+            raise SchemaError("", str(exc)) from None
     if kind == "graph":
         rep = validate_group_like(obj)
         if not rep.ok:

@@ -24,8 +24,8 @@ from .linalg import (
     ExactMatrix,
     FieldSpec,
     eliminate_unit_pivots,
+    rref,
     smith_normal_form,
-    sparse_rank,
 )
 from .racks import AugmentedRack
 
@@ -301,15 +301,16 @@ def homology(c: ChainComplex) -> HomologyResult:
 def homology_dimensions_over_field(c: ChainComplex, field: FieldSpec) -> tuple[int, ...]:
     """dim H_n(field) for n < max_degree by rank-nullity over the field.
 
-    Field elimination on the sparse columns; it shares only the storage
-    with the Smith normal form route, so the two can be played against
-    each other: over the rationals the answer is the Betti vector, over F_p
-    it picks up the p-torsion from the two adjacent boundary maps
-    (universal coefficients).
+    The rank of d_n is the number of rows `rref` leaves of its stored
+    sparse columns.  Field elimination shares only the storage with the
+    Smith normal form route, so the two can be played against each other:
+    over the rationals the answer is the Betti vector, over F_p it picks
+    up the p-torsion from the two adjacent boundary maps (universal
+    coefficients).
     """
     ranks_d = [0] * (c.max_degree + 1)
     for n in range(1, c.max_degree + 1):
-        ranks_d[n] = sparse_rank(field, c.ranks[n - 1], c.boundaries[n - 1])
+        ranks_d[n] = len(rref(field, c.boundaries[n - 1]))
     return tuple(
         (c.ranks[n] - ranks_d[n]) - ranks_d[n + 1] for n in range(c.max_degree)
     )

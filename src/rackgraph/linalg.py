@@ -2,11 +2,7 @@
 
 Scalars are `fractions.Fraction` over the rationals and plain ints in
 [0, p) over a prime field.  Subspaces are kept in reduced row echelon
-form, which makes equality and membership canonical.  Dense row reduction
-over F_p is vectorized with numpy int64, which holds the product of two
-residues exactly only for p < 2^31, so larger primes are refused; dense
-row reduction over Q works on Python lists of Fractions, whose cost grows
-with the square of the row length.
+form, which makes equality and membership canonical.
 
 Every linear combination of vectors goes through one kernel: `combine`
 (sum of c_j * rows[j]) and `bilinear` (a bilinear map from its structure
@@ -14,12 +10,15 @@ constants) accumulate in place, skip zeros, and reduce mod p once at the
 end.  Matrix products, matrix-vector products and Lie brackets are
 built on them.
 
-Boundary matrices are sparse, with entries mostly +-1, and are never made
-dense whole.  They are held as one dict {row: coeff} per column and go
-through two independent eliminations: `eliminate_unit_pivots` strips the
-unit pivots, so that only a small core is left for the Smith normal form,
-and `sparse_rank` is elimination over a field that hands only the vectors
-that fill up to the dense `rref`.
+Every row reduction over a field goes through one sparse kernel, `rref`,
+on rows held as dicts {index: value}; `Subspace`, `nullspace` and
+`FilteredSpace` reach it through `_dense_rref`, the one place where dense
+rows become sparse and back.  Boundary matrices are sparse, with entries
+mostly +-1, and are never made dense whole.  They are held as one dict
+{row: coeff} per column and go through two independent eliminations:
+`eliminate_unit_pivots` strips the unit pivots, so that only a small core
+is left for the Smith normal form, and `rref` over a field gives the
+ranks for the cross-check.
 """
 
 from __future__ import annotations
@@ -29,11 +28,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-import numpy as np
-
 Scalar = "Fraction | int"
 
-# int64 row reduction mod p forms products of two residues
+# input budget of the trial-division primality test in FieldSpec.prime:
+# at most sqrt(2^31), about 46000, divisions
 MAX_PRIME_BOUND = 2**31
 
 
@@ -61,7 +59,6 @@ class FieldSpec:
 
     @staticmethod
     def prime(p: int) -> "FieldSpec":
-        # before the primality test, whose trial division is sqrt(p) steps
         if p >= MAX_PRIME_BOUND:
             raise ValueError(
                 f"field characteristic must be below 2^31 = {MAX_PRIME_BOUND}, got {p}"
@@ -163,72 +160,67 @@ def bilinear(field: FieldSpec, table, u, v, n: int) -> list:
 # row echelon kernels
 
 
-def _rref_fraction(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form over Q; returns nonzero rows."""
-    rows = [list(r) for r in rows]
-    out: list[list[Fraction]] = []
-    pivots: list[int] = []
+def rref(field: FieldSpec, rows) -> list[dict]:
+    """Reduced row echelon basis of the span of sparse rows {index: value}.
+
+    Returns the nonzero rows of the reduced echelon form, sorted by leading
+    index, each with lead 1 and zero at every other row's lead.  The pivot
+    rows are kept fully reduced, so the entries of an incoming row at pivot
+    indices are exactly the multiples of pivot rows to subtract, and one
+    pass clears it.  Over F_p values are reduced mod p; over Q ints stay
+    ints until a lead other than +-1 needs a division.
+    """
+    p = field.p if field.is_prime_field else None
+    pivots: dict[int, dict] = {}
+
+    def clean(v):
+        if p:
+            return {k: y for k, x in v.items() if (y := x % p)}
+        return {k: x for k, x in v.items() if x}
+
     for row in rows:
-        for prow, pcol in zip(out, pivots):
-            c = row[pcol]
-            if c:
-                for j in range(pcol, len(row)):
-                    row[j] -= c * prow[j]
-        lead = next((j for j, v in enumerate(row) if v), None)
-        if lead is None:
+        v = clean({k: int(x) for k, x in row.items()} if p else row)
+        for k, c in [(k, c) for k, c in v.items() if k in pivots]:
+            for j, x in pivots[k].items():
+                v[j] = v.get(j, 0) - c * x
+        v = clean(v)
+        if not v:
             continue
-        inv = Fraction(1) / row[lead]
-        row = [v * inv for v in row]
-        # back-substitute into existing rows
-        for k, (prow, pcol) in enumerate(zip(out, pivots)):
-            c = prow[lead]
+        lead = min(v)
+        a = v[lead]
+        if a != 1:
+            if p:
+                inv = pow(a, p - 2, p)
+            else:
+                inv = a if a == -1 else Fraction(1) / a
+            v = clean({k: x * inv for k, x in v.items()})
+        # keep the other pivot rows zero at the new lead
+        for prow in pivots.values():
+            c = prow.get(lead)
             if c:
-                out[k] = [pv - c * rv for pv, rv in zip(prow, row)]
-        pos = next((i for i, pc in enumerate(pivots) if pc > lead), len(pivots))
-        out.insert(pos, row)
-        pivots.insert(pos, lead)
-    return out
+                for j, x in v.items():
+                    w = prow.get(j, 0) - c * x
+                    if p:
+                        w %= p
+                    if w:
+                        prow[j] = w
+                    else:
+                        del prow[j]
+        pivots[lead] = v
+    return [pivots[k] for k in sorted(pivots)]
 
 
-def _rref_modp(rows: np.ndarray, p: int) -> np.ndarray:
-    """Reduced row echelon form over F_p on an int64 array; nonzero rows."""
-    a = np.array(rows, dtype=np.int64) % p
-    if a.size == 0:
-        return a.reshape(0, a.shape[1] if a.ndim == 2 else 0)
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + nz[0]
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        r += 1
-    return a[:r]
-
-
-def _rows_to_tuples(field: FieldSpec, rows) -> tuple:
-    if field.is_prime_field:
-        return tuple(tuple(int(v) for v in row) for row in rows)
-    return tuple(tuple(row) for row in rows)
-
-
-def rref(field: FieldSpec, rows) -> tuple:
-    """Canonical reduced row echelon basis (tuple of row tuples)."""
-    vecs = [list(r) for r in rows]
-    if not vecs:
-        return ()
-    if field.is_prime_field:
-        ints = [[int(v) % field.p for v in r] for r in vecs]
-        return _rows_to_tuples(field, _rref_modp(np.array(ints, dtype=np.int64), field.p))
-    return _rows_to_tuples(field, _rref_fraction([[Fraction(v) for v in r] for r in vecs]))
+def _dense_rref(field: FieldSpec, n: int, vectors) -> tuple:
+    """`rref` of vectors in field^n, given and returned as dense rows; over
+    Q the ints that `rref` keeps become Fractions here."""
+    zero = field.zero()
+    out = []
+    for row in rref(field, [{k: x for k, x in enumerate(v) if x} for v in vectors]):
+        dense = [zero] * n
+        for k, x in row.items():
+            dense[k] = x
+        out.append(tuple(dense) if field.is_prime_field else tuple(map(field.coerce, dense)))
+    return tuple(out)
 
 
 def _pivots_of(rows) -> list[int]:
@@ -256,7 +248,7 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        return Subspace(field, ambient_dim, rref(field, vecs))
+        return Subspace(field, ambient_dim, _dense_rref(field, ambient_dim, vecs))
 
     @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -311,7 +303,7 @@ class Subspace:
         zero = f.zero()
         stacked = [list(r) + list(r) for r in self.basis]
         stacked += [list(r) + [zero] * n for r in other.basis]
-        reduced = rref(f, stacked)
+        reduced = _dense_rref(f, 2 * n, stacked)
         inter = [row[n:] for row in reduced if not any(row[:n])]
         return Subspace.from_vectors(f, n, inter)
 
@@ -372,7 +364,7 @@ def nullspace(m: ExactMatrix) -> Subspace:
     f = m.field
     if f is None:
         raise ValueError("nullspace needs a field")
-    reduced = rref(f, [list(r) for r in m.entries])
+    reduced = _dense_rref(f, m.ncols, m.entries)
     piv = _pivots_of(reduced)
     free = [j for j in range(m.ncols) if j not in piv]
     basis = []
@@ -531,70 +523,6 @@ def eliminate_unit_pivots(columns) -> tuple[list[tuple[int, int]], dict[int, dic
     return pivots, cols
 
 
-def sparse_rank(field: FieldSpec, dim: int, vectors) -> int:
-    """Rank over `field` of sparse vectors {index: value} in field^dim.
-
-    Each vector is reduced by the pivot rows kept so far, keyed by their
-    least index and scaled to lead 1, until it vanishes or leads at an
-    index that has no pivot row.  Over Q the values stay ints until a
-    division is needed, so +-1 data never pays for Fraction arithmetic.
-    A vector left more than half full does not become a pivot row: a dict
-    is then no cheaper than a list, and as a pivot it would spread its fill
-    into every later vector it reduces.  Such vectors wait; once every
-    vector is in, they are cleared at every pivot index and ranked by the
-    dense `rref`.  Cleared vectors meet the span of the pivot rows only in
-    0, so the two ranks add.
-    """
-    if field.is_prime_field:
-        p = field.p
-
-        def clean(v):
-            return {k: x % p for k, x in v.items() if x % p}
-
-        def scaled(v, a):
-            inv = pow(a, p - 2, p)
-            return {k: x * inv % p for k, x in v.items()}
-    else:
-
-        def clean(v):
-            return {k: x for k, x in v.items() if x}
-
-        def scaled(v, a):
-            if a in (1, -1):
-                return {k: x * a for k, x in v.items()}
-            return {k: Fraction(x) / a for k, x in v.items()}
-
-    pivots: dict[int, dict] = {}
-
-    def subtract(v, lead):
-        c = v[lead]
-        for k, x in pivots[lead].items():
-            v[k] = v.get(k, 0) - c * x
-        return clean(v)
-
-    waiting = []
-    for vec in vectors:
-        v = clean(vec)
-        while v and min(v) in pivots:
-            v = subtract(v, min(v))
-        if 2 * len(v) > dim:
-            waiting.append(v)
-        elif v:
-            lead = min(v)
-            pivots[lead] = scaled(v, v[lead])
-    if not waiting:
-        return len(pivots)
-    rest = []
-    for v in waiting:
-        hits = [k for k in v if k in pivots]
-        while hits:
-            v = subtract(v, min(hits))
-            hits = [k for k in v if k in pivots]
-        rest.append(v)
-    index = sorted({k for v in rest for k in v})
-    return len(pivots) + len(rref(field, [[v.get(k, 0) for k in index] for v in rest]))
-
-
 # ---------------------------------------------------------------------------
 # quotients
 
@@ -668,7 +596,7 @@ class FilteredSpace:
         self.dim = n
         self.rows = tuple(rows)
         self.degrees = tuple(degrees)
-        self.inverse = tuple(row[n:] for row in rref(field, augmented))
+        self.inverse = tuple(row[n:] for row in _dense_rref(field, 2 * n, augmented))
 
     def graded_dim(self, d: int) -> int:
         return self.degrees.count(d)

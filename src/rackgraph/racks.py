@@ -112,11 +112,19 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup.make(mul, 0)
 
 
-def group_from_permutations(generators: list[tuple[int, ...]]) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
+class GroupTooLarge(ValueError):
+    """A permutation closure grew past its order bound."""
+
+
+def group_from_permutations(
+    generators: list[tuple[int, ...]], max_order: int | None = None
+) -> tuple[FiniteGroup, list[tuple[int, ...]]]:
     """Closure of permutation generators; elements ordered BFS from the identity.
 
     Multiplication is in diagram order: (p*q)(x) = q(p(x)), so that a right
-    action x^p = p(x) satisfies x^(p*q) = (x^p)^q.
+    action x^p = p(x) satisfies x^(p*q) = (x^p)^q.  With max_order, the
+    closure raises GroupTooLarge as soon as it passes that many elements,
+    before the order^2 multiplication table is built.
     """
     deg = len(generators[0])
     ident = tuple(range(deg))
@@ -128,6 +136,8 @@ def group_from_permutations(generators: list[tuple[int, ...]]) -> tuple[FiniteGr
         for gen in generators:
             q = tuple(gen[p[i]] for i in range(deg))  # p then gen
             if q not in index:
+                if len(elems) == max_order:
+                    raise GroupTooLarge(f"group order exceeds bound {max_order}")
                 index[q] = len(elems)
                 elems.append(q)
                 queue.append(q)
@@ -348,13 +358,12 @@ def inner_group(r: FiniteRack, max_order: int = 20000) -> tuple[FiniteGroup, Aug
     """Group generated by the right translations, plus the induced augmentation.
 
     The augmented rack has X = the rack elements, the evident right action of
-    the translation group, and pi(x) = translation by x.
+    the translation group, and pi(x) = translation by x.  A group of more
+    than max_order elements raises GroupTooLarge.
     """
     n = r.size
     gens = [tuple(r.op[x][y] for x in range(n)) for y in range(n)]
-    group, elems = group_from_permutations(gens)
-    if group.order > max_order:
-        raise ValueError(f"inner group order {group.order} exceeds bound {max_order}")
+    group, elems = group_from_permutations(gens, max_order)
     index = {p: i for i, p in enumerate(elems)}
     action = [[elems[g][x] for g in range(group.order)] for x in range(n)]
     pi = [index[gens[y]] for y in range(n)]

@@ -185,6 +185,20 @@ def test_rack_with_non_bijective_translation_reported(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "argv", [["homology"], ["hopf"], ["presentation"], ["convert", "--to", "graph"]]
+)
+def test_inner_group_over_order_bound_refused(tmp_path, argv):
+    # translations (0 1) and an 8-cycle generate S_8, of order 40320; its
+    # multiplication table alone would hold 40320^2 entries
+    op = [[(1 - x if x < 2 else x) if y == 0 else (x + 1) % 8 for y in range(8)]
+          for x in range(8)]
+    path = write_doc(tmp_path, {"schema": 1, "kind": "rack", "op": op})
+    code, report, _ = run_cli([argv[0], path, *argv[1:]])
+    assert code == 2
+    assert report["error"] == {"path": "", "message": "group order exceeds bound 20000"}
+
+
+@pytest.mark.parametrize(
     "argv", [["homology"], ["hopf"], ["presentation"], ["convert", "--to", "rack"]]
 )
 def test_graph_not_group_like_reported(tmp_path, argv):

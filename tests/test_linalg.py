@@ -23,7 +23,6 @@ from rackgraph.linalg import (
     nullspace,
     rref,
     smith_normal_form,
-    sparse_rank,
 )
 
 Q = FieldSpec.rationals()
@@ -185,8 +184,8 @@ def test_largest_prime_field_reduces_exactly():
     p = 2**31 - 1
     field = FieldSpec.prime(p)
     a, b, c = p - 1, p - 2, p - 3
-    reduced = rref(field, [[a, b], [a * c % p, b * c % p]])
-    assert reduced == ((1, b * pow(a, p - 2, p) % p),)
+    reduced = rref(field, [{0: a, 1: b}, {0: a * c % p, 1: b * c % p}])
+    assert reduced == [{0: 1, 1: b * pow(a, p - 2, p) % p}]
     with pytest.raises(ValueError, match="below 2\\^31"):
         FieldSpec.prime(2**31)
 
@@ -223,14 +222,22 @@ def test_unit_pivots_then_core_snf_equals_dense_snf(case):
     assert (k + r, [1] * k + d) == smith_normal_form(rows)
 
 
+def _integer_rows(rows):
+    # each row times the lcm of its denominators: same span over Q
+    out = []
+    for row in rows:
+        m = math.lcm(*(Fraction(v).denominator for v in row))
+        out.append([int(v * m) for v in row])
+    return out
+
+
 @settings(deadline=None)
 @given(
     st.sampled_from([Q, F2, F3]),
     st.integers(0, 6).flatmap(
         lambda n: st.lists(
             st.lists(
-                # half zeros, so that both sparse pivot rows and rows left
-                # to the dense pass occur
+                # half zeros, so that rows meet pivots both sparsely and densely
                 st.just(Fraction(0)) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
                 min_size=n,
                 max_size=n,
@@ -239,15 +246,41 @@ def test_unit_pivots_then_core_snf_equals_dense_snf(case):
         )
     ),
 )
-# e2 is a sparse pivot row; the two full rows wait for the dense pass and
-# are independent only until they are cleared at index 2
+# e2 becomes a pivot row first; the two full rows are independent only
+# until they are cleared at index 2, so the third must vanish
 @example(Q, [[0, 0, 1], [1, 1, 1], [1, 1, 0]])
-def test_sparse_rank_equals_rref_rank(field, rows):
+def test_rref_rank_and_shape_against_smith_normal_form(field, rows):
     if field.is_prime_field:
         # integer entries; over Q fractional ones take the division path
         rows = [[int(v) for v in row] for row in rows]
     vectors = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    assert sparse_rank(field, len(rows[0]) if rows else 0, vectors) == len(rref(field, rows))
+    reduced = rref(field, vectors)
+    # rank oracle: the Smith divisors of the rows scaled to integers; over
+    # F_p the rank counts the divisors that p does not divide
+    _, divisors = smith_normal_form(_integer_rows(rows))
+    if field.is_prime_field:
+        assert len(reduced) == sum(1 for d in divisors if d % field.p)
+    else:
+        assert len(reduced) == len(divisors)
+    # shape: lead 1, sorted by lead, zero at every other row's lead, and
+    # only nonzero values stored, residues in [1, p) over F_p
+    leads = [min(row) for row in reduced]
+    assert leads == sorted(set(leads))
+    for row in reduced:
+        assert row[min(row)] == 1
+        if field.is_prime_field:
+            assert all(0 < x < field.p for x in row.values())
+        else:
+            assert all(x for x in row.values())
+        assert not set(row) & (set(leads) - {min(row)})
+    # span: every input row reduces to zero through the output rows
+    for v in vectors:
+        left = dict(v)
+        for row, lead in zip(reduced, leads):
+            c = left.get(lead, 0)
+            for k, x in row.items():
+                left[k] = left.get(k, 0) - c * x
+        assert all(x % field.p == 0 if field.is_prime_field else x == 0 for x in left.values())
 
 
 def _random_chain(rng, field, n):
