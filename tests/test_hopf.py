@@ -77,22 +77,164 @@ def test_hopf_identities_hold_for_samples_over_three_fields():
             assert report.checked > 0
 
 
-def test_corrupted_antipode_is_detected():
-    b = hopf_of(toy_rack_c2(), Q)
-    rows = [list(r) for r in b.s1.entries]
+# the exact violations after adding 1 at row 0, column 0 of one structure
+# map; the same over Q and F3
+CORRUPTED_MAP_VIOLATIONS = {
+    ('toy_c2', 'phi'): [
+        'phi does not intertwine coproducts at arrow 0',
+        'phi/antipode square fails at arrow 0',
+        'counit of phi nonzero at arrow 0',
+        'phi/antipode square fails at arrow 1',
+    ],
+    ('toy_c2', 's0'): [
+        'vertex antipode (left) fails at 0',
+        'vertex antipode (right) fails at 0',
+        'arrow antipode cancellation (S first) fails at arrow 0',
+        'phi/antipode square fails at arrow 0',
+        'arrow antipode cancellation (S second) fails at arrow 1',
+        'phi/antipode square fails at arrow 1',
+    ],
+    ('toy_c2', 's1'): [
+        'arrow antipode cancellation (S first) fails at arrow 0',
+        'arrow antipode cancellation (S second) fails at arrow 0',
+        'phi/antipode square fails at arrow 0',
+    ],
+    ('toy_c2', 'delta0'): [
+        'left counit fails at vertex 0',
+        'right counit fails at vertex 0',
+        'vertex antipode (left) fails at 0',
+        'vertex antipode (right) fails at 0',
+        'phi does not intertwine coproducts at arrow 0',
+        'phi does not intertwine coproducts at arrow 1',
+        'right module coproduct fails at arrow 0, vertex 0',
+        'left module coproduct fails at arrow 0, vertex 0',
+        'right module coproduct fails at arrow 1, vertex 0',
+        'left module coproduct fails at arrow 1, vertex 0',
+    ],
+    ('toy_c2', 'delta1'): [
+        'arrow counit (first block) fails at arrow 0',
+        'phi does not intertwine coproducts at arrow 0',
+        'arrow antipode cancellation (S first) fails at arrow 0',
+        'arrow antipode cancellation (S second) fails at arrow 0',
+        'right module coproduct fails at arrow 0, vertex 1',
+        'left module coproduct fails at arrow 0, vertex 1',
+        'right module coproduct fails at arrow 1, vertex 1',
+        'left module coproduct fails at arrow 1, vertex 1',
+    ],
+    ('toy_c2', 'counit'): [
+        'left counit fails at vertex 0',
+        'right counit fails at vertex 0',
+        'vertex antipode (left) fails at 0',
+        'vertex antipode (right) fails at 0',
+        'arrow counit (second block) fails at arrow 0',
+        'counit of phi nonzero at arrow 0',
+        'arrow counit (first block) fails at arrow 1',
+        'counit of phi nonzero at arrow 1',
+    ],
+    ('s3_transpositions', 'phi'): [
+        'phi does not intertwine coproducts at arrow 0',
+        'phi/antipode square fails at arrow 0',
+        'counit of phi nonzero at arrow 0',
+        'phi/antipode square fails at arrow 3',
+    ],
+    ('s3_transpositions', 's0'): [
+        'vertex antipode (left) fails at 0',
+        'vertex antipode (right) fails at 0',
+        'arrow antipode cancellation (S first) fails at arrow 0',
+        'phi/antipode square fails at arrow 0',
+        'arrow antipode cancellation (S first) fails at arrow 1',
+        'phi/antipode square fails at arrow 1',
+        'arrow antipode cancellation (S first) fails at arrow 2',
+        'phi/antipode square fails at arrow 2',
+        'arrow antipode cancellation (S second) fails at arrow 3',
+        'phi/antipode square fails at arrow 3',
+        'arrow antipode cancellation (S second) fails at arrow 7',
+        'phi/antipode square fails at arrow 7',
+        'arrow antipode cancellation (S second) fails at arrow 17',
+        'phi/antipode square fails at arrow 17',
+    ],
+    ('s3_transpositions', 's1'): [
+        'arrow antipode cancellation (S first) fails at arrow 0',
+        'arrow antipode cancellation (S second) fails at arrow 0',
+        'phi/antipode square fails at arrow 0',
+    ],
+    ('s3_transpositions', 'delta0'): [
+        'left counit fails at vertex 0',
+        'right counit fails at vertex 0',
+        'vertex antipode (left) fails at 0',
+        'vertex antipode (right) fails at 0',
+        'phi does not intertwine coproducts at arrow 0',
+        'phi does not intertwine coproducts at arrow 1',
+        'phi does not intertwine coproducts at arrow 2',
+        'phi does not intertwine coproducts at arrow 3',
+        'phi does not intertwine coproducts at arrow 7',
+        'phi does not intertwine coproducts at arrow 17',
+        'right module coproduct fails at arrow 0, vertex 0',
+        'left module coproduct fails at arrow 0, vertex 0',
+        'right module coproduct fails at arrow 1, vertex 0',
+        'left module coproduct fails at arrow 1, vertex 0',
+        'right module coproduct fails at arrow 2, vertex 0',
+        'left module coproduct fails at arrow 2, vertex 0',
+        'right module coproduct fails at arrow 3, vertex 0',
+        'left module coproduct fails at arrow 3, vertex 0',
+        'right module coproduct fails at arrow 4, vertex 0',
+        'left module coproduct fails at arrow 4, vertex 0',
+    ],
+    ('s3_transpositions', 'delta1'): [
+        'arrow counit (first block) fails at arrow 0',
+        'phi does not intertwine coproducts at arrow 0',
+        'arrow antipode cancellation (S first) fails at arrow 0',
+        'arrow antipode cancellation (S second) fails at arrow 0',
+        'right module coproduct fails at arrow 0, vertex 1',
+        'left module coproduct fails at arrow 0, vertex 1',
+        'right module coproduct fails at arrow 0, vertex 2',
+        'left module coproduct fails at arrow 0, vertex 2',
+        'right module coproduct fails at arrow 0, vertex 3',
+        'left module coproduct fails at arrow 0, vertex 3',
+        'right module coproduct fails at arrow 0, vertex 4',
+        'left module coproduct fails at arrow 0, vertex 4',
+        'right module coproduct fails at arrow 0, vertex 5',
+        'left module coproduct fails at arrow 0, vertex 5',
+        'right module coproduct fails at arrow 3, vertex 1',
+        'left module coproduct fails at arrow 3, vertex 1',
+        'left module coproduct fails at arrow 6, vertex 2',
+        'right module coproduct fails at arrow 8, vertex 2',
+        'left module coproduct fails at arrow 9, vertex 4',
+        'right module coproduct fails at arrow 11, vertex 4',
+    ],
+    ('s3_transpositions', 'counit'): [
+        'left counit fails at vertex 0',
+        'right counit fails at vertex 0',
+        'vertex antipode (left) fails at 0',
+        'vertex antipode (right) fails at 0',
+        'arrow counit (second block) fails at arrow 0',
+        'counit of phi nonzero at arrow 0',
+        'arrow counit (second block) fails at arrow 1',
+        'counit of phi nonzero at arrow 1',
+        'arrow counit (second block) fails at arrow 2',
+        'counit of phi nonzero at arrow 2',
+        'arrow counit (first block) fails at arrow 3',
+        'counit of phi nonzero at arrow 3',
+        'arrow counit (first block) fails at arrow 7',
+        'counit of phi nonzero at arrow 7',
+        'arrow counit (first block) fails at arrow 17',
+        'counit of phi nonzero at arrow 17',
+    ],
+
+}
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=["q", "f3"])
+@pytest.mark.parametrize("name", ["phi", "s0", "s1", "delta0", "delta1", "counit"])
+@pytest.mark.parametrize("rack,checked", [("toy_c2", 32), ("s3_transpositions", 372)])
+def test_corrupted_structure_map_is_detected(rack, checked, name, field):
+    b = hopf_of(sample_racks()[rack], field)
+    rows = [list(r) for r in getattr(b, name).entries]
     rows[0][0] += 1
-    bad = dataclasses.replace(b, s1=ExactMatrix.from_rows(Q, rows))
+    bad = dataclasses.replace(b, **{name: ExactMatrix.from_rows(field, rows)})
     report = verify_hopf(bad)
-    assert not report.ok
-    assert any("antipode" in v for v in report.violations)
-
-
-def test_corrupted_coproduct_is_detected():
-    b = hopf_of(toy_rack_c2(), F3)
-    rows = [list(r) for r in b.delta1.entries]
-    rows[1][0] = (rows[1][0] + 1) % 3
-    bad = dataclasses.replace(b, delta1=ExactMatrix.from_rows(F3, rows))
-    assert not verify_hopf(bad).ok
+    assert report.checked == checked
+    assert list(report.violations) == CORRUPTED_MAP_VIOLATIONS[(rack, name)]
 
 
 def test_filtration_dims_two_element_example_mod_two():
