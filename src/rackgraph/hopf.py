@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 from .graphs import GroupLikeGraph, unit_component
 from .linalg import (
-    ExactMatrix,
     FieldSpec,
     FilteredSpace,
     SubquotientBasis,
     Subspace,
     induced_matrix,
     nullspace,
+    sparse_sum,
 )
 from .racks import AugmentedRack, FiniteGroup, ValidationReport, orbits
 
@@ -37,7 +37,9 @@ from .racks import AugmentedRack, FiniteGroup, ValidationReport, orbits
 class LMBialgebra:
     """Structure maps of the arrow bialgebra, materialized over a field.
 
-    Matrix shapes (h = |G|, na = number of arrows):
+    Each map is a tuple of sparse columns: column j is the image of basis
+    element j as {row index: value}, with no zero values and over F_p only
+    residues in [0, p).  Shapes (h = |G|, na = number of arrows):
       phi     h x na        a -> t(a) - s(a)
       s0      h x h         g -> g^{-1}
       s1      na x na       a -> -(s(a)^{-1} . a . t(a)^{-1})
@@ -50,85 +52,48 @@ class LMBialgebra:
     graph: GroupLikeGraph
     h_dim: int
     a_dim: int
-    phi: ExactMatrix
-    s0: ExactMatrix
-    s1: ExactMatrix
-    delta0: ExactMatrix
-    delta1: ExactMatrix
-    counit: ExactMatrix
+    phi: tuple
+    s0: tuple
+    s1: tuple
+    delta0: tuple
+    delta1: tuple
+    counit: tuple
 
     @property
     def group(self) -> FiniteGroup:
         return self.graph.vertex_group
-
-    def source(self, a: int) -> int:
-        return self.graph.graph.arrows[a][0]
-
-    def target(self, a: int) -> int:
-        return self.graph.graph.arrows[a][1]
 
 
 def build_lm_hopf(q: GroupLikeGraph, field: FieldSpec) -> LMBialgebra:
     grp = q.vertex_group
     h = grp.order
     na = q.graph.arrow_count
-    one, zero = field.one(), field.zero()
-
-    phi = [[zero] * na for _ in range(h)]
-    s1 = [[zero] * na for _ in range(na)]
-    d1 = [[zero] * na for _ in range(na * h + h * na)]
-    for a in range(na):
-        s, t = q.graph.arrows[a]
-        phi[t][a] = field.add(phi[t][a], one)
-        phi[s][a] = field.sub(phi[s][a], one)
+    phi, s1, d1 = [], [], []
+    for a, (s, t) in enumerate(q.graph.arrows):
+        phi.append(sparse_sum(field, [(t, 1), (s, -1)]))
         b = q.left_act[grp.inv[s]][q.right_act[grp.inv[t]][a]]
-        s1[b][a] = field.neg(one)
-        d1[a * h + t][a] = one
-        d1[na * h + s * na + a][a] = one
-
-    s0 = [[zero] * h for _ in range(h)]
-    d0 = [[zero] * h for _ in range(h * h)]
-    for g in range(h):
-        s0[grp.inv[g]][g] = one
-        d0[g * h + g][g] = one
-
-    counit = [[one] * h]
+        s1.append(sparse_sum(field, [(b, -1)]))
+        d1.append({a * h + t: 1, na * h + s * na + a: 1})
     return LMBialgebra(
         field=field,
         graph=q,
         h_dim=h,
         a_dim=na,
-        phi=ExactMatrix.from_rows(field, phi),
-        s0=ExactMatrix.from_rows(field, s0),
-        s1=ExactMatrix.from_rows(field, s1),
-        delta0=ExactMatrix.from_rows(field, d0),
-        delta1=ExactMatrix.from_rows(field, d1),
-        counit=ExactMatrix.from_rows(field, counit),
+        phi=tuple(phi),
+        s0=tuple({grp.inv[g]: 1} for g in range(h)),
+        s1=tuple(s1),
+        delta0=tuple({g * h + g: 1} for g in range(h)),
+        delta1=tuple(d1),
+        counit=tuple({0: 1} for _ in range(h)),
     )
-
-
-def _columns_as_dicts(m: ExactMatrix) -> list[dict[int, object]]:
-    cols: list[dict[int, object]] = [{} for _ in range(m.ncols)]
-    for i, row in enumerate(m.entries):
-        for j, v in enumerate(row):
-            if v:
-                cols[j][i] = v
-    return cols
-
-
-def _clean(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v}
-
-
-def _bump(d: dict, k: int, v, f: FieldSpec) -> None:
-    d[k] = f.add(d.get(k, f.zero()), v)
 
 
 def verify_hopf(b: LMBialgebra) -> ValidationReport:
     """Exhaustive basis-level check of every structure identity.
 
-    Works entirely from the stored matrices, so a corrupted entry in any of
-    them is caught and reported with the witness basis element.
+    Works entirely from the stored maps, so a corrupted entry in any of
+    them is caught and reported with the witness basis element.  Each side
+    of an identity is one `sparse_sum` of its (index, value) terms.
     """
     f = b.field
     grp = b.group
@@ -136,13 +101,19 @@ def verify_hopf(b: LMBialgebra) -> ValidationReport:
     mul = grp.mul
     la, ra = b.graph.left_act, b.graph.right_act
     off = na * h
-    d0 = _columns_as_dicts(b.delta0)
-    d1 = _columns_as_dicts(b.delta1)
-    s0c = _columns_as_dicts(b.s0)
-    s1c = _columns_as_dicts(b.s1)
-    phic = _columns_as_dicts(b.phi)
-    eps = list(b.counit.entries[0])
+    d0, d1, s0, s1, phi = b.delta0, b.delta1, b.s0, b.s1, b.phi
+    eps = [col.get(0, 0) for col in b.counit]
     e = grp.identity
+
+    def total(terms) -> dict:
+        return sparse_sum(f, terms)
+
+    # the coproducts split into tensor factors: (i, j, c) for g, and
+    # (arrow, vertex, c) for each block of an arrow, A(x)H then H(x)A
+    pairs0 = [[(k // h, k % h, c) for k, c in col.items()] for col in d0]
+    first = [[(k // h, k % h, c) for k, c in col.items() if k < off] for col in d1]
+    second = [[((k - off) % na, (k - off) // na, c) for k, c in col.items() if k >= off]
+              for col in d1]
 
     violations: list[str] = []
     checked = 0
@@ -155,146 +126,80 @@ def verify_hopf(b: LMBialgebra) -> ValidationReport:
 
     for g in range(h):
         # coassociativity of the vertex coproduct
-        lhs: dict[int, object] = {}
-        rhs: dict[int, object] = {}
-        for ij, c in d0[g].items():
-            i, j = divmod(ij, h)
-            for pq, c2 in d0[i].items():
-                _bump(lhs, pq * h + j, f.mul(c, c2), f)
-            for pq, c2 in d0[j].items():
-                p, q2 = divmod(pq, h)
-                _bump(rhs, (i * h + p) * h + q2, f.mul(c, c2), f)
-        record(_clean(lhs) == _clean(rhs), f"coassociativity fails at vertex {g}")
+        lhs = total((pq * h + j, c * c2) for i, j, c in pairs0[g] for pq, c2 in d0[i].items())
+        rhs = total((i * h * h + pq, c * c2) for i, j, c in pairs0[g] for pq, c2 in d0[j].items())
+        record(lhs == rhs, f"coassociativity fails at vertex {g}")
 
         # counit on the vertex coproduct, both sides
-        left_e: dict[int, object] = {}
-        right_e: dict[int, object] = {}
-        for ij, c in d0[g].items():
-            i, j = divmod(ij, h)
-            _bump(left_e, j, f.mul(eps[i], c), f)
-            _bump(right_e, i, f.mul(eps[j], c), f)
-        want = {g: f.one()}
-        record(_clean(left_e) == want, f"left counit fails at vertex {g}")
-        record(_clean(right_e) == want, f"right counit fails at vertex {g}")
+        want = {g: 1}
+        record(total((j, eps[i] * c) for i, j, c in pairs0[g]) == want,
+               f"left counit fails at vertex {g}")
+        record(total((i, eps[j] * c) for i, j, c in pairs0[g]) == want,
+               f"right counit fails at vertex {g}")
 
         # antipode cancellation on the vertex algebra, both sides
-        acc_l: dict[int, object] = {}
-        acc_r: dict[int, object] = {}
-        for ij, c in d0[g].items():
-            i, j = divmod(ij, h)
-            for i2, c2 in s0c[i].items():
-                _bump(acc_l, mul[i2][j], f.mul(c, c2), f)
-            for j2, c2 in s0c[j].items():
-                _bump(acc_r, mul[i][j2], f.mul(c, c2), f)
-        want = _clean({e: eps[g]})
-        record(_clean(acc_l) == want, f"vertex antipode (left) fails at {g}")
-        record(_clean(acc_r) == want, f"vertex antipode (right) fails at {g}")
+        want = total([(e, eps[g])])
+        acc_l = total((mul[i2][j], c * c2) for i, j, c in pairs0[g] for i2, c2 in s0[i].items())
+        acc_r = total((mul[i][j2], c * c2) for i, j, c in pairs0[g] for j2, c2 in s0[j].items())
+        record(acc_l == want, f"vertex antipode (left) fails at {g}")
+        record(acc_r == want, f"vertex antipode (right) fails at {g}")
 
     for a in range(na):
-        col = d1[a]
-
         # counit on the arrow coproduct: both blocks return the arrow
-        blk_a: dict[int, object] = {}
-        blk_h: dict[int, object] = {}
-        for k, c in col.items():
-            if k < off:
-                b2, g2 = divmod(k, h)
-                _bump(blk_a, b2, f.mul(c, eps[g2]), f)
-            else:
-                g2, b2 = divmod(k - off, na)
-                _bump(blk_h, b2, f.mul(c, eps[g2]), f)
-        want = {a: f.one()}
-        record(_clean(blk_a) == want, f"arrow counit (first block) fails at arrow {a}")
-        record(_clean(blk_h) == want, f"arrow counit (second block) fails at arrow {a}")
+        want = {a: 1}
+        record(total((b2, c * eps[g2]) for b2, g2, c in first[a]) == want,
+               f"arrow counit (first block) fails at arrow {a}")
+        record(total((b2, c * eps[g2]) for b2, g2, c in second[a]) == want,
+               f"arrow counit (second block) fails at arrow {a}")
 
         # compatibility of phi with the two coproducts
-        lhs = {}
-        for g2, c in phic[a].items():
-            for pq, c2 in d0[g2].items():
-                _bump(lhs, pq, f.mul(c, c2), f)
-        rhs = {}
-        for k, c in col.items():
-            if k < off:
-                b2, g2 = divmod(k, h)
-                for t2, c2 in phic[b2].items():
-                    _bump(rhs, t2 * h + g2, f.mul(c, c2), f)
-            else:
-                g2, b2 = divmod(k - off, na)
-                for t2, c2 in phic[b2].items():
-                    _bump(rhs, g2 * h + t2, f.mul(c, c2), f)
-        record(_clean(lhs) == _clean(rhs), f"phi does not intertwine coproducts at arrow {a}")
+        lhs = total((pq, c * c2) for g2, c in phi[a].items() for pq, c2 in d0[g2].items())
+        rhs = total(
+            [(t2 * h + g2, c * c2) for b2, g2, c in first[a] for t2, c2 in phi[b2].items()]
+            + [(g2 * h + t2, c * c2) for b2, g2, c in second[a] for t2, c2 in phi[b2].items()]
+        )
+        record(lhs == rhs, f"phi does not intertwine coproducts at arrow {a}")
 
         # antipode cancellation on arrows, both variants
-        acc1: dict[int, object] = {}
-        acc2: dict[int, object] = {}
-        for k, c in col.items():
-            if k < off:
-                b2, g2 = divmod(k, h)
-                for b3, c2 in s1c[b2].items():
-                    _bump(acc1, ra[g2][b3], f.mul(c, c2), f)
-                for g3, c2 in s0c[g2].items():
-                    _bump(acc2, ra[g3][b2], f.mul(c, c2), f)
-            else:
-                g2, b2 = divmod(k - off, na)
-                for g3, c2 in s0c[g2].items():
-                    _bump(acc1, la[g3][b2], f.mul(c, c2), f)
-                for b3, c2 in s1c[b2].items():
-                    _bump(acc2, la[g2][b3], f.mul(c, c2), f)
-        record(not _clean(acc1), f"arrow antipode cancellation (S first) fails at arrow {a}")
-        record(not _clean(acc2), f"arrow antipode cancellation (S second) fails at arrow {a}")
+        acc1 = total(
+            [(ra[g2][b3], c * c2) for b2, g2, c in first[a] for b3, c2 in s1[b2].items()]
+            + [(la[g3][b2], c * c2) for b2, g2, c in second[a] for g3, c2 in s0[g2].items()]
+        )
+        acc2 = total(
+            [(ra[g3][b2], c * c2) for b2, g2, c in first[a] for g3, c2 in s0[g2].items()]
+            + [(la[g2][b3], c * c2) for b2, g2, c in second[a] for b3, c2 in s1[b2].items()]
+        )
+        record(not acc1, f"arrow antipode cancellation (S first) fails at arrow {a}")
+        record(not acc2, f"arrow antipode cancellation (S second) fails at arrow {a}")
 
         # phi commutes with the antipodes
-        lhs = {}
-        for b2, c in s1c[a].items():
-            for g2, c2 in phic[b2].items():
-                _bump(lhs, g2, f.mul(c, c2), f)
-        rhs = {}
-        for g2, c in phic[a].items():
-            for g3, c2 in s0c[g2].items():
-                _bump(rhs, g3, f.mul(c, c2), f)
-        record(_clean(lhs) == _clean(rhs), f"phi/antipode square fails at arrow {a}")
+        lhs = total((g2, c * c2) for b2, c in s1[a].items() for g2, c2 in phi[b2].items())
+        rhs = total((g3, c * c2) for g2, c in phi[a].items() for g3, c2 in s0[g2].items())
+        record(lhs == rhs, f"phi/antipode square fails at arrow {a}")
 
         # counit kills phi
-        total = f.zero()
-        for g2, c in phic[a].items():
-            total = f.add(total, f.mul(eps[g2], c))
-        record(not total, f"counit of phi nonzero at arrow {a}")
+        record(not total((0, eps[g2] * c) for g2, c in phi[a].items()),
+               f"counit of phi nonzero at arrow {a}")
 
     for a in range(na):
         for g in range(h):
             # right module map: coproduct of a.g versus coproduct acted by g(x)g
-            lhs = d1[ra[g][a]]
-            rhs = {}
-            for k, c in d1[a].items():
-                for pq, c2 in d0[g].items():
-                    p, q2 = divmod(pq, h)
-                    if k < off:
-                        b2, g2 = divmod(k, h)
-                        _bump(rhs, ra[p][b2] * h + mul[g2][q2], f.mul(c, c2), f)
-                    else:
-                        g2, b2 = divmod(k - off, na)
-                        _bump(rhs, off + mul[g2][p] * na + ra[q2][b2], f.mul(c, c2), f)
-            record(
-                _clean(dict(lhs)) == _clean(rhs),
-                f"right module coproduct fails at arrow {a}, vertex {g}",
+            rhs = total(
+                [(ra[p][b2] * h + mul[g2][q2], c * c2)
+                 for b2, g2, c in first[a] for p, q2, c2 in pairs0[g]]
+                + [(off + mul[g2][p] * na + ra[q2][b2], c * c2)
+                   for b2, g2, c in second[a] for p, q2, c2 in pairs0[g]]
             )
+            record(d1[ra[g][a]] == rhs, f"right module coproduct fails at arrow {a}, vertex {g}")
 
             # left module map
-            lhs = d1[la[g][a]]
-            rhs = {}
-            for k, c in d1[a].items():
-                for pq, c2 in d0[g].items():
-                    p, q2 = divmod(pq, h)
-                    if k < off:
-                        b2, g2 = divmod(k, h)
-                        _bump(rhs, la[p][b2] * h + mul[q2][g2], f.mul(c, c2), f)
-                    else:
-                        g2, b2 = divmod(k - off, na)
-                        _bump(rhs, off + mul[p][g2] * na + la[q2][b2], f.mul(c, c2), f)
-            record(
-                _clean(dict(lhs)) == _clean(rhs),
-                f"left module coproduct fails at arrow {a}, vertex {g}",
+            rhs = total(
+                [(la[p][b2] * h + mul[q2][g2], c * c2)
+                 for b2, g2, c in first[a] for p, q2, c2 in pairs0[g]]
+                + [(off + mul[p][g2] * na + la[q2][b2], c * c2)
+                   for b2, g2, c in second[a] for p, q2, c2 in pairs0[g]]
             )
+            record(d1[la[g][a]] == rhs, f"left module coproduct fails at arrow {a}, vertex {g}")
 
     return ValidationReport.collect(violations, checked)
 
@@ -359,14 +264,12 @@ def _difference_span(field: FieldSpec, dim: int, tables):
     every basis row v of the level."""
 
     def step(level: Subspace) -> Subspace:
-        vecs = []
-        for table in tables:
-            for row in level.basis:
-                w = [field.neg(v) for v in row]
-                for i, v in enumerate(row):
-                    if v:
-                        w[table[i]] = field.add(w[table[i]], v)
-                vecs.append(w)
+        vecs = [
+            sparse_sum(field, [(table[i], v) for i, v in row.items()]
+                       + [(i, -v) for i, v in row.items()])
+            for table in tables
+            for row in level.basis
+        ]
         return Subspace.from_vectors(field, dim, vecs)
 
     return step
@@ -414,9 +317,12 @@ def augmentation_filtration(b: LMBialgebra, depth: int | None = None) -> Filtrat
     )
 
 
+def _apply_phi(b: LMBialgebra, v: dict) -> dict:
+    return sparse_sum(b.field, ((g, c * x) for a, c in v.items() for g, x in b.phi[a].items()))
+
+
 def _phi_image(b: LMBialgebra, level: Subspace) -> Subspace:
-    vecs = [b.phi.apply(list(row)) for row in level.basis]
-    return Subspace.from_vectors(b.field, b.h_dim, vecs)
+    return Subspace.from_vectors(b.field, b.h_dim, [_apply_phi(b, row) for row in level.basis])
 
 
 def relative_ideal_levels(
@@ -515,12 +421,7 @@ def coinvariant_module(
     e = a.group.identity
 
     def pi_tilde(v):
-        w = [f.zero()] * a.group.order
-        for x, c in enumerate(v):
-            if c:
-                w[a.pi[x]] = f.add(w[a.pi[x]], c)
-                w[e] = f.sub(w[e], c)
-        return w
+        return sparse_sum(f, [(a.pi[x], c) for x, c in v.items()] + [(e, -c) for c in v.values()])
 
     pi_star = []
     for n in range(len(levels_x) - 1):
@@ -545,19 +446,12 @@ def coinvariant_module(
 # graded structure
 
 
-def _delta1_prime_vector(b: LMBialgebra, v) -> list:
+def _delta1_prime_vector(b: LMBialgebra, v: dict) -> dict:
     """a (x) phi(a), extended linearly, as a vector in A(x)H."""
-    f = b.field
     h = b.h_dim
-    w = [f.zero()] * (b.a_dim * h)
-    phic = b.phi
-    for a, c in enumerate(v):
-        if c:
-            for g in range(h):
-                pv = phic.entries[g][a]
-                if pv:
-                    w[a * h + g] = f.add(w[a * h + g], f.mul(c, pv))
-    return w
+    return sparse_sum(
+        b.field, ((a * h + g, c * x) for a, c in v.items() for g, x in b.phi[a].items())
+    )
 
 
 def _raises_at(fa: FilteredSpace, image_degrees: list, n: int) -> bool:
@@ -602,7 +496,7 @@ def verify_graded_structure(
                 f"reduced arrow coproduct does not raise the filtration at level {n}"
             )
 
-    phi_deg = [fg.degree(b.phi.apply(list(row))) for row in fa.rows]
+    phi_deg = [fg.degree(_apply_phi(b, row)) for row in fa.rows]
     for n in range(len(f.levels_a)):
         checked += 1
         if not _raises_at(fa, phi_deg, n):
@@ -628,28 +522,25 @@ def graded_primitive_subspace(b: LMBialgebra, f: FiltrationLevels, n: int) -> Su
     piece = [k for k, i in enumerate(level) if fg.degrees[i] == n]
     if not piece:
         return Subspace.zero(field, 0)
-    # coordinates modulo level n+1 of H(x)H: products of degree sum <= n
-    shallow = [
-        (r, s)
+    def reduced_coproduct(v):
+        return sparse_sum(field, (
+            term
+            for g, c in v.items()
+            for term in ((g * h + g, c), (g * h + e, -c), (e * h + g, -c))
+        ))
+
+    # coordinates modulo level n+1 of H(x)H: one row per product of degree
+    # sum <= n, one column per adapted row of the level
+    rows = {
+        r * fg.dim + s: {}
         for r, dr in enumerate(fg.degrees)
         for s, ds in enumerate(fg.degrees)
         if dr + ds <= n
-    ]
-
-    def reduced_coproduct(v):
-        w = [field.zero()] * (h * h)
-        for g, c in enumerate(v):
-            if c:
-                w[g * h + g] = field.add(w[g * h + g], c)
-                w[g * h + e] = field.sub(w[g * h + e], c)
-                w[e * h + g] = field.sub(w[e * h + g], c)
-        return w
-
-    coeffs = [fg.tensor_coefficients(fg, reduced_coproduct(fg.rows[i])) for i in level]
-    rows = [[c[r][s] for c in coeffs] for r, s in shallow]
-    if rows:
-        kernel = nullspace(ExactMatrix.from_rows(field, rows))
-    else:
-        kernel = Subspace.full(field, len(level))
-    coords = [[kappa[k] for k in piece] for kappa in kernel.basis]
+    }
+    for col, i in enumerate(level):
+        for k, x in fg.tensor_coefficients(fg, reduced_coproduct(fg.rows[i])).items():
+            if k in rows:
+                rows[k][col] = x
+    kernel = nullspace(field, len(level), list(rows.values()))
+    coords = [{j: kappa[k] for j, k in enumerate(piece) if k in kappa} for kappa in kernel.basis]
     return Subspace.from_vectors(field, len(piece), coords)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import FieldSpec, SubquotientBasis, Subspace, bilinear, combine
+from .linalg import FieldSpec, SubquotientBasis, Subspace, bilinear, combine, sparse_sum
 from .racks import ValidationReport
 
 _Q = FieldSpec.rationals()
@@ -248,22 +248,14 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
     # relation spans per degree, built from the bottom up
     relations: list = [None, Subspace.zero(_Q, m)]
     for n in range(2, max_degree + 1):
-        nwords = len(words[n])
+        idx = index[n]
         rows = []
-
-        def unit(w):
-            v = _zero(nwords)
-            v[index[n][w]] = Fraction(1)
-            return v
-
         for p in range(1, n):
             q = n - p
             s = _sigma(p, q, convention)
             for u in words[p]:
                 for v in words[q]:
-                    row = unit((u, v))
-                    row[index[n][(v, u)]] += s
-                    rows.append(row)
+                    rows.append(sparse_sum(_Q, ((idx[(u, v)], 1), (idx[(v, u)], s))))
         for p in range(1, n - 1):
             for q in range(1, n - p):
                 r = n - p - q
@@ -273,24 +265,18 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
                 for u in words[p]:
                     for v in words[q]:
                         for w in words[r]:
-                            row = unit((u, (v, w)))
-                            row[index[n][((u, v), w)]] -= Fraction(1)
-                            row[index[n][(v, (u, w))]] -= s
-                            rows.append(row)
+                            rows.append(sparse_sum(_Q, (
+                                (idx[(u, (v, w))], 1), (idx[((u, v), w)], -1), (idx[(v, (u, w))], -s)
+                            )))
         # brackets of lower-degree relations against words, both sides
         for p in range(2, n):
             q = n - p
             for rel in relations[p].basis:
-                support = [(words[p][i], coeff) for i, coeff in enumerate(rel) if coeff]
+                support = [(words[p][i], coeff) for i, coeff in rel.items()]
                 for w in words[q]:
-                    left = _zero(nwords)
-                    right = _zero(nwords)
-                    for u, coeff in support:
-                        left[index[n][(u, w)]] += coeff
-                        right[index[n][(w, u)]] += coeff
-                    rows.append(left)
-                    rows.append(right)
-        relations.append(Subspace.from_vectors(_Q, nwords, rows))
+                    rows.append({idx[(u, w)]: coeff for u, coeff in support})
+                    rows.append({idx[(w, u)]: coeff for u, coeff in support})
+        relations.append(Subspace.from_vectors(_Q, len(words[n]), rows))
 
     quotients = [None] + [
         SubquotientBasis(Subspace.full(_Q, len(words[n])), relations[n])
@@ -305,11 +291,8 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
     def nf(n: int, vec) -> list:
         return quotients[n].coords(vec)
 
-    def word_vector(n: int, table: dict) -> list:
-        v = _zero(len(words[n]))
-        for w, coeff in table.items():
-            v[index[n][w]] += coeff
-        return v
+    def word_vector(n: int, table: dict) -> dict:
+        return {index[n][w]: coeff for w, coeff in table.items()}
 
     def ad_word(w, a: int) -> dict:
         """Right bracket of the word with e_a, as a leaf-wise substitution."""
@@ -330,10 +313,9 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
         for a in range(l.dim_g):
             for rel in relations[n].basis:
                 img: dict = {}
-                for i, coeff in enumerate(rel):
-                    if coeff:
-                        for w2, c2 in ad_word(words[n][i], a).items():
-                            img[w2] = img.get(w2, Fraction(0)) + coeff * c2
+                for i, coeff in rel.items():
+                    for w2, c2 in ad_word(words[n][i], a).items():
+                        img[w2] = img.get(w2, Fraction(0)) + coeff * c2
                 if any(nf(n, word_vector(n, img))):
                     raise AssertionError(f"action does not descend at degree {n}")
 
@@ -395,9 +377,8 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
         differential.append(tuple(tuple(d_word(w)) for w in basis_words[n]))
         # the differential also descends on relation rows
         for rel in relations[n].basis:
-            support = [i for i, coeff in enumerate(rel) if coeff]
             image = combine(
-                _Q, [rel[i] for i in support], [d_word(words[n][i]) for i in support], dims[n - 1]
+                _Q, list(rel.values()), [d_word(words[n][i]) for i in rel], dims[n - 1]
             )
             if any(image):
                 raise AssertionError(f"differential does not descend at degree {n}")

@@ -1,24 +1,28 @@
 """Exact linear algebra: rationals, prime fields, and integer Smith normal form.
 
-Scalars are `fractions.Fraction` over the rationals and plain ints in
-[0, p) over a prime field.  Subspaces are kept in reduced row echelon
+Scalars are ints and `fractions.Fraction`s over the rationals and plain
+ints in [0, p) over a prime field.  Subspaces are kept in reduced row echelon
 form, which makes equality and membership canonical.
 
-Every linear combination of vectors goes through one kernel: `combine`
+Vectors come in two formats, by one rule.  A vector of an ambient space
+field^n is a sparse dict {index: value}: subspace basis rows, the columns
+of the Hopf structure maps, tensors, and coefficients in a filtration's
+adapted basis.  `sparse_sum` builds such vectors from (index, value)
+terms, reducing mod p once and dropping zeros.  A coordinate vector in a
+quotient basis is a dense list: the output of `SubquotientBasis.coords`,
+the Lie bracket and differential tables built from it, and the entries
+of `induced_matrix`.  Linear combinations of those go through `combine`
 (sum of c_j * rows[j]) and `bilinear` (a bilinear map from its structure
-constants) accumulate in place, skip zeros, and reduce mod p once at the
-end.  Matrix products, matrix-vector products and Lie brackets are
-built on them.
+constants), which accumulate in place, skip zeros, and reduce mod p once
+at the end.
 
 Every row reduction over a field goes through one sparse kernel, `rref`,
-on rows held as dicts {index: value}; `Subspace`, `nullspace` and
-`FilteredSpace` reach it through `_dense_rref`, the one place where dense
-rows become sparse and back.  Boundary matrices are sparse, with entries
-mostly +-1, and are never made dense whole.  They are held as one dict
-{row: coeff} per column and go through two independent eliminations:
-`eliminate_unit_pivots` strips the unit pivots, so that only a small core
-is left for the Smith normal form, and `rref` over a field gives the
-ranks for the cross-check.
+and `Subspace` keeps its output rows as they are.  Boundary matrices are
+sparse, with entries mostly +-1, and are never made dense whole.  They
+are held as one dict {row: coeff} per column and go through two
+independent eliminations: `eliminate_unit_pivots` strips the unit
+pivots, so that only a small core is left for the Smith normal form, and
+`rref` over a field gives the ranks for the cross-check.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-
-Scalar = "Fraction | int"
+from itertools import chain
 
 # input budget of the trial-division primality test in FieldSpec.prime:
 # at most sqrt(2^31), about 46000, divisions
@@ -83,35 +86,10 @@ class FieldSpec:
     def zero(self):
         return 0 if self.is_prime_field else Fraction(0)
 
-    def one(self):
-        return 1 if self.is_prime_field else Fraction(1)
-
     def coerce(self, x):
         if self.is_prime_field:
             return int(x) % self.p
         return x if type(x) is Fraction else Fraction(x)
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.is_prime_field else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.is_prime_field else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.is_prime_field else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.is_prime_field else -a
-
-    def inv(self, a):
-        if self.is_prime_field:
-            a %= self.p
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(a, self.p - 2, self.p)
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
 
     def label(self) -> str:
         return "q" if self.kind == "q" else f"f{self.p}"
@@ -154,6 +132,19 @@ def bilinear(field: FieldSpec, table, u, v, n: int) -> list:
                 if b:
                     _axpy(acc, a * b, cell)
     return _settle(field, acc)
+
+
+def sparse_sum(field: FieldSpec, terms) -> dict:
+    """The sparse vector sum of (index, value) terms: each index's values
+    are added up, reduced mod p once, and zeros are dropped."""
+    acc: dict = {}
+    get = acc.get
+    for k, x in terms:
+        acc[k] = get(k, 0) + x
+    p = field.p
+    if p:
+        return {k: y for k, x in acc.items() if (y := x % p)}
+    return {k: x for k, x in acc.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -210,45 +201,26 @@ def rref(field: FieldSpec, rows) -> list[dict]:
     return [pivots[k] for k in sorted(pivots)]
 
 
-def _dense_rref(field: FieldSpec, n: int, vectors) -> tuple:
-    """`rref` of vectors in field^n, given and returned as dense rows; over
-    Q the ints that `rref` keeps become Fractions here."""
-    zero = field.zero()
-    out = []
-    for row in rref(field, [{k: x for k, x in enumerate(v) if x} for v in vectors]):
-        dense = [zero] * n
-        for k, x in row.items():
-            dense[k] = x
-        out.append(tuple(dense) if field.is_prime_field else tuple(map(field.coerce, dense)))
-    return tuple(out)
-
-
-def _pivots_of(rows) -> list[int]:
-    out = []
-    for row in rows:
-        out.append(next(j for j, v in enumerate(row) if v))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of field^ambient_dim with a canonical RREF basis."""
+    """A subspace of field^ambient_dim with a canonical basis: the rows of
+    `rref`, sorted by lead, each with lead 1 and zero at the other leads."""
 
     field: FieldSpec
     ambient_dim: int
-    basis: tuple  # tuple of row tuples, reduced echelon, sorted by pivot
+    basis: tuple  # sparse rows {index: value}
 
     @staticmethod
     def from_vectors(field: FieldSpec, ambient_dim: int, vectors) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        return Subspace(field, ambient_dim, _dense_rref(field, ambient_dim, vecs))
+        rows = list(vectors)
+        for v in rows:
+            if v and (min(v) < 0 or max(v) >= ambient_dim):
+                raise ValueError("vector index outside the ambient dimension")
+        return Subspace(field, ambient_dim, tuple(rref(field, rows)))
 
     @staticmethod
     def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
@@ -256,36 +228,31 @@ class Subspace:
 
     @staticmethod
     def full(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        one, zero = field.one(), field.zero()
-        basis = tuple(
-            tuple(one if i == j else zero for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return Subspace(field, ambient_dim, basis)
+        return Subspace(field, ambient_dim, tuple({i: 1} for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     @cached_property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(_pivots_of(self.basis))
+    def pivot_rows(self) -> dict:
+        """Lead index -> basis row, in the order of the basis."""
+        return {min(row): row for row in self.basis}
 
-    def reduce(self, vector):
-        """Eliminate this subspace from `vector`; result depends only on the coset."""
-        f = self.field
-        v = [f.coerce(x) for x in vector]
-        for row, pcol in zip(self.basis, self.pivots):
-            c = v[pcol] % f.p if f.is_prime_field else v[pcol]
-            if c:
-                _axpy(v, -c, row)
-        return _settle(f, v)
+    def reduce(self, vector: dict) -> dict:
+        """v - sum v[k] row_k over the pivots k in v's support.  The basis is
+        fully reduced, so this clears every pivot of v in one pass; the
+        result depends only on the coset."""
+        rows = self.pivot_rows
+        return sparse_sum(self.field, chain(vector.items(), (
+            (j, -c * x) for k, c in vector.items() if k in rows for j, x in rows[k].items()
+        )))
 
-    def contains(self, vector) -> bool:
+    def contains(self, vector: dict) -> bool:
         # the whole space: reducing would clear every entry one by one
         if self.dim == self.ambient_dim:
             return True
-        return not any(self.reduce(vector))
+        return not self.reduce(vector)
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis)
@@ -297,31 +264,19 @@ class Subspace:
         )
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: row reduce [[A A],[B 0]]; intersection rows have zero left block."""
+        """Zassenhaus: row reduce [[A A],[B 0]]; the rows with zero left block
+        are, shifted left, the reduced basis of the intersection."""
         self._check_compatible(other)
-        f, n = self.field, self.ambient_dim
-        zero = f.zero()
-        stacked = [list(r) + list(r) for r in self.basis]
-        stacked += [list(r) + [zero] * n for r in other.basis]
-        reduced = _dense_rref(f, 2 * n, stacked)
-        inter = [row[n:] for row in reduced if not any(row[:n])]
-        return Subspace.from_vectors(f, n, inter)
+        n = self.ambient_dim
+        stacked = [{**r, **{k + n: x for k, x in r.items()}} for r in self.basis]
+        stacked += list(other.basis)
+        reduced = rref(self.field, stacked)
+        inter = [{k - n: x for k, x in row.items()} for row in reduced if min(row) >= n]
+        return Subspace(self.field, n, tuple(inter))
 
     def _check_compatible(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise ValueError("subspace mismatch")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.ambient_dim, self.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -351,33 +306,20 @@ class ExactMatrix:
             ent = tuple(tuple(field.coerce(v) for v in r) for r in rows)
         return ExactMatrix(field, nrows, ncols, ent)
 
-    def column(self, j: int):
-        return tuple(self.entries[i][j] for i in range(self.nrows))
 
-    def apply(self, vector):
-        """Matrix times column vector (length ncols) -> length nrows, over a field."""
-        return combine(self.field, vector, zip(*self.entries), self.nrows)
-
-
-def nullspace(m: ExactMatrix) -> Subspace:
-    """Kernel {v : m v = 0} as a canonical subspace of field^ncols."""
-    f = m.field
-    if f is None:
-        raise ValueError("nullspace needs a field")
-    reduced = _dense_rref(f, m.ncols, m.entries)
-    piv = _pivots_of(reduced)
-    free = [j for j in range(m.ncols) if j not in piv]
-    basis = []
-    one, zero = f.one(), f.zero()
-    for j in free:
-        v = [zero] * m.ncols
-        v[j] = one
-        for row, pc in zip(reduced, piv):
-            v[pc] = f.neg(row[j])
-        basis.append(v)
-    space = Subspace.from_vectors(f, m.ncols, basis)
+def nullspace(field: FieldSpec, ncols: int, rows) -> Subspace:
+    """Kernel {v : m v = 0} of the matrix with sparse rows `rows`, as a
+    canonical subspace of field^ncols."""
+    reduced = rref(field, rows)
+    leads = {min(row) for row in reduced}
+    basis = [
+        {j: 1, **{min(row): -row[j] for row in reduced if j in row}}
+        for j in range(ncols)
+        if j not in leads
+    ]
+    space = Subspace.from_vectors(field, ncols, basis)
     # rank + nullity must always tie out
-    assert len(reduced) + space.dim == m.ncols
+    assert len(reduced) + space.dim == ncols
     return space
 
 
@@ -539,16 +481,13 @@ class SubquotientBasis:
         self.ambient_dim = v.ambient_dim
         self.v = v
         self.w = w
-        wpiv = set(w.pivots)
-        self.rep_rows = [row for row, p in zip(v.basis, v.pivots) if p not in wpiv]
-        self.rep_pivots = [p for p in v.pivots if p not in wpiv]
+        reps = [(k, row) for k, row in v.pivot_rows.items() if k not in w.pivot_rows]
+        self.rep_pivots = [k for k, _ in reps]
+        self.rep_rows = [row for _, row in reps]
 
     @property
     def dim(self) -> int:
         return len(self.rep_rows)
-
-    def rep_vector(self, i: int) -> list:
-        return list(self.rep_rows[i])
 
     def coords(self, vector) -> list:
         """Coset coordinates of a vector of V; raises if vector not in V.
@@ -559,7 +498,7 @@ class SubquotientBasis:
         u = self.w.reduce(vector)
         if not self.v.contains(u):
             raise ValueError("vector not in the subspace V")
-        return [u[p] for p in self.rep_pivots]
+        return [u.get(p, 0) for p in self.rep_pivots]
 
 
 class FilteredSpace:
@@ -569,10 +508,11 @@ class FilteredSpace:
     is stable (V_m = V_k for m > k).  `rows` lists, for each d < k, the
     SubquotientBasis(V_d, V_(d+1)) representatives with degree d, then the
     basis of V_k with degree inf, so level m is spanned by the rows of degree
-    >= m.  The inverse of the row matrix is computed once; coefficients and
-    filtration degrees are then products with it.  For tensors of two
-    filtered spaces, level m of the sum of V_p (x) W_q over p + q = m is
-    spanned by the products of rows whose degrees sum to at least m.
+    >= m.  The inverse of the row matrix comes from one `rref` of the rows
+    with the identity appended; coefficients and filtration degrees are then
+    products with it.  For tensors of two filtered spaces, level m of the
+    sum of V_p (x) W_q over p + q = m is spanned by the products of rows
+    whose degrees sum to at least m.
     """
 
     def __init__(self, levels):
@@ -587,57 +527,51 @@ class FilteredSpace:
             degrees += [d] * len(reps)
         rows += levels[-1].basis
         degrees += [math.inf] * levels[-1].dim
-        one, zero = field.one(), field.zero()
-        augmented = [
-            list(row) + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(rows)
-        ]
+        augmented = rref(field, [{**row, n + i: 1} for i, row in enumerate(rows)])
         self.field = field
         self.dim = n
         self.rows = tuple(rows)
         self.degrees = tuple(degrees)
-        self.inverse = tuple(row[n:] for row in _dense_rref(field, 2 * n, augmented))
+        # inverse[k]: the coefficients of the unit vector e_k
+        self.inverse = tuple({j - n: x for j, x in row.items() if j >= n} for row in augmented)
 
     def graded_dim(self, d: int) -> int:
         return self.degrees.count(d)
 
-    def coefficients(self, vector) -> list:
-        """c with sum c_i rows[i] = vector."""
-        return _product(self.field, [vector], self.inverse)[0]
+    def coefficients(self, vector: dict) -> dict:
+        """c with sum c_i rows[i] = vector, as a sparse vector."""
+        inv = self.inverse
+        return sparse_sum(self.field, (
+            (i, c * x) for k, c in vector.items() for i, x in inv[k].items()
+        ))
 
-    def degree(self, vector):
+    def degree(self, vector: dict):
         """Deepest level containing `vector`; inf inside the stable last level."""
-        return min(
-            (d for d, c in zip(self.degrees, self.coefficients(vector)) if c),
-            default=math.inf,
-        )
+        return min((self.degrees[i] for i in self.coefficients(vector)), default=math.inf)
 
-    def tensor_coefficients(self, other: "FilteredSpace", tensor) -> list:
-        """C with tensor = sum C_ij rows_i (x) other.rows_j, the tensor
-        indexed i * other.dim + j; C = E^-T W F^-1."""
-        m = other.dim
-        w = [tensor[i * m:(i + 1) * m] for i in range(self.dim)]
-        inv_t = [list(col) for col in zip(*self.inverse)]
-        return _product(self.field, _product(self.field, inv_t, w), other.inverse)
+    def tensor_coefficients(self, other: "FilteredSpace", tensor: dict) -> dict:
+        """C with tensor = sum C_ij rows_i (x) other.rows_j, both indexed
+        i * other.dim + j; C = E^-T W F^-1, applied one side at a time."""
+        m, f = other.dim, self.field
+        half = sparse_sum(f, (
+            (k - k % m + s, c * x)
+            for k, c in tensor.items()
+            for s, x in other.inverse[k % m].items()
+        ))
+        return sparse_sum(f, (
+            (r * m + k % m, c * x)
+            for k, c in half.items()
+            for r, x in self.inverse[k // m].items()
+        ))
 
-    def tensor_degree(self, other: "FilteredSpace", tensor):
+    def tensor_degree(self, other: "FilteredSpace", tensor: dict):
         """Smallest deg e_i + deg f_j over the nonzero C_ij (inf for zero)."""
-        c = self.tensor_coefficients(other, tensor)
+        m = other.dim
         return min(
-            (
-                di + dj
-                for di, row in zip(self.degrees, c)
-                for dj, x in zip(other.degrees, row)
-                if x
-            ),
+            (self.degrees[k // m] + other.degrees[k % m]
+             for k in self.tensor_coefficients(other, tensor)),
             default=math.inf,
         )
-
-
-def _product(field: FieldSpec, a, b) -> list:
-    """Row-list matrix product a @ b."""
-    n = len(b[0]) if b else 0
-    return [combine(field, row, b, n) for row in a]
 
 
 def induced_matrix(
@@ -646,19 +580,17 @@ def induced_matrix(
     dst: SubquotientBasis,
     check_kernel: Subspace | None = None,
 ) -> ExactMatrix:
-    """Matrix of the map induced on quotients by `apply_map` (vector -> vector).
+    """Matrix of the map induced on quotients by `apply_map` (sparse vector
+    -> sparse vector).
 
     When check_kernel is given, verifies apply_map sends it into the
     denominator of `dst` (well-definedness on cosets).
     """
     if check_kernel is not None:
         for row in check_kernel.basis:
-            if not dst.w.contains(apply_map(list(row))):
+            if not dst.w.contains(apply_map(row)):
                 raise ValueError("map is not well-defined on cosets")
-    cols = []
-    for i in range(src.dim):
-        cols.append(dst.coords(apply_map(src.rep_vector(i))))
+    cols = [dst.coords(apply_map(row)) for row in src.rep_rows]
     field = dst.field
-    rows = [[cols[j][i] for j in range(src.dim)] for i in range(dst.dim)]
-    ent = tuple(tuple(field.coerce(v) for v in r) for r in rows)
+    ent = tuple(tuple(field.coerce(col[i]) for col in cols) for i in range(dst.dim))
     return ExactMatrix(field, dst.dim, src.dim, ent)

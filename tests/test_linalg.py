@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rackgraph.linalg import (
-    ExactMatrix,
     FieldSpec,
     FilteredSpace,
     SubquotientBasis,
@@ -23,11 +22,17 @@ from rackgraph.linalg import (
     nullspace,
     rref,
     smith_normal_form,
+    sparse_sum,
 )
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
+
+
+def sparse(v):
+    """A dense row as the sparse vector {index: value} the kernel takes."""
+    return {j: x for j, x in enumerate(v) if x}
 
 
 def test_smith_diag_2_3():
@@ -88,15 +93,15 @@ def _det_fraction(m):
 
 def test_f2_sum_of_subspaces():
     # span{e1+e2, e2+e3} + span{e1+e3} has dim 2: e1+e3 = (e1+e2)+(e2+e3)
-    a = Subspace.from_vectors(F2, 3, [[1, 1, 0], [0, 1, 1]])
-    b = Subspace.from_vectors(F2, 3, [[1, 0, 1]])
+    a = Subspace.from_vectors(F2, 3, [{0: 1, 1: 1}, {1: 1, 2: 1}])
+    b = Subspace.from_vectors(F2, 3, [{0: 1, 2: 1}])
     assert a.add(b).dim == 2
     assert a.add(b) == a
 
 
 def test_canonical_basis_is_spanning_set_independent():
-    a = Subspace.from_vectors(Q, 4, [[1, 2, 3, 4], [0, 1, 1, 1]])
-    b = Subspace.from_vectors(Q, 4, [[1, 3, 4, 5], [2, 5, 7, 9], [0, 2, 2, 2]])
+    a = Subspace.from_vectors(Q, 4, map(sparse, [[1, 2, 3, 4], [0, 1, 1, 1]]))
+    b = Subspace.from_vectors(Q, 4, map(sparse, [[1, 3, 4, 5], [2, 5, 7, 9], [0, 2, 2, 2]]))
     assert a == b
     assert a.basis == b.basis
 
@@ -108,8 +113,8 @@ def test_dimension_formula_random():
             n = rng.randrange(1, 6)
             va = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(rng.randrange(0, 4))]
             vb = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(rng.randrange(0, 4))]
-            a = Subspace.from_vectors(field, n, va)
-            b = Subspace.from_vectors(field, n, vb)
+            a = Subspace.from_vectors(field, n, map(sparse, va))
+            b = Subspace.from_vectors(field, n, map(sparse, vb))
             s = a.add(b)
             i = a.intersect(b)
             assert s.dim == a.dim + b.dim - i.dim
@@ -120,55 +125,96 @@ def test_dimension_formula_random():
 
 
 def test_membership_and_equality():
-    a = Subspace.from_vectors(F3, 3, [[1, 1, 0], [0, 0, 1]])
-    assert a.contains([1, 1, 1])
-    assert not a.contains([1, 0, 0])
+    a = Subspace.from_vectors(F3, 3, [{0: 1, 1: 1}, {2: 1}])
+    assert a.contains({0: 1, 1: 1, 2: 1})
+    assert not a.contains({0: 1})
     assert Subspace.zero(F3, 3).dim == 0
     assert Subspace.full(F3, 3).dim == 3
 
 
+def test_from_vectors_rejects_an_index_outside_the_ambient_space():
+    for bad in ({3: 1}, {-1: 1}, {0: 1, 5: 2}):
+        with pytest.raises(ValueError, match="outside the ambient dimension"):
+            Subspace.from_vectors(Q, 3, [{0: 1}, bad])
+
+
+def _sparse_vectors(n):
+    # zero values too: callers may pass them, and they must change nothing
+    return st.dictionaries(
+        st.integers(0, n - 1), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    )
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([Q, F2, F3]),
+    st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(_sparse_vectors(n), max_size=5),
+        _sparse_vectors(n),
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+    )),
+)
+def test_reduce_clears_pivots_within_the_coset(field, case):
+    n, rows, v, coeffs = case
+    if field.is_prime_field:
+        # integer entries over F_p
+        rows = [{k: int(x) for k, x in row.items()} for row in rows]
+        v = {k: int(x) for k, x in v.items()}
+    space = Subspace.from_vectors(field, n, rows)
+    r = space.reduce(v)
+    # no key at any pivot
+    assert not set(r) & {min(row) for row in space.basis}
+    # v - r lies in the span of the rows
+    diff = sparse_sum(field, [*v.items(), *((k, -x) for k, x in r.items())])
+    assert len(rref(field, rows + [diff])) == space.dim
+    # the result depends only on the coset of v
+    shifted = sparse_sum(field, [
+        *v.items(), *((k, c * x) for c, row in zip(coeffs, space.basis) for k, x in row.items())
+    ])
+    assert space.reduce(shifted) == r
+
+
 def test_rank_nullity_and_image():
     # rank 2: the second row is twice the first
-    m = ExactMatrix.from_rows(Q, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    ker = nullspace(m)
+    m = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    ker = nullspace(Q, 3, map(sparse, m))
     assert ker.dim == 1
     for row in ker.basis:
-        assert all(v == 0 for v in m.apply(list(row)))
+        assert all(sum(r[j] * x for j, x in row.items()) == 0 for r in m)
 
 
 def test_quotient_space_coords():
     # the quotient of the whole space by W: representatives are the unit
     # vectors at W's non-pivot columns
-    w = Subspace.from_vectors(Q, 3, [[1, 1, 0]])
+    w = Subspace.from_vectors(Q, 3, [{0: 1, 1: 1}])
     q = SubquotientBasis(Subspace.full(Q, 3), w)
     assert q.dim == 2
     assert q.rep_pivots == [1, 2]
-    assert q.rep_vector(0) == [0, 1, 0]
+    assert q.rep_rows[0] == {1: 1}
     # e0 and e0 - e1 lie in the same coset mod span{e0+e1}... e0-(e0+e1) = -e1
-    assert q.coords([1, 0, 0]) == q.coords([0, -1, 0])
-    assert q.coords([1, 1, 0]) == [Fraction(0), Fraction(0)]
+    assert q.coords({0: 1}) == q.coords({1: -1})
+    assert q.coords({0: 1, 1: 1}) == [Fraction(0), Fraction(0)]
 
 
 def test_subquotient_basis():
-    v = Subspace.from_vectors(Q, 3, [[1, 0, 0], [0, 1, 0]])
-    w = Subspace.from_vectors(Q, 3, [[0, 1, 0]])
+    v = Subspace.from_vectors(Q, 3, [{0: 1}, {1: 1}])
+    w = Subspace.from_vectors(Q, 3, [{1: 1}])
     sq = SubquotientBasis(v, w)
     assert sq.dim == 1
-    assert sq.coords([1, 5, 0]) == [Fraction(1)]
+    assert sq.coords({0: 1, 1: 5}) == [Fraction(1)]
     try:
-        sq.coords([0, 0, 1])
+        sq.coords({2: 1})
         assert False, "vector outside V must be rejected"
     except ValueError:
         pass
     # W's pivot column need not be one of V's non-representative rows:
     # (1, 0) and (1, 0) - (1, 1) lie in one coset of span{(1, 1)}
-    sq = SubquotientBasis(Subspace.full(Q, 2), Subspace.from_vectors(Q, 2, [[1, 1]]))
-    assert sq.coords([1, 0]) == sq.coords([0, -1]) == [Fraction(-1)]
+    sq = SubquotientBasis(Subspace.full(Q, 2), Subspace.from_vectors(Q, 2, [{0: 1, 1: 1}]))
+    assert sq.coords({0: 1}) == sq.coords({1: -1}) == [Fraction(-1)]
 
 
 def test_prime_field_arithmetic():
-    assert F3.inv(2) == 2
-    assert F3.mul(2, 2) == 1
     assert FieldSpec.parse("f5").p == 5
     assert FieldSpec.parse("q").kind == "q"
     # the combination kernel: 2 (1, 2) + (2, 2) = (4, 6) = (1, 0) mod 3, and a
@@ -286,7 +332,7 @@ def test_rref_rank_and_shape_against_smith_normal_form(field, rows):
 def _random_chain(rng, field, n):
     # [full, span(v_0..v_r), span(v_1..v_r), ...] with r < n, run down to
     # zero or stopped at a random depth; the last entry is listed twice
-    vecs = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(rng.randrange(0, n))]
+    vecs = [sparse([rng.randrange(-2, 3) for _ in range(n)]) for _ in range(rng.randrange(0, n))]
     levels = [Subspace.full(field, n)]
     for d in range(rng.randrange(1, len(vecs) + 2)):
         levels.append(Subspace.from_vectors(field, n, vecs[d:]))
@@ -311,11 +357,10 @@ def test_filtered_space_adapted_basis():
 
 
 def _random_member(rng, field, space):
-    v = [field.zero()] * space.ambient_dim
-    for row in space.basis:
-        c = field.coerce(rng.randrange(-2, 3))
-        v = [field.add(x, field.mul(c, y)) for x, y in zip(v, row)]
-    return v
+    coeffs = [rng.randrange(-2, 3) for _ in space.basis]
+    return sparse_sum(
+        field, ((k, c * y) for c, row in zip(coeffs, space.basis) for k, y in row.items())
+    )
 
 
 def test_filtered_space_coefficients_and_degree():
@@ -327,9 +372,9 @@ def test_filtered_space_coefficients_and_degree():
             fs = FilteredSpace(levels)
             v = _random_member(rng, field, rng.choice(levels[:-1]))
             c = fs.coefficients(v)
-            back = [field.zero()] * n
-            for ci, row in zip(c, fs.rows):
-                back = [field.add(x, field.mul(ci, y)) for x, y in zip(back, row)]
+            back = sparse_sum(
+                field, ((k, ci * y) for i, ci in c.items() for k, y in fs.rows[i].items())
+            )
             assert back == v
             deepest = max(m for m, level in enumerate(levels) if level.contains(v))
             if deepest == len(levels) - 1:
@@ -343,7 +388,7 @@ def _tensor_level(field, lv, lw, m):
     # every product of level bases (levels past a chain's end repeat its last)
     n, k = lv[0].ambient_dim, lw[0].ambient_dim
     return Subspace.from_vectors(field, n * k, [
-        [field.mul(x, y) for x in u for y in w]
+        {i * k + j: x * y for i, x in u.items() for j, y in w.items()}
         for p in range(m + 1)
         for u in lv[min(p, len(lv) - 1)].basis
         for w in lw[min(m - p, len(lw) - 1)].basis
