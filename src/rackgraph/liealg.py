@@ -266,7 +266,9 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
                     for v in words[q]:
                         for w in words[r]:
                             rows.append(sparse_sum(_Q, (
-                                (idx[(u, (v, w))], 1), (idx[((u, v), w)], -1), (idx[(v, (u, w))], -s)
+                                (idx[(u, (v, w))], 1),
+                                (idx[((u, v), w)], -1),
+                                (idx[(v, (u, w))], -s),
                             )))
         # brackets of lower-degree relations against words, both sides
         for p in range(2, n):

@@ -308,7 +308,7 @@ class ExactMatrix:
 
 
 def nullspace(field: FieldSpec, ncols: int, rows) -> Subspace:
-    """Kernel {v : m v = 0} of the matrix with sparse rows `rows`, as a
+    """Kernel {v : m v = 0} of the matrix m given by its sparse rows, as a
     canonical subspace of field^ncols."""
     reduced = rref(field, rows)
     leads = {min(row) for row in reduced}
