@@ -69,10 +69,6 @@ class LMLieAlgebra:
         return LMLieAlgebra(ng, nm, c_t, rho_t, f_t)
 
 
-def _zero(n):
-    return [Fraction(0)] * n
-
-
 def _neg(u) -> tuple:
     return tuple(-a for a in u)
 
@@ -451,7 +447,7 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
                     )
 
     def unit(n, i):
-        v = _zero(t.dims[n])
+        v = [Fraction(0)] * t.dims[n]
         v[i] = Fraction(1)
         return v
 
