@@ -120,7 +120,7 @@ class ChainComplex:
             for i, v in col.items():
                 if v:
                     dense[index[i]][j] = v
-        return ExactMatrix.from_rows(None, dense)
+        return ExactMatrix.from_rows(dense)
 
 
 DEFAULT_SIZE_CAP = 10**6

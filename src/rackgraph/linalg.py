@@ -293,18 +293,13 @@ class ExactMatrix:
     entries: tuple  # entries[r][c]
 
     @staticmethod
-    def from_rows(field: FieldSpec | None, rows) -> "ExactMatrix":
+    def from_rows(rows) -> "ExactMatrix":
+        """Integer matrix with the given rows."""
         rows = [list(r) for r in rows]
-        nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged matrix")
-        if field is None:
-            ent = tuple(tuple(int(v) for v in r) for r in rows)
-        else:
-            ent = tuple(tuple(field.coerce(v) for v in r) for r in rows)
-        return ExactMatrix(field, nrows, ncols, ent)
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged matrix")
+        return ExactMatrix(None, len(rows), ncols, tuple(tuple(int(v) for v in r) for r in rows))
 
 
 def nullspace(field: FieldSpec, ncols: int, rows) -> Subspace:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,50 @@ def test_integrate_so3():
 def test_integrate_rejects_rack_input():
     code, report, _ = run_cli(["integrate", "corpus/dihedral_3.json"])
     assert code == 2
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
+# one corpus entry set to a huge value: the structure stays valid, the products overflow
+INERT_RHO = ("inert_pair", ("rho", 0, 0, 0), 1e300)  # rho @ rho - rho @ rho is inf - inf
+INERT_F = ("inert_pair", ("f", 0, 0), 1e154)  # every pi(x) overflows, the action is trivial
+NILPOTENT_RHO = ("nilpotent_matrix", ("rho", 0, 0, 0), 1e154)  # exp(rho f(y)) overflows
+
+
+@pytest.mark.parametrize(
+    "edit, command, block, violations",
+    [
+        (INERT_RHO, "validate", None, ["module axiom residual is not finite"]),
+        (INERT_RHO, "integrate", "validation", ["module axiom residual is not finite"]),
+        (INERT_F, "integrate", "rack_checks", ["equivariance residual is not finite at sample 0"]),
+        (
+            NILPOTENT_RHO,
+            "integrate",
+            "rack_checks",
+            [
+                "self-distributivity residual is not finite at sample 0",
+                "equivariance residual is not finite at sample 1",
+            ],
+        ),
+    ],
+)
+def test_overflow_is_a_violation_in_valid_json(tmp_path, edit, command, block, violations):
+    name, (*keys, last), value = edit
+    target = doc = json.loads(Path(f"corpus/{name}.json").read_text(encoding="utf-8"))
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would reach stderr
+        code, text, _ = cli.render([command, write_doc(tmp_path, doc)])
+    report = json.loads(text, parse_constant=_no_constant)
+    assert code == 1
+    assert report["ok"] is False
+    checks = report[block] if block else report
+    assert checks["violations"] == violations
+    assert None in checks["residuals"].values()
 
 
 def test_presentation_trivial_rack():
