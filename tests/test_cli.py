@@ -380,6 +380,49 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout)["ok"] is True
 
 
+def test_flags_of_one_command_do_not_reach_the_next():
+    _, _, m = cli.render(["hopf", "corpus/toy_c2.json", "--field", "f2", "--max-degree", "2"])
+    assert (m.field, m.max_degree) == ("f2", 2)
+    code, text, m = cli.render(["hopf", "corpus/toy_c2.json"])
+    assert (m.field, m.max_degree) == ("q", None)
+    assert code == 0
+    assert json.loads(text)["field"] == "q"
+
+
+def test_malformed_argv_exits_2_and_the_next_command_runs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.render(["hopf", "corpus/toy_c2.json", "--complex", "bq"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.render(["presentation"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, report, _ = run_cli(["presentation", "corpus/trivial_2.json"])
+    assert code == 0
+    assert report["ok"] is True
+
+
+def test_import_builds_no_parser():
+    # importing the CLI is timed on its own, so argparse work must wait for
+    # the first command
+    script = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    made.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import rackgraph.cli\n"
+        "print(len(made))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
 def test_corpus_files_are_canonical():
     # the checked-in inputs are exactly what the writers produce
     for name, doc in corpus.corpus_documents().items():

@@ -164,6 +164,10 @@ def test_bad_arguments():
         e_functor(free_generators(12), 5, PLAIN)
 
 
+def _retabled(rows):
+    return tuple(tuple(tuple(v) for v in row) for row in rows)
+
+
 def test_tampered_table_detected():
     l = nilpotent_pair()
     t = e_functor(l, 2, KOSZUL)
@@ -172,8 +176,73 @@ def test_tampered_table_detected():
     # leak the square of m2 into [m1, m1]; its differential is nonzero,
     # so the derivation rule must notice
     broken[0][0][2] += 1
-    tables[(1, 1)] = tuple(tuple(tuple(v) for v in row) for row in broken)
+    tables[(1, 1)] = _retabled(broken)
     bad = dataclasses.replace(t, bracket=tables)
     report = verify_e_truncation(bad, l)
     assert not report.ok
-    assert any("derivation" in v or "antisymmetry" in v for v in report.violations)
+    assert report.checked == 64
+    assert report.violations == (
+        "Jacobi fails in degrees (0,1,1) at (0,0,0)",
+        "Jacobi fails in degrees (0,1,1) at (0,0,1)",
+        "Jacobi fails in degrees (0,1,1) at (0,1,0)",
+        "Jacobi fails in degrees (1,0,1) at (0,0,0)",
+        "Jacobi fails in degrees (1,0,1) at (0,0,1)",
+        "Jacobi fails in degrees (1,0,1) at (1,0,0)",
+        "Jacobi fails in degrees (1,1,0) at (0,0,0)",
+        "Jacobi fails in degrees (1,1,0) at (0,1,0)",
+        "Jacobi fails in degrees (1,1,0) at (1,0,0)",
+        "derivation rule fails in degrees (1,1) at (0,0)",
+    )
+
+
+def test_tampered_degree_three_table_breaks_only_jacobi():
+    l = nilpotent_pair()
+    t = e_functor(l, 3, PLAIN)
+    # add the second degree-3 basis element to the bracket of the first
+    # degree-1 and the degree-2 basis elements, on both sides so that
+    # antisymmetry holds; d is zero on degrees 2 and 3, so the derivation
+    # rule cannot see it and only Jacobi can
+    tables = dict(t.bracket)
+    for key, delta in (((1, 2), 1), ((2, 1), -1)):
+        rows = [list(map(list, row)) for row in tables[key]]
+        rows[0][0][1] += delta
+        tables[key] = _retabled(rows)
+    report = verify_e_truncation(dataclasses.replace(t, bracket=tables), l)
+    assert t.dims == (1, 2, 1, 2)
+    assert report.checked == 92
+    assert report.violations == (
+        "Jacobi fails in degrees (0,1,2) at (0,0,0)",
+        "Jacobi fails in degrees (0,1,2) at (0,1,0)",
+        "Jacobi fails in degrees (0,2,1) at (0,0,0)",
+        "Jacobi fails in degrees (0,2,1) at (0,0,1)",
+        "Jacobi fails in degrees (1,0,2) at (0,0,0)",
+        "Jacobi fails in degrees (1,0,2) at (1,0,0)",
+        "Jacobi fails in degrees (1,2,0) at (0,0,0)",
+        "Jacobi fails in degrees (1,2,0) at (1,0,0)",
+        "Jacobi fails in degrees (2,0,1) at (0,0,0)",
+        "Jacobi fails in degrees (2,0,1) at (0,0,1)",
+        "Jacobi fails in degrees (2,1,0) at (0,0,0)",
+        "Jacobi fails in degrees (2,1,0) at (0,1,0)",
+    )
+
+
+def test_tampered_differential_breaks_d_squared():
+    l = nilpotent_pair()
+    t = e_functor(l, 3, KOSZUL)
+    # d of the first degree-3 element picks up the third degree-2 element,
+    # whose own differential is -2 m1
+    d = [list(map(list, rows)) for rows in t.differential]
+    d[3][0][2] += 1
+    report = verify_e_truncation(dataclasses.replace(t, differential=_retabled(d)), l)
+    assert report.checked == 148
+    assert report.violations == (
+        "derivation rule fails in degrees (0,3) at (0,0)",
+        "derivation rule fails in degrees (0,3) at (0,1)",
+        "derivation rule fails in degrees (1,2) at (0,1)",
+        "derivation rule fails in degrees (1,2) at (1,0)",
+        "derivation rule fails in degrees (2,1) at (0,1)",
+        "derivation rule fails in degrees (2,1) at (1,0)",
+        "derivation rule fails in degrees (3,0) at (0,0)",
+        "derivation rule fails in degrees (3,0) at (1,0)",
+        "d.d nonzero in degree 3 at basis element 0",
+    )
