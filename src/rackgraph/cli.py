@@ -14,6 +14,7 @@ commands produce byte-identical output on any platform.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -196,7 +197,7 @@ def _cmd_hopf(m: Manifest, kind, obj) -> tuple[int, dict]:
     hopf_rep = verify_hopf(b)
     try:
         filt = augmentation_filtration(b, depth=m.max_degree)
-        coinv = coinvariant_module(a, field, depth=m.max_degree)
+        coinv = coinvariant_module(a, field, filt.levels_g, depth=m.max_degree)
     except DepthTooShallow as exc:
         raise SchemaError("", str(exc)) from None
     lemma_rep = verify_connected_lemma(b, filt)
@@ -332,6 +333,9 @@ def run(m: Manifest) -> tuple[int, dict]:
 # argument parsing
 
 
+# Built on the first command, not at import, which is timed on its own;
+# parse_args leaves the parser as it was, so every command shares it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rackgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -386,15 +386,17 @@ class CoinvariantModule:
     field: FieldSpec
     rack: AugmentedRack
     levels_x: tuple
-    levels_g: tuple
     p_dims: tuple[int, ...]
     pi_star: tuple
     stab_x: int
 
 
 def coinvariant_module(
-    a: AugmentedRack, field: FieldSpec, depth: int | None = None
+    a: AugmentedRack, field: FieldSpec, levels_g, depth: int | None = None
 ) -> CoinvariantModule:
+    """levels_g is the augmentation-ideal chain [H, I, I^2, ...] of a.group
+    over field, ending in a repeat (group_ideal_levels, or the levels_g of
+    augmentation_filtration); it is padded with its stable last level."""
     f = field
     m = a.x_size
 
@@ -407,7 +409,7 @@ def coinvariant_module(
     levels_x, stab_x = _chain(Subspace.full(f, m), step, depth)
     if stab_x is None:
         raise DepthTooShallow("depth too small to observe stabilization")
-    levels_g, _ = group_ideal_levels(a.group, f, min_len=len(levels_x) + 2)
+    levels_g = list(levels_g) + [levels_g[-1]] * (len(levels_x) + 2 - len(levels_g))
 
     p_dims = tuple(
         levels_x[n].dim - levels_x[n + 1].dim for n in range(len(levels_x) - 1)
@@ -435,7 +437,6 @@ def coinvariant_module(
         field=f,
         rack=a,
         levels_x=tuple(levels_x),
-        levels_g=tuple(levels_g),
         p_dims=p_dims,
         pi_star=tuple(pi_star),
         stab_x=stab_x,

@@ -392,13 +392,6 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
     )
 
 
-def table_bracket(t: GradedLieTruncation, p: int, vp, q: int, vq) -> list:
-    """Bracket of coordinate vectors through the truncation tables."""
-    if p + q > t.max_degree:
-        raise ValueError("bracket degree exceeds the bound")
-    return bilinear(_Q, t.bracket[(p, q)], vp, vq, t.dims[p + q])
-
-
 def apply_differential(t: GradedLieTruncation, n: int, v) -> list:
     """d on a degree-n coordinate vector (n >= 1)."""
     return combine(_Q, v, t.differential[n], t.dims[n - 1])
@@ -446,10 +439,13 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
                         f"antisymmetry fails in degrees ({p}, {q}) at ({i}, {j})",
                     )
 
-    def unit(n, i):
-        v = [Fraction(0)] * t.dims[n]
-        v[i] = Fraction(1)
-        return v
+    # basis brackets are table rows: [e_i, v] = sum_j v_j [e_i, e_j] and
+    # [v, e_j] = sum_i v_i [e_i, e_j]
+    def left(p, i, q, v):
+        return combine(_Q, v, t.bracket[(p, q)][i], t.dims[p + q])
+
+    def right(p, v, q, j):
+        return combine(_Q, v, [row[j] for row in t.bracket[(p, q)]], t.dims[p + q])
 
     for p in range(D + 1):
         for q in range(D + 1 - p):
@@ -460,10 +456,9 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
                 for i in range(t.dims[p]):
                     for j in range(t.dims[q]):
                         for k in range(t.dims[r]):
-                            x, y, z = unit(p, i), unit(q, j), unit(r, k)
-                            lhs = table_bracket(t, p, x, q + r, table_bracket(t, q, y, r, z))
-                            mid = table_bracket(t, p + q, table_bracket(t, p, x, q, y), r, z)
-                            rgt = table_bracket(t, q, y, p + r, table_bracket(t, p, x, r, z))
+                            lhs = left(p, i, q + r, t.bracket[(q, r)][j][k])
+                            mid = right(p + q, t.bracket[(p, q)][i][j], r, k)
+                            rgt = left(q, j, p + r, t.bracket[(p, r)][i][k])
                             total = combine(_Q, (1, -1, -s), (lhs, mid, rgt), t.dims[p + q + r])
                             record(
                                 not any(total),
@@ -477,17 +472,14 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
                 continue
             for i in range(t.dims[p]):
                 for j in range(t.dims[q]):
-                    x, y = unit(p, i), unit(q, j)
-                    lhs = apply_differential(t, n, table_bracket(t, p, x, q, y))
+                    lhs = apply_differential(t, n, t.bracket[(p, q)][i][j])
                     signs, terms = [], []
                     if p >= 1:
-                        dx = apply_differential(t, p, x)
                         signs.append(1)
-                        terms.append(table_bracket(t, p - 1, dx, q, y))
+                        terms.append(right(p - 1, t.differential[p][i], q, j))
                     if q >= 1:
-                        dy = apply_differential(t, q, y)
                         signs.append(_d_sign(p, t.convention))
-                        terms.append(table_bracket(t, p, x, q - 1, dy))
+                        terms.append(left(p, i, q - 1, t.differential[q][j]))
                     rhs = combine(_Q, signs, terms, t.dims[n - 1])
                     record(
                         lhs == rhs,
@@ -496,7 +488,7 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
 
     for n in range(2, D + 1):
         for j in range(t.dims[n]):
-            dd = apply_differential(t, n - 1, apply_differential(t, n, unit(n, j)))
+            dd = apply_differential(t, n - 1, t.differential[n][j])
             record(not any(dd), f"d.d nonzero in degree {n} at basis element {j}")
 
     return ValidationReport.collect(violations, checked)

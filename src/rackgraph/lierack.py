@@ -210,13 +210,6 @@ class LinearLieRack:
         return _times(x, matrix_exp(self.action_generator(y)))
 
 
-def integrate(l: MatrixLMLie, tol: float = 1e-10) -> LinearLieRack:
-    report = validate_matrix_lm_lie(l, tol)
-    if not report.ok:
-        raise ValueError("input fails numeric validation: " + "; ".join(report.violations))
-    return LinearLieRack(l)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def verify_rack_numeric(
     r: LinearLieRack, samples: int = 100, seed: int = 0, tol: float = 1e-9

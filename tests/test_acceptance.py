@@ -38,6 +38,7 @@ from rackgraph.hopf import (
     augmentation_filtration,
     build_lm_hopf,
     coinvariant_module,
+    group_ideal_levels,
     verify_connected_lemma,
     verify_graded_structure,
     verify_hopf,
@@ -202,7 +203,7 @@ def test_criterion_09_graded_dimension_identity():
             q = rack_to_graph(a)
             b = build_lm_hopf(q, F2)
             filt = augmentation_filtration(b)
-            coinv = coinvariant_module(a, F2)
+            coinv = coinvariant_module(a, F2, group_ideal_levels(a.group, F2)[0])
             assert verify_graded_structure(b, filt, coinv).ok, name
             if name == "toy_c2":
                 dims_a = [s.dim for s in filt.levels_a]
@@ -233,7 +234,7 @@ def test_criterion_10_free_graded_lie_truncations():
 
 def test_criterion_11_integrated_rack_numerics():
     with _stamp(11, "so(3) rack residuals < 1e-9; derivative ratio in [3,5]; pi(0) = I"):
-        rack = lierack.integrate(lierack.so3_matrix())
+        rack = lierack.LinearLieRack(lierack.so3_matrix())
         rep = lierack.verify_rack_numeric(rack, samples=100, seed=0, tol=1e-9)
         assert rep.ok
         assert rep.residuals["self_distributivity"] < 1e-9

@@ -402,9 +402,9 @@ def test_malformed_argv_exits_2_and_the_next_command_runs(capsys):
     assert report["ok"] is True
 
 
-def test_import_builds_no_parser():
-    # importing the CLI is timed on its own, so argparse work must wait for
-    # the first command
+def test_parser_built_on_first_command_only():
+    # importing the CLI is timed on its own, so argparse work waits for the
+    # first command; every later command reuses that parser
     script = (
         "import argparse\n"
         "made = []\n"
@@ -415,12 +415,16 @@ def test_import_builds_no_parser():
         "argparse.ArgumentParser.__init__ = counting\n"
         "import rackgraph.cli\n"
         "print(len(made))\n"
+        "for argv in (['hopf', 'x.json'], ['dgla', 'y.json', '--max-degree', '2']):\n"
+        "    rackgraph.cli.manifest_from_args(argv)\n"
+        "    print(len(made))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0"]
+    # the top-level parser and its seven subcommands
+    assert proc.stdout.split() == ["0", "8", "8"]
 
 
 def test_corpus_files_are_canonical():

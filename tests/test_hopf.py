@@ -316,7 +316,7 @@ def test_connected_lemma_disconnected_sample():
 
 def test_coinvariant_levels_s3_transpositions_mod_two():
     rack = sample_racks()["s3_transpositions"]
-    c = coinvariant_module(rack, F2)
+    c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
     # span{x0+x1, x1+x2} in canonical echelon form, stable from level one
     assert c.levels_x[1].basis == ({0: 1, 2: 1}, {1: 1, 2: 1})
     assert c.levels_x[2] == c.levels_x[1]
@@ -325,20 +325,25 @@ def test_coinvariant_levels_s3_transpositions_mod_two():
 
 
 def test_coinvariant_levels_trivial_actions():
-    c = coinvariant_module(trivial_augmented_rack(3), Q)
-    assert c.p_dims == (3, 0)
-    c = coinvariant_module(sample_racks()["conj_c2"], F3)
-    assert c.p_dims == (2, 0)
+    for rack, field, dims in (
+        (trivial_augmented_rack(3), Q, (3, 0)),
+        (sample_racks()["conj_c2"], F3, (2, 0)),
+    ):
+        c = coinvariant_module(rack, field, group_ideal_levels(rack.group, field)[0])
+        assert c.p_dims == dims
 
 
 def test_pi_star_two_element_example_mod_two():
-    c = coinvariant_module(toy_rack_c2(), F2)
+    rack = toy_rack_c2()
+    c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
     assert c.p_dims[0] == 1
     assert c.pi_star[0].entries == ((1,),)
     # I/I^2 is G_ab (x) F2 and degree 0 sends an orbit to the class of pi(x):
     # a transposition is odd in S3, u^2 is twice the generator of C4
     for name, image in (("s3_transpositions", ((1,),)), ("c4_u2", ((0,),))):
-        assert coinvariant_module(sample_racks()[name], F2).pi_star[0].entries == image
+        rack = sample_racks()[name]
+        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
+        assert c.pi_star[0].entries == image
 
 
 def test_graded_dimension_identity_and_raising():
@@ -346,7 +351,7 @@ def test_graded_dimension_identity_and_raising():
         rack = sample_racks()[name]
         b = hopf_of(rack, F2)
         f = augmentation_filtration(b)
-        c = coinvariant_module(rack, F2)
+        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
         report = verify_graded_structure(b, f, c)
         assert report.ok, (name, report.violations[:3])
 
@@ -366,7 +371,7 @@ def test_module_levels_split_as_tensor_sums():
         rack = sample_racks()[name]
         b = hopf_of(rack, F2)
         f = augmentation_filtration(b)
-        c = coinvariant_module(rack, F2)
+        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
         fg, fx = FilteredSpace(f.levels_g), FilteredSpace(c.levels_x)
         for n in range(len(f.levels_a)):
             products = [
@@ -387,7 +392,7 @@ def test_corrupted_phi_fails_the_graded_check(name, field, depth, checked):
     rack = sample_racks()[name]
     b = hopf_of(rack, field)
     f = augmentation_filtration(b)
-    c = coinvariant_module(rack, field)
+    c = coinvariant_module(rack, field, group_ideal_levels(rack.group, field)[0])
     assert verify_graded_structure(b, f, c).ok
     cols = list(b.phi)
     # arrow 0 now maps outside the augmentation ideal
@@ -427,7 +432,7 @@ def test_pi_star_lands_in_graded_primitives():
     for name, rack in racks:
         b = hopf_of(rack, F2)
         f = augmentation_filtration(b)
-        c = coinvariant_module(rack, F2)
+        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
         for n, mat in enumerate(c.pi_star):
             if n + 2 >= len(f.levels_g) or mat.ncols == 0 or mat.nrows == 0:
                 continue

