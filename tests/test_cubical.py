@@ -109,6 +109,39 @@ def test_face_index_errors():
         face(c, 1, 2, a)
 
 
+def test_builders_match_graph_product_faces():
+    # the column of (g; x1..xn) is sum_i (-1)^i (source - target), where the
+    # faces replace arrow i of v(g) a(e,x1) .. a(e,xn) by its end vertices
+    # e and pi(x_i) and take the normal form in the graph product
+    for name, a in small_corpus().items():
+        e = a.group.identity
+        deg = 3 if a.x_size <= 3 else 2
+        eq = eq_chain_complex(a, max_degree=deg)
+        bq = bq_chain_complex(a, max_degree=deg)
+        for n in range(1, deg + 1):
+            eq_rows = {lab: i for i, lab in enumerate(eq.labels[n - 1])}
+            bq_rows = {lab: i for i, lab in enumerate(bq.labels[n - 1])}
+            bq_cols = {lab: j for j, lab in enumerate(bq.labels[n])}
+            for j, (g, *letters) in enumerate(eq.labels[n]):
+                cube = ProductCube(g, tuple(letters))
+                tokens = [("v", g)] + [("a", e, x) for x in letters]
+                full: dict[int, int] = {}
+                reduced: dict[int, int] = {}
+                for i, x in enumerate(letters, start=1):
+                    for eps, end, w in ((0, e, (-1) ** i), (1, a.pi[x], -((-1) ** i))):
+                        word = ArrowWord.make(tokens[:i] + [("v", end)] + tokens[i + 1:])
+                        f = normalize_word(word, a)
+                        assert face(cube, i, eps, a) == f, (name, cube, i, eps)
+                        k = eq_rows[(f.leading,) + f.letters]
+                        full[k] = full.get(k, 0) + w
+                        k = bq_rows[f.letters]
+                        reduced[k] = reduced.get(k, 0) + w
+                assert eq.boundaries[n - 1][j] == {k: v for k, v in full.items() if v}, name
+                assert bq.boundaries[n - 1][bq_cols[tuple(letters)]] == {
+                    k: v for k, v in reduced.items() if v
+                }, name
+
+
 def test_reduced_degree_one_boundary_vanishes():
     # both faces of a single letter hit the unique empty word
     for a in small_corpus().values():
