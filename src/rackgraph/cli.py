@@ -74,8 +74,11 @@ def _check_manifest(m: Manifest) -> None:
         raise SchemaError("", f"no such file: {m.input_path}")
     if m.max_degree is not None and m.max_degree < 1:
         raise SchemaError("", "degree bound must be positive")
-    if m.tol is not None and m.tol <= 0:
-        raise SchemaError("", "tolerance must be positive")
+    # no residual exceeds nan or inf, so either would pass every check
+    if m.tol is not None and not 0 < m.tol < float("inf"):
+        raise SchemaError("", "tolerance must be finite and positive")
+    if m.seed < 0:
+        raise SchemaError("", "seed must be non-negative")
     if m.samples < 1:
         raise SchemaError("", "sample count must be positive")
     try:

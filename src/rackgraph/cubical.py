@@ -11,22 +11,19 @@ Faces replace the i-th factor by its source or target vertex and renormalize:
 the source face deletes letter i, the target face multiplies the leading
 vertex by pi(xi) and conjugates the earlier letters by it.
 
-Two complexes are built from the faces with signs sum_i (-1)^i (d_i^0 - d_i^1):
-the full one on basis G x X^n, and the reduced one on X^n obtained by
-forgetting the leading vertex.
+One builder makes two complexes from the faces, with signs
+sum_i (-1)^i (d_i^0 - d_i^1): the full one on basis G x X^n, and the reduced
+one on X^n obtained by forgetting the leading vertex.  It reads the faces
+off the rack tables directly; `ProductCube`, `cube_product`,
+`normalize_word` and `face` spell out the graph product that they come
+from, and the tests compare the builder's columns against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (
-    ExactMatrix,
-    FieldSpec,
-    eliminate_unit_pivots,
-    rref,
-    smith_normal_form,
-)
+from .linalg import FieldSpec, eliminate_unit_pivots, rref, smith_normal_form
 from .racks import AugmentedRack
 
 
@@ -104,8 +101,8 @@ class ChainComplex:
     boundaries: tuple  # boundaries[n] for n in 1..max_degree (index n-1)
     labels: tuple  # labels[n] = tuple of basis labels for C_n
 
-    def boundary_matrix(self, n: int) -> ExactMatrix:
-        """Dense integer matrix of the nonzero rows and columns of d_n.
+    def boundary_matrix(self, n: int) -> list[list[int]]:
+        """Dense integer rows of the nonzero rows and columns of d_n.
 
         Zero rows and columns change neither the rank nor the Smith
         divisors, and the reduced complex keeps its cycles as zero columns,
@@ -120,7 +117,7 @@ class ChainComplex:
             for i, v in col.items():
                 if v:
                     dense[index[i]][j] = v
-        return ExactMatrix.from_rows(dense)
+        return dense
 
 
 DEFAULT_SIZE_CAP = 10**6
@@ -144,74 +141,55 @@ def _enumerate_tuples(size: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def bq_chain_complex(a: AugmentedRack, max_degree: int = 4, size_cap: int = DEFAULT_SIZE_CAP) -> ChainComplex:
-    """Reduced complex on basis X^n (C_0 has rank 1)."""
+def _cube_complex(a: AugmentedRack, max_degree: int, heads: dict) -> ChainComplex:
+    """The complex on basis {head} x X^n with d = sum_i (-1)^i (d_i^0 - d_i^1).
+
+    heads maps each head, the leading part of a label, to its products with
+    pi(y), one per letter y.  The source face d_i^0 deletes letter i; the
+    target face d_i^1 multiplies the head by pi(x_i) and sends each earlier
+    letter x to x ^ pi(x_i), which is the derived operation x <| x_i.
+    """
     m = a.x_size
-    base = max(m, 1)
-    _check_cap(base**max_degree, f"{base}^{max_degree}", size_cap)
-    # derived operation is all the reduced faces need
     op = a.derived_rack().op
-    ranks = []
-    labels = []
-    for n in range(max_degree + 1):
-        tuples = _enumerate_tuples(m, n)
-        ranks.append(len(tuples))
-        labels.append(tuple(tuples))
-    index = [
-        {t: i for i, t in enumerate(labels[n])} for n in range(max_degree + 1)
-    ]
+    tuples = [_enumerate_tuples(m, n) for n in range(max_degree + 1)]
+    labels = tuple(tuple(h + t for h in heads for t in ts) for ts in tuples)
     boundaries = []
     for n in range(1, max_degree + 1):
+        index = {lab: i for i, lab in enumerate(labels[n - 1])}
         cols = []
-        for t in labels[n]:
-            col: dict[int, int] = {}
-            sign = -1
-            for i in range(1, n + 1):
-                src = t[: i - 1] + t[i:]
-                tgt = tuple(op[x][t[i - 1]] for x in t[: i - 1]) + t[i:]
-                j = index[n - 1][src]
-                col[j] = col.get(j, 0) + sign
-                j = index[n - 1][tgt]
-                col[j] = col.get(j, 0) - sign
-                sign = -sign
-            cols.append({k: v for k, v in col.items() if v})
+        for h, moved in heads.items():
+            for t in tuples[n]:
+                col: dict[int, int] = {}
+                sign = -1
+                for i, y in enumerate(t):
+                    j = index[h + t[:i] + t[i + 1:]]
+                    col[j] = col.get(j, 0) + sign
+                    j = index[moved[y] + tuple(op[x][y] for x in t[:i]) + t[i + 1:]]
+                    col[j] = col.get(j, 0) - sign
+                    sign = -sign
+                cols.append({k: v for k, v in col.items() if v})
         boundaries.append(tuple(cols))
-    return ChainComplex(max_degree, tuple(ranks), tuple(boundaries), tuple(labels))
+    return ChainComplex(max_degree, tuple(map(len, labels)), tuple(boundaries), labels)
+
+
+def bq_chain_complex(a: AugmentedRack, max_degree: int = 4, size_cap: int = DEFAULT_SIZE_CAP) -> ChainComplex:
+    """Reduced complex on basis X^n (C_0 has rank 1): the full complex with
+    the leading vertex forgotten, so its one head is the empty one."""
+    base = max(a.x_size, 1)
+    _check_cap(base**max_degree, f"{base}^{max_degree}", size_cap)
+    return _cube_complex(a, max_degree, {(): [()] * a.x_size})
 
 
 def eq_chain_complex(a: AugmentedRack, max_degree: int = 4, size_cap: int = DEFAULT_SIZE_CAP) -> ChainComplex:
     """Full complex on basis G x X^n."""
-    m = a.x_size
     order = a.group.order
-    base = max(m, 1)
+    base = max(a.x_size, 1)
     _check_cap(
         order * base**max_degree, f"{order} x {base}^{max_degree}, full complex", size_cap
     )
-    ranks = []
-    labels = []
-    for n in range(max_degree + 1):
-        tuples = [(g,) + t for g in range(order) for t in _enumerate_tuples(m, n)]
-        ranks.append(len(tuples))
-        labels.append(tuple(tuples))
-    index = [
-        {t: i for i, t in enumerate(labels[n])} for n in range(max_degree + 1)
-    ]
-    boundaries = []
-    for n in range(1, max_degree + 1):
-        cols = []
-        for lab in labels[n]:
-            cube = ProductCube(lab[0], lab[1:])
-            col: dict[int, int] = {}
-            sign = -1
-            for i in range(1, n + 1):
-                for eps, w in ((0, sign), (1, -sign)):
-                    f = face(cube, i, eps, a)
-                    j = index[n - 1][(f.leading,) + f.letters]
-                    col[j] = col.get(j, 0) + w
-                sign = -sign
-            cols.append({k: v for k, v in col.items() if v})
-        boundaries.append(tuple(cols))
-    return ChainComplex(max_degree, tuple(ranks), tuple(boundaries), tuple(labels))
+    mul = a.group.mul
+    heads = {(g,): [(mul[g][p],) for p in a.pi] for g in range(order)}
+    return _cube_complex(a, max_degree, heads)
 
 
 def assert_boundary_squares_to_zero(c: ChainComplex) -> None:

@@ -214,7 +214,9 @@ class FiltrationLevels:
 
     levels_g[n] is the n-th ideal power (index 0 is all of H), levels_a[n]
     the n-th level of A.  stab_g / stab_a are the first indices where the
-    chain repeats; levels are always computed at least one step past both.
+    chain repeats.  Each chain runs at least one step past its first
+    repeat, and levels_g is padded with its stable last level to two
+    entries more than levels_a.
     """
 
     field: FieldSpec
@@ -258,6 +260,12 @@ def _chain(first: Subspace, step, depth: int | None):
     return levels, stab
 
 
+def _pad(levels, length: int) -> list:
+    """A chain that has repeated, extended by its stable last level to at
+    least `length` entries."""
+    return list(levels) + [levels[-1]] * (length - len(levels))
+
+
 def _difference_span(field: FieldSpec, dim: int, tables):
     """Step map sending a level to the span of sigma(v) - v, over every
     permutation table sigma (sigma[i] is the image of basis vector i) and
@@ -280,17 +288,14 @@ def _right_mul_table(group: FiniteGroup, g: int) -> list[int]:
 
 
 def group_ideal_levels(
-    group: FiniteGroup, field: FieldSpec, depth: int | None = None, min_len: int = 0
+    group: FiniteGroup, field: FieldSpec, depth: int | None = None
 ) -> tuple[list[Subspace], int]:
-    """[H, I, I^2, ...] with the first-repeat index; at least min_len entries."""
+    """[H, I, I^2, ...] with the first-repeat index."""
     tables = [group.mul[g] for g in range(group.order) if g != group.identity]
     step = _difference_span(field, group.order, tables)
-    levels, stab = _chain(
+    return _chain(
         Subspace.full(field, group.order), step, depth + 1 if depth is not None else None
     )
-    while len(levels) < min_len:
-        levels.append(step(levels[-1]))
-    return levels, stab
 
 
 def augmentation_filtration(b: LMBialgebra, depth: int | None = None) -> FiltrationLevels:
@@ -303,14 +308,13 @@ def augmentation_filtration(b: LMBialgebra, depth: int | None = None) -> Filtrat
     step_a = _difference_span(b.field, b.a_dim, tables)
     levels_a, stab_a = _chain(Subspace.full(b.field, b.a_dim), step_a, depth)
     levels_g, stab_g = group_ideal_levels(
-        b.group, b.field, depth=depth + 1 if depth is not None else None,
-        min_len=len(levels_a) + 2,
+        b.group, b.field, depth=depth + 1 if depth is not None else None
     )
     if stab_a is None or stab_g is None:
         raise DepthTooShallow("depth too small to observe stabilization")
     return FiltrationLevels(
         field=b.field,
-        levels_g=tuple(levels_g),
+        levels_g=tuple(_pad(levels_g, len(levels_a) + 2)),
         levels_a=tuple(levels_a),
         stab_g=stab_g,
         stab_a=stab_a,
@@ -339,10 +343,7 @@ def relative_ideal_levels(
     both_sides = [grp.mul[g] for g in range(n) if g != e]
     both_sides += [_right_mul_table(grp, g) for g in range(n) if g != e]
     step = _difference_span(f, n, both_sides)
-    levels = [full, first(full)]
-    for _ in range(depth - 1):
-        levels.append(step(levels[-1]))
-    return levels
+    return [full] + _chain(first(full), step, depth - 1)[0]
 
 
 def verify_connected_lemma(b: LMBialgebra, f: FiltrationLevels) -> ValidationReport:
@@ -409,7 +410,7 @@ def coinvariant_module(
     levels_x, stab_x = _chain(Subspace.full(f, m), step, depth)
     if stab_x is None:
         raise DepthTooShallow("depth too small to observe stabilization")
-    levels_g = list(levels_g) + [levels_g[-1]] * (len(levels_x) + 2 - len(levels_g))
+    levels_g = _pad(levels_g, len(levels_x) + 2)
 
     p_dims = tuple(
         levels_x[n].dim - levels_x[n + 1].dim for n in range(len(levels_x) - 1)

@@ -10,11 +10,11 @@ of the Hopf structure maps, tensors, and coefficients in a filtration's
 adapted basis.  `sparse_sum` builds such vectors from (index, value)
 terms, reducing mod p once and dropping zeros.  A coordinate vector in a
 quotient basis is a dense list: the output of `SubquotientBasis.coords`,
-the Lie bracket and differential tables built from it, and the entries
-of `induced_matrix`.  Linear combinations of those go through `combine`
-(sum of c_j * rows[j]) and `bilinear` (a bilinear map from its structure
-constants), which accumulate in place, skip zeros, and reduce mod p once
-at the end.
+the Lie bracket and differential tables built from it, and the rows of
+`induced_matrix`, which returns its matrix as a tuple of row tuples.
+Linear combinations of those go through `combine` (sum of c_j * rows[j])
+and `bilinear` (a bilinear map from its structure constants), which
+accumulate in place, skip zeros, and reduce mod p once at the end.
 
 Every row reduction over a field goes through one sparse kernel, `rref`,
 and `Subspace` keeps its output rows as they are.  Boundary matrices are
@@ -85,11 +85,6 @@ class FieldSpec:
 
     def zero(self):
         return 0 if self.is_prime_field else Fraction(0)
-
-    def coerce(self, x):
-        if self.is_prime_field:
-            return int(x) % self.p
-        return x if type(x) is Fraction else Fraction(x)
 
     def label(self) -> str:
         return "q" if self.kind == "q" else f"f{self.p}"
@@ -279,29 +274,6 @@ class Subspace:
             raise ValueError("subspace mismatch")
 
 
-# ---------------------------------------------------------------------------
-# matrices
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Dense matrix; field=None means integer entries (for SNF work)."""
-
-    field: FieldSpec | None
-    nrows: int
-    ncols: int
-    entries: tuple  # entries[r][c]
-
-    @staticmethod
-    def from_rows(rows) -> "ExactMatrix":
-        """Integer matrix with the given rows."""
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged matrix")
-        return ExactMatrix(None, len(rows), ncols, tuple(tuple(int(v) for v in r) for r in rows))
-
-
 def nullspace(field: FieldSpec, ncols: int, rows) -> Subspace:
     """Kernel {v : m v = 0} of the matrix m given by its sparse rows, as a
     canonical subspace of field^ncols."""
@@ -322,20 +294,15 @@ def nullspace(field: FieldSpec, ncols: int, rows) -> Subspace:
 # integer Smith normal form
 
 
-def smith_normal_form(matrix) -> tuple[int, list[int]]:
-    """Return (rank, divisors) with d1 | d2 | ... | dr, all positive.
+def smith_normal_form(rows) -> tuple[int, list[int]]:
+    """Return (rank, divisors) with d1 | d2 | ... | dr, all positive, of the
+    integer matrix with the given rows.
 
-    Accepts an ExactMatrix with field=None or a plain list of rows.
     Pivot selection always takes a smallest-magnitude nonzero entry, which
     keeps coefficient growth tame on the sparse boundary matrices this
     package produces.
     """
-    if isinstance(matrix, ExactMatrix):
-        if matrix.field is not None:
-            raise ValueError("smith_normal_form expects integer entries")
-        a = [list(r) for r in matrix.entries]
-    else:
-        a = [[int(v) for v in r] for r in matrix]
+    a = [[int(v) for v in r] for r in rows]
     m = len(a)
     n = len(a[0]) if m else 0
     divisors: list[int] = []
@@ -574,9 +541,9 @@ def induced_matrix(
     src: SubquotientBasis,
     dst: SubquotientBasis,
     check_kernel: Subspace | None = None,
-) -> ExactMatrix:
-    """Matrix of the map induced on quotients by `apply_map` (sparse vector
-    -> sparse vector).
+) -> tuple:
+    """Rows of the matrix of the map induced on quotients by `apply_map`
+    (sparse vector -> sparse vector), one per basis element of `dst`.
 
     When check_kernel is given, verifies apply_map sends it into the
     denominator of `dst` (well-definedness on cosets).
@@ -586,6 +553,4 @@ def induced_matrix(
             if not dst.w.contains(apply_map(row)):
                 raise ValueError("map is not well-defined on cosets")
     cols = [dst.coords(apply_map(row)) for row in src.rep_rows]
-    field = dst.field
-    ent = tuple(tuple(field.coerce(col[i]) for col in cols) for i in range(dst.dim))
-    return ExactMatrix(field, dst.dim, src.dim, ent)
+    return tuple(tuple(col[i] for col in cols) for i in range(dst.dim))

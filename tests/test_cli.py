@@ -67,10 +67,21 @@ def test_missing_file():
     assert "no such file" in report["error"]["message"]
 
 
-def test_nonpositive_degree_bound():
-    code, report, _ = run_cli(["homology", "corpus/dihedral_3.json", "--max-degree", "0"])
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["homology", "corpus/dihedral_3.json", "--max-degree", "0"], "degree bound must be positive"),
+        (["validate", "corpus/so3_matrix.json", "--tol", "nan"], "tolerance must be finite and positive"),
+        (["validate", "corpus/so3_matrix.json", "--tol", "inf"], "tolerance must be finite and positive"),
+        (["validate", "corpus/so3_matrix.json", "--tol", "-1"], "tolerance must be finite and positive"),
+        (["integrate", "corpus/so3_matrix.json", "--seed", "-1"], "seed must be non-negative"),
+    ],
+    ids=["max-degree-0", "tol-nan", "tol-inf", "tol-negative", "seed-negative"],
+)
+def test_bad_bound_refused(argv, message):
+    code, report, _ = run_cli(argv)
     assert code == 2
-    assert "positive" in report["error"]["message"]
+    assert report["error"] == {"path": "", "message": message}
 
 
 @pytest.mark.parametrize(
