@@ -40,21 +40,6 @@ class DirectedMultigraph:
         return self.arrows[a][1]
 
 
-def cartesian_product(g1: DirectedMultigraph, g2: DirectedMultigraph) -> DirectedMultigraph:
-    """Vertices V1 x V2; arrows A1 x V2 followed by V1 x A2, in that order."""
-    n2 = g2.vertex_count
-    def v(i, j):
-        return i * n2 + j
-    arrows = []
-    for (s, t) in g1.arrows:
-        for j in range(n2):
-            arrows.append((v(s, j), v(t, j)))
-    for i in range(g1.vertex_count):
-        for (s, t) in g2.arrows:
-            arrows.append((v(i, s), v(i, t)))
-    return DirectedMultigraph.make(g1.vertex_count * n2, arrows)
-
-
 @dataclass(frozen=True)
 class MultiplicativeGraph:
     graph: DirectedMultigraph

@@ -75,28 +75,16 @@ def _int_value(v, path) -> int:
     return v
 
 
-def _int_table(v, path, rows=None, cols=None, lo=None, hi=None):
-    if not isinstance(v, list):
-        raise SchemaError(path, "expected a list of rows")
-    if rows is not None and len(v) != rows:
-        raise SchemaError(path, f"expected {rows} rows, got {len(v)}")
-    out = []
-    width = cols
-    for i, row in enumerate(v):
-        if not isinstance(row, list):
-            raise SchemaError(f"{path}/{i}", "expected a row list")
-        if width is None:
-            width = len(row)
-        if len(row) != width:
-            raise SchemaError(f"{path}/{i}", f"expected {width} entries, got {len(row)}")
-        vals = []
-        for j, x in enumerate(row):
-            x = _int_value(x, f"{path}/{i}/{j}")
-            if lo is not None and not (lo <= x < hi):
-                raise SchemaError(f"{path}/{i}/{j}", f"value {x} out of range [{lo}, {hi})")
-            vals.append(x)
-        out.append(vals)
-    return out
+def _int_below(hi):
+    """Value reader for `_matrix`: an integer in [0, hi)."""
+
+    def read(v, path) -> int:
+        x = _int_value(v, path)
+        if not 0 <= x < hi:
+            raise SchemaError(path, f"value {x} out of range [0, {hi})")
+        return x
+
+    return read
 
 
 def _number_value(v, path) -> float:
@@ -160,7 +148,7 @@ def dump_group(g: FiniteGroup) -> dict:
 def load_group(doc, path) -> FiniteGroup:
     mul = _need(doc, "mul", path)
     n = len(mul) if isinstance(mul, list) else 0
-    table = _int_table(mul, f"{path}/mul", rows=None, cols=n, lo=0, hi=max(n, 1))
+    table = _matrix(mul, f"{path}/mul", _int_below(max(n, 1)), cols=n)
     if len(table) != n:
         raise SchemaError(f"{path}/mul", "must be square")
     identity = _int_value(_need(doc, "identity", path), f"{path}/identity")
@@ -184,7 +172,7 @@ def dump_rack(r: FiniteRack) -> dict:
 def load_rack(doc) -> FiniteRack:
     op_raw = _need(doc, "op", "")
     n = len(op_raw) if isinstance(op_raw, list) else 0
-    op = _int_table(op_raw, "/op", rows=None, cols=n, lo=0, hi=max(n, 1))
+    op = _matrix(op_raw, "/op", _int_below(max(n, 1)), cols=n)
     if not op:
         raise SchemaError("/op", "a rack needs at least one element")
     return FiniteRack.make(op)
@@ -204,7 +192,7 @@ def load_augmented(doc) -> AugmentedRack:
     group = load_group(_need(doc, "group", ""), "/group")
     action_raw = _need(doc, "action", "")
     nx = len(action_raw) if isinstance(action_raw, list) else 0
-    action = _int_table(action_raw, "/action", cols=group.order, lo=0, hi=max(nx, 1))
+    action = _matrix(action_raw, "/action", _int_below(max(nx, 1)), cols=group.order)
     pi_raw = _need(doc, "pi", "")
     if not isinstance(pi_raw, list) or len(pi_raw) != nx:
         raise SchemaError("/pi", f"expected {nx} entries")
@@ -232,10 +220,11 @@ def load_graph(doc) -> GroupLikeGraph:
     group = load_group(_need(doc, "vertex_group", ""), "/vertex_group")
     n = group.order
     arrows_raw = _need(doc, "arrows", "")
-    arrows = _int_table(arrows_raw, "/arrows", cols=2, lo=0, hi=n)
+    arrows = _matrix(arrows_raw, "/arrows", _int_below(n), cols=2)
     na = len(arrows)
-    left = _int_table(_need(doc, "left_act", ""), "/left_act", rows=n, cols=na, lo=0, hi=max(na, 1))
-    right = _int_table(_need(doc, "right_act", ""), "/right_act", rows=n, cols=na, lo=0, hi=max(na, 1))
+    arrow = _int_below(max(na, 1))
+    left = _matrix(_need(doc, "left_act", ""), "/left_act", arrow, rows=n, cols=na)
+    right = _matrix(_need(doc, "right_act", ""), "/right_act", arrow, rows=n, cols=na)
     graph = DirectedMultigraph.make(n, [tuple(p) for p in arrows])
     return GroupLikeGraph(graph, group, tuple(tuple(r) for r in left), tuple(tuple(r) for r in right))
 

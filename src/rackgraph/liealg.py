@@ -8,10 +8,12 @@ Structure data is exact (Fractions).  Conventions, used throughout:
   f[i]       coordinates of f(m_i) in the basis of g
 
 The free graded extension puts g in degree 0 and M in degree 1, builds all
-binary bracket words on M leaves per degree, and quotients by the span of
-antisymmetry and Jacobi instances of the chosen sign convention, together
-with brackets of lower-degree relations against words (so the span is the
-full degree slice of the relation ideal).  g acts by leaf-wise substitution.
+binary bracket words on M leaves per degree, and quotients by the relation
+ideal of antisymmetry and Jacobi in the chosen sign convention.  Over Q the
+free Lie (super)algebra on M embeds in the tensor algebra T(M) (Ree 1960;
+Reutenauer, Free Lie Algebras, 1993), so the degree-n slice of that ideal is
+one kernel: that of the expansion of each word into T(M)_n, with x -> x and
+[u, v] -> uv - sigma vu.  g acts by leaf-wise substitution.
 The differential extends d(m) = f(m), d(g) = 0 as a derivation: with the
 graded_koszul convention it carries the sign d[u,v] = [du,v] +
 (-1)^{deg u}[u,dv] and d.d = 0 always holds; with the plain convention the
@@ -24,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .linalg import FieldSpec, SubquotientBasis, Subspace, bilinear, combine, sparse_sum
+from .linalg import FieldSpec, SubquotientBasis, Subspace, bilinear, combine, nullspace, sparse_sum
 from .racks import ValidationReport
 
 _Q = FieldSpec.rationals()
@@ -175,17 +178,14 @@ class TruncationTooLarge(ValueError):
     """A degree bound needs more bracket words than WORD_BUDGET."""
 
 
-def _sigma(p: int, q: int, convention: str) -> Fraction:
-    if convention == KOSZUL and (p * q) % 2:
-        return Fraction(-1)
-    return Fraction(1)
+def _sigma(p: int, q: int, convention: str) -> int:
+    """Sign in [u,v] = -sign [v,u] for deg u = p, deg v = q."""
+    return -1 if convention == KOSZUL and (p * q) % 2 else 1
 
 
-def _d_sign(p: int, convention: str) -> Fraction:
+def _d_sign(p: int, convention: str) -> int:
     """Sign in d[u,v] = [du,v] + sign [u,dv] for deg u = p."""
-    if convention == KOSZUL and p % 2:
-        return Fraction(-1)
-    return Fraction(1)
+    return -1 if convention == KOSZUL and p % 2 else 1
 
 
 def _words_by_degree(m: int, max_degree: int) -> list:
@@ -241,40 +241,23 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
     words = _words_by_degree(m, max_degree)
     index = [None] + [{w: i for i, w in enumerate(words[n])} for n in range(1, max_degree + 1)]
 
-    # relation spans per degree, built from the bottom up
+    # relations[n]: the kernel of the expansion of the words into T(M)_n (see
+    # the module docstring), one row per tensor monomial, keyed by letter tuple
+    expansion: dict = {x: {(x,): 1} for x in words[1]}
     relations: list = [None, Subspace.zero(_Q, m)]
     for n in range(2, max_degree + 1):
-        idx = index[n]
-        rows = []
-        for p in range(1, n):
-            q = n - p
-            s = _sigma(p, q, convention)
-            for u in words[p]:
-                for v in words[q]:
-                    rows.append(sparse_sum(_Q, ((idx[(u, v)], 1), (idx[(v, u)], s))))
-        for p in range(1, n - 1):
-            for q in range(1, n - p):
-                r = n - p - q
-                if r < 1:
-                    continue
-                s = _sigma(p, q, convention)
-                for u in words[p]:
-                    for v in words[q]:
-                        for w in words[r]:
-                            rows.append(sparse_sum(_Q, (
-                                (idx[(u, (v, w))], 1),
-                                (idx[((u, v), w)], -1),
-                                (idx[(v, (u, w))], -s),
-                            )))
-        # brackets of lower-degree relations against words, both sides
-        for p in range(2, n):
-            q = n - p
-            for rel in relations[p].basis:
-                support = [(words[p][i], coeff) for i, coeff in rel.items()]
-                for w in words[q]:
-                    rows.append({idx[(u, w)]: coeff for u, coeff in support})
-                    rows.append({idx[(w, u)]: coeff for u, coeff in support})
-        relations.append(Subspace.from_vectors(_Q, len(words[n]), rows))
+        rows: dict = {}
+        for i, w in enumerate(words[n]):
+            u, v = w
+            s = _sigma(_word_degree(u), _word_degree(v), convention)
+            expansion[w] = sparse_sum(_Q, chain.from_iterable(
+                ((a + b, x * y), (b + a, -s * x * y))
+                for a, x in expansion[u].items()
+                for b, y in expansion[v].items()
+            ))
+            for k, x in expansion[w].items():
+                rows.setdefault(k, {})[i] = x
+        relations.append(nullspace(_Q, len(words[n]), list(rows.values())))
 
     quotients = [None] + [
         SubquotientBasis(Subspace.full(_Q, len(words[n])), relations[n])

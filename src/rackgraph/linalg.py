@@ -276,18 +276,27 @@ class Subspace:
 
 def nullspace(field: FieldSpec, ncols: int, rows) -> Subspace:
     """Kernel {v : m v = 0} of the matrix m given by its sparse rows, as a
-    canonical subspace of field^ncols."""
-    reduced = rref(field, rows)
-    leads = {min(row) for row in reduced}
+    canonical subspace of field^ncols.
+
+    The rows are reduced with the column order reversed, so each reduced
+    row leads at its largest index.  A free column j then gives the kernel
+    vector e_j - sum row[j] e_lead over the rows, whose other entries sit at
+    leads above j and so at no other free column: already the canonical
+    basis, in order of j."""
+    last = ncols - 1
+
+    def flip(row):
+        return {last - k: x for k, x in row.items()}
+
+    # lead -> reduced row, leads ascending
+    reduced = {max(row): row for row in map(flip, reversed(rref(field, [flip(r) for r in rows])))}
+    p = field.p
     basis = [
-        {j: 1, **{min(row): -row[j] for row in reduced if j in row}}
+        {j: 1, **{lead: -row[j] % p if p else -row[j] for lead, row in reduced.items() if j in row}}
         for j in range(ncols)
-        if j not in leads
+        if j not in reduced
     ]
-    space = Subspace.from_vectors(field, ncols, basis)
-    # rank + nullity must always tie out
-    assert len(reduced) + space.dim == ncols
-    return space
+    return Subspace(field, ncols, tuple(basis))
 
 
 # ---------------------------------------------------------------------------

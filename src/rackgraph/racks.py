@@ -74,19 +74,6 @@ class FiniteGroup:
         sub = set(subgroup)
         return all(self.conjugate(x, g) in sub for x in sub for g in range(self.order))
 
-    def cosets(self, subgroup) -> list[tuple[int, ...]]:
-        """Left cosets g*H, deterministic order by smallest member."""
-        sub = set(subgroup)
-        seen: set[int] = set()
-        out = []
-        for g in range(self.order):
-            if g in seen:
-                continue
-            coset = tuple(sorted(self.mul[g][h] for h in sub))
-            seen.update(coset)
-            out.append(coset)
-        return out
-
 
 def validate_group(g: FiniteGroup) -> ValidationReport:
     violations: list[str] = []

@@ -5,7 +5,6 @@ import random
 from rackgraph.graphs import (
     DirectedMultigraph,
     MultiplicativeGraph,
-    cartesian_product,
     graph_to_rack,
     rack_to_graph,
     relabel_arrows,
@@ -44,19 +43,6 @@ def corpus_racks():
         "dihedral_3": inner_group(dihedral_quandle(3))[1],
     }
     return out
-
-
-def test_cartesian_product_shape():
-    p = DirectedMultigraph.make(2, [(0, 1)])
-    sq = cartesian_product(p, p)
-    assert sq.vertex_count == 4
-    assert sq.arrow_count == 4
-    # A1 x V2 block first: (0,j) -> (1,j)
-    assert sq.arrows[0] == (0, 2)
-    assert sq.arrows[1] == (1, 3)
-    # then V1 x A2: (i,0) -> (i,1)
-    assert sq.arrows[2] == (0, 1)
-    assert sq.arrows[3] == (2, 3)
 
 
 def test_rack_to_graph_validates():

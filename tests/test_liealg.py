@@ -9,9 +9,11 @@ computed through the Poincare series of the free associative algebra
 
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from rackgraph.jsonio import load_path
 from rackgraph.liealg import (
     KOSZUL,
     PLAIN,
@@ -106,6 +108,46 @@ def test_two_generator_koszul_symmetric_square():
 def test_nilpotent_truncation_dims_both_conventions():
     assert e_functor(nilpotent_pair(), 3, KOSZUL).dims == (1, 2, 3, 2)
     assert e_functor(nilpotent_pair(), 3, PLAIN).dims == (1, 2, 1, 2)
+
+
+def _mobius(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def _witt(m: int, n: int, convention: str) -> int:
+    """Witt's formula for the free Lie algebra on m even generators (plain),
+    and its super analogue for m odd ones (graded_koszul)."""
+    total = 0
+    for d in range(1, n + 1):
+        if n % d == 0:
+            sign = (-1) ** (n + n // d) if convention == KOSZUL else 1
+            total += _mobius(d) * sign * m ** (n // d)
+    assert total % n == 0
+    return total // n
+
+
+LM_LIE_FILES = sorted(
+    path for path in Path(__file__).resolve().parent.parent.glob("corpus/*.json")
+    if load_path(str(path))[0] == "lm_lie"
+)
+
+
+@pytest.mark.parametrize("convention", [KOSZUL, PLAIN])
+@pytest.mark.parametrize("path", LM_LIE_FILES, ids=lambda p: p.stem)
+def test_dims_follow_witts_formula(path, convention):
+    # the free extension on M has the dimensions of the free Lie
+    # (super)algebra on dim M generators, whatever g and the action are
+    _, l = load_path(str(path))
+    dims = e_functor(l, 4, convention).dims
+    assert dims == (l.dim_g,) + tuple(_witt(l.dim_m, n, convention) for n in range(1, 5))
 
 
 @pytest.mark.parametrize(

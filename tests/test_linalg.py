@@ -184,6 +184,35 @@ def test_rank_nullity_and_image():
         assert all(sum(r[j] * x for j, x in row.items()) == 0 for r in m)
 
 
+@settings(deadline=None)
+@given(
+    st.sampled_from([Q, F2, F3]),
+    st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(_sparse_vectors(n) if n else st.just({}), max_size=6)
+    )),
+)
+def test_nullspace_is_the_canonical_kernel(field, case):
+    n, rows = case
+    if field.is_prime_field:
+        rows = [{k: int(x) for k, x in row.items()} for row in rows]
+    kernel = nullspace(field, n, rows)
+    # already in canonical form: re-reducing its basis changes nothing
+    assert kernel == Subspace.from_vectors(field, n, kernel.basis)
+    for v in kernel.basis:
+        for row in rows:
+            dot = sum(x * v.get(k, 0) for k, x in row.items())
+            assert (dot % field.p if field.is_prime_field else dot) == 0
+    assert kernel.dim == n - len(rref(field, rows))
+
+
+def test_nullspace_vector_meets_several_leads():
+    # x0 + x1 + x2 = 0 and x0 + x3 = 0, solved for the last columns: the
+    # vector at free column 0 meets both leads, 2 and 3
+    rows = [{0: 1, 1: 1, 2: 1}, {0: 1, 3: 1}]
+    assert nullspace(Q, 4, rows).basis == ({0: 1, 2: -1, 3: -1}, {1: 1, 2: -1})
+    assert nullspace(F3, 4, rows).basis == ({0: 1, 2: 2, 3: 2}, {1: 1, 2: 2})
+
+
 def test_quotient_space_coords():
     # the quotient of the whole space by W: representatives are the unit
     # vectors at W's non-pivot columns
