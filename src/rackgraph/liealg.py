@@ -7,13 +7,14 @@ Structure data is exact (Fractions).  Conventions, used throughout:
              so composition reads (m ^ a) ^ b = m . (rho[a] rho[b])
   f[i]       coordinates of f(m_i) in the basis of g
 
-The free graded extension puts g in degree 0 and M in degree 1, builds all
-binary bracket words on M leaves per degree, and quotients by the relation
-ideal of antisymmetry and Jacobi in the chosen sign convention.  Over Q the
-free Lie (super)algebra on M embeds in the tensor algebra T(M) (Ree 1960;
-Reutenauer, Free Lie Algebras, 1993), so the degree-n slice of that ideal is
-one kernel: that of the expansion of each word into T(M)_n, with x -> x and
-[u, v] -> uv - sigma vu.  g acts by leaf-wise substitution.
+The free graded extension puts g in degree 0 and M in degree 1.  Its
+positive degrees are the free Lie (super)algebra L(M) in the chosen sign
+convention, which over Q sits inside the tensor algebra T(M) (Ree 1960;
+Reutenauer, Free Lie Algebras, 1993) with x -> x and [u, v] -> uv - sigma vu.
+The left-normed words ((x1, x2), ...), xn) span L_n, so each degree takes its
+basis among them.  Brackets are graded commutators in T(M), and g acts as
+the derivation of T(M) that acts on one letter at a time; both act on L
+itself, so there is no quotient for them to descend through.
 The differential extends d(m) = f(m), d(g) = 0 as a derivation: with the
 graded_koszul convention it carries the sign d[u,v] = [du,v] +
 (-1)^{deg u}[u,dv] and d.d = 0 always holds; with the plain convention the
@@ -26,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
-from .linalg import FieldSpec, SubquotientBasis, Subspace, bilinear, combine, nullspace, sparse_sum
+from .linalg import FieldSpec, Subspace, bilinear, combine, nullspace, sparse_sum
 from .racks import ValidationReport
 
 _Q = FieldSpec.rationals()
@@ -188,28 +190,23 @@ def _d_sign(p: int, convention: str) -> int:
     return -1 if convention == KOSZUL and p % 2 else 1
 
 
-def _words_by_degree(m: int, max_degree: int) -> list:
-    """words[n] = all binary bracket words with n leaves drawn from 0..m-1."""
-    words: list = [None, list(range(m))]
-    total = m
+def _check_word_budget(m: int, max_degree: int) -> None:
+    """Refuse a degree bound that needs more than WORD_BUDGET binary bracket
+    words on m letters, Catalan(n-1) m^n of them in degree n.  With no
+    letters there are no words, but the checks still loop over every degree,
+    so the bound is then held to what one letter allows."""
+    counts = [0, max(m, 1)]
+    total = counts[1]
     for n in range(2, max_degree + 1):
-        size = sum(len(words[p]) * len(words[n - p]) for p in range(1, n))
-        total += size
+        counts.append(sum(counts[p] * counts[n - p] for p in range(1, n)))
+        total += counts[n]
         if total > WORD_BUDGET:
             raise TruncationTooLarge(
                 f"degree bound needs {total} bracket words, over the budget {WORD_BUDGET}"
+                if m
+                else f"degree bound {max_degree} would need {total} bracket words on one "
+                f"generator, over the budget {WORD_BUDGET}"
             )
-        layer = []
-        for p in range(1, n):
-            for u in words[p]:
-                for v in words[n - p]:
-                    layer.append((u, v))
-        words.append(layer)
-    return words
-
-
-def _word_degree(w) -> int:
-    return 1 if isinstance(w, int) else _word_degree(w[0]) + _word_degree(w[1])
 
 
 @dataclass(frozen=True)
@@ -217,10 +214,13 @@ class GradedLieTruncation:
     """Degrees 0..max_degree of the free graded extension.
 
     dims[n] and basis_words[n] describe the degree-n slice (degree 0 is the
-    input Lie algebra, so basis_words[0] is empty).  bracket[(p, q)][i][j]
-    is the coordinate vector of the bracket of basis elements, defined for
-    p + q <= max_degree.  differential[n][j] gives d of the j-th basis
-    element of degree n in the degree n-1 basis.
+    input Lie algebra, so basis_words[0] is empty).  The basis of degree
+    n >= 1 is made of left-normed words ((x1, x2), ...), xn), written as
+    nested pairs: those, in the product order of their letters, whose
+    expansion into T(M) is independent of the expansions of all later ones.
+    bracket[(p, q)][i][j] is the coordinate vector of the bracket of basis
+    elements, defined for p + q <= max_degree.  differential[n][j] gives d
+    of the j-th basis element of degree n in the degree n-1 basis.
     """
 
     convention: str
@@ -238,131 +238,106 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
     if max_degree < 1:
         raise ValueError("degree bound must be at least 1")
     m = l.dim_m
-    words = _words_by_degree(m, max_degree)
-    index = [None] + [{w: i for i, w in enumerate(words[n])} for n in range(1, max_degree + 1)]
+    _check_word_budget(m, max_degree)
 
-    # relations[n]: the kernel of the expansion of the words into T(M)_n (see
-    # the module docstring), one row per tensor monomial, keyed by letter tuple
-    expansion: dict = {x: {(x,): 1} for x in words[1]}
-    relations: list = [None, Subspace.zero(_Q, m)]
-    for n in range(2, max_degree + 1):
-        rows: dict = {}
-        for i, w in enumerate(words[n]):
-            u, v = w
-            s = _sigma(_word_degree(u), _word_degree(v), convention)
-            expansion[w] = sparse_sum(_Q, chain.from_iterable(
-                ((a + b, x * y), (b + a, -s * x * y))
-                for a, x in expansion[u].items()
-                for b, y in expansion[v].items()
-            ))
-            for k, x in expansion[w].items():
-                rows.setdefault(k, {})[i] = x
-        relations.append(nullspace(_Q, len(words[n]), list(rows.values())))
+    # T(M)_n is keyed by the monomial x1...xn read as a base-m integer, so
+    # that the product of monomials of degrees p and q is a * m^q + b
+    def bracket_of(p: int, u: dict, q: int, v: dict) -> dict:
+        """uv - sigma vu in T(M)_(p+q), for u and v of degrees p and q."""
+        s = _sigma(p, q, convention)
+        return sparse_sum(_Q, chain.from_iterable(
+            ((a * m**q + b, x * y), (b * m**p + a, -s * x * y))
+            for a, x in u.items()
+            for b, y in v.items()
+        ))
 
-    quotients = [None] + [
-        SubquotientBasis(Subspace.full(_Q, len(words[n])), relations[n])
-        for n in range(1, max_degree + 1)
-    ]
-    dims = [l.dim_g] + [quotients[n].dim for n in range(1, max_degree + 1)]
-    basis_words = [()] + [
-        tuple(words[n][i] for i in quotients[n].rep_pivots)
-        for n in range(1, max_degree + 1)
-    ]
+    def act(a: int, n: int, vec: dict) -> dict:
+        """e_a on T(M)_n: the derivation that replaces one letter at a time
+        by its image under the action."""
+        terms = []
+        for k, c in vec.items():
+            for t in range(n):
+                place = m**t
+                x = k // place % m
+                for z, r in enumerate(l.rho[a][x]):
+                    if r:
+                        terms.append((k + (z - x) * place, c * r))
+        return sparse_sum(_Q, terms)
 
-    def nf(n: int, vec) -> list:
-        return quotients[n].coords(vec)
-
-    def word_vector(n: int, table: dict) -> dict:
-        return {index[n][w]: coeff for w, coeff in table.items()}
-
-    def ad_word(w, a: int) -> dict:
-        """Right bracket of the word with e_a, as a leaf-wise substitution."""
-        if isinstance(w, int):
-            return {k: coeff for k, coeff in enumerate(l.rho[a][w]) if coeff}
-        u, v = w
-        out: dict = {}
-        for u2, coeff in ad_word(u, a).items():
-            key = (u2, v)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        for v2, coeff in ad_word(v, a).items():
-            key = (u, v2)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return out
-
-    # the action descends: relation rows must map into relations
-    for n in range(2, max_degree + 1):
-        for a in range(l.dim_g):
-            for rel in relations[n].basis:
-                img: dict = {}
-                for i, coeff in rel.items():
-                    for w2, c2 in ad_word(words[n][i], a).items():
-                        img[w2] = img.get(w2, Fraction(0)) + coeff * c2
-                if any(nf(n, word_vector(n, img))):
-                    raise AssertionError(f"action does not descend at degree {n}")
-
-    bracket: dict = {}
-    bracket[(0, 0)] = l.c
+    # degree by degree: the left-normed words in product order, with
+    # P(w y) = P(w) y - sigma y P(w); the basis is the non-leads of the
+    # canonical kernel of their expansion, and readers[n] is the span of
+    # the basis expansions, each tagged with -e_(m^n + i)
+    expansion: dict = {}
+    words: dict = {x: {x: 1} for x in range(m)}
+    basis_words: list = [()]
+    readers: list = [None]
     for n in range(1, max_degree + 1):
-        table_n0 = []
-        for w in basis_words[n]:
-            per_a = []
-            for a in range(l.dim_g):
-                per_a.append(tuple(nf(n, word_vector(n, ad_word(w, a)))))
-            table_n0.append(tuple(per_a))
-        bracket[(n, 0)] = tuple(table_n0)
+        if n > 1:
+            words = {
+                (w, y): bracket_of(n - 1, pw, 1, {y: 1})
+                for w, pw in words.items()
+                for y in range(m)
+            }
+        expansion.update(words)
+        rows: dict = {}
+        for i, pw in enumerate(words.values()):
+            for k, x in pw.items():
+                rows.setdefault(k, {})[i] = x
+        dependent = {min(v) for v in nullspace(_Q, len(words), rows.values()).basis}
+        basis = tuple(w for i, w in enumerate(words) if i not in dependent)
+        tagged = [{**words[w], m**n + i: -1} for i, w in enumerate(basis)]
+        readers.append(Subspace.from_vectors(_Q, m**n + len(basis), tagged))
+        basis_words.append(basis)
+    dims = [l.dim_g] + [len(basis) for basis in basis_words[1:]]
+
+    def coords(n: int, vec: dict) -> list:
+        """Basis coordinates of a vector of T(M)_n that lies in L_n: reducing
+        it by the tagged span clears its monomials and leaves the tags."""
+        rest = readers[n].reduce(vec)
+        if any(k < m**n for k in rest):
+            raise AssertionError(f"vector outside the free Lie algebra in degree {n}")
+        return [rest.get(m**n + i, 0) for i in range(dims[n])]
+
+    bracket: dict = {(0, 0): l.c}
+    for n in range(1, max_degree + 1):
+        table_n0 = tuple(
+            tuple(tuple(coords(n, act(a, n, expansion[w]))) for a in range(l.dim_g))
+            for w in basis_words[n]
+        )
+        bracket[(n, 0)] = table_n0
         bracket[(0, n)] = tuple(
-            tuple(
-                tuple(-x for x in table_n0[j][a])
-                for j in range(dims[n])
-            )
+            tuple(tuple(-x for x in table_n0[j][a]) for j in range(dims[n]))
             for a in range(l.dim_g)
         )
     for p in range(1, max_degree):
         for q in range(1, max_degree + 1 - p):
-            table = []
-            for u in basis_words[p]:
-                row = []
-                for v in basis_words[q]:
-                    row.append(tuple(nf(p + q, word_vector(p + q, {(u, v): Fraction(1)}))))
-                table.append(tuple(row))
-            bracket[(p, q)] = tuple(table)
-
-    d_cache: dict = {}
-
-    def d_word(w) -> list:
-        """d of a bracket word, in basis coords of one degree lower."""
-        if isinstance(w, int):
-            return list(l.f[w])
-        if w in d_cache:
-            return d_cache[w]
-        u, v = w
-        p, q = _word_degree(u), _word_degree(v)
-        nu = nf(p, word_vector(p, {u: Fraction(1)}))
-        nv = nf(q, word_vector(q, {v: Fraction(1)}))
-        du = d_word(u)
-        dv = d_word(v)
-        dim = dims[p + q - 1]
-        if p == 1:
-            # [du, v] with du in degree 0 is -[v, du]
-            sign1, term1 = -1, bilinear(_Q, bracket[(q, 0)], nv, du, dim)
-        else:
-            sign1, term1 = 1, bilinear(_Q, bracket[(p - 1, q)], du, nv, dim)
-        term2 = bilinear(_Q, bracket[(p, q - 1)], nu, dv, dim)
-        out = combine(_Q, (sign1, _d_sign(p, convention)), (term1, term2), dim)
-        d_cache[w] = out
-        return out
-
-    differential = [()]
-    differential.append(tuple(tuple(row) for row in l.f))
-    for n in range(2, max_degree + 1):
-        differential.append(tuple(tuple(d_word(w)) for w in basis_words[n]))
-        # the differential also descends on relation rows
-        for rel in relations[n].basis:
-            image = combine(
-                _Q, list(rel.values()), [d_word(words[n][i]) for i in rel], dims[n - 1]
+            bracket[(p, q)] = tuple(
+                tuple(
+                    tuple(coords(p + q, bracket_of(p, expansion[u], q, expansion[v])))
+                    for v in basis_words[q]
+                )
+                for u in basis_words[p]
             )
-            if any(image):
-                raise AssertionError(f"differential does not descend at degree {n}")
+
+    @cache
+    def d_word(w, n: int) -> list:
+        """d of the left-normed word w = (u, y) of degree n >= 2, in the basis
+        of degree n - 1: d[u, y] = [du, y] + sign [u, f(y)]."""
+        u, y = w
+        p = n - 1
+        if p == 1:
+            # [du, y] with du in degree 0 is -[y, du]
+            sign1, term1 = -1, combine(_Q, l.f[u], bracket[(1, 0)][y], dims[1])
+        else:
+            column_y = [row[y] for row in bracket[(p - 1, 1)]]
+            sign1, term1 = 1, combine(_Q, d_word(u, p), column_y, dims[p])
+        term2 = bilinear(_Q, bracket[(p, 0)], coords(p, expansion[u]), l.f[y], dims[p])
+        return combine(_Q, (sign1, _d_sign(p, convention)), (term1, term2), dims[p])
+
+    differential = [(), tuple(tuple(row) for row in l.f)]
+    for n in range(2, max_degree + 1):
+        differential.append(tuple(tuple(d_word(w, n)) for w in basis_words[n]))
 
     return GradedLieTruncation(
         convention=convention,

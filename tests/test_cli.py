@@ -1,5 +1,6 @@
 """Command line: schema rejection, check failures, golden bytes."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rackgraph import cli, corpus, jsonio
 
@@ -165,6 +167,25 @@ def test_dgla_over_word_budget_refused():
     }
 
 
+@pytest.mark.parametrize("bound", [14, 2000])
+def test_dgla_empty_module_over_degree_budget_refused(tmp_path, bound):
+    # no module generators means no bracket words, yet every degree still
+    # costs the checks a loop over degree triples; the bound is held to what
+    # the word budget allows one generator
+    doc = {"schema": 1, "kind": "lm_lie", "c": [[[0]]], "rho": [[]], "f": []}
+    path = write_doc(tmp_path, doc)
+    code, report, _ = run_cli(["dgla", path, "--max-degree", str(bound)])
+    assert code == 2
+    assert report["error"] == {
+        "path": "",
+        "message": f"degree bound {bound} would need 1033412 bracket words on one "
+        "generator, over the budget 300000",
+    }
+    code, report, _ = run_cli(["dgla", path, "--max-degree", "13"])
+    assert code == 0
+    assert report["dims"] == [1] + [0] * 13
+
+
 # ---------------------------------------------------------------------------
 # check failures -> exit 1 with a witness
 
@@ -257,6 +278,30 @@ def test_homology_worked_example():
     assert code == 0
     assert report["degrees"][0]["betti"] == 1
     assert report["degrees"][1]["betti"] == 1
+
+
+def test_dgla_plain_failure_pinned():
+    # with ordinary signs d.d fails on sl2; the indices of the failing basis
+    # elements pin the basis order through the CLI
+    code, report, _ = run_cli(
+        ["dgla", "corpus/sl2_adjoint.json", "--max-degree", "3", "--convention", "plain"]
+    )
+    assert code == 1
+    assert report["dims"] == [3, 3, 3, 8]
+    assert report["truncation_check"] == {
+        "checked": 894,
+        "ok": False,
+        "violations": [
+            "d.d nonzero in degree 2 at basis element 0",
+            "d.d nonzero in degree 2 at basis element 1",
+            "d.d nonzero in degree 2 at basis element 2",
+            "d.d nonzero in degree 3 at basis element 0",
+            "d.d nonzero in degree 3 at basis element 2",
+            "d.d nonzero in degree 3 at basis element 3",
+            "d.d nonzero in degree 3 at basis element 6",
+            "d.d nonzero in degree 3 at basis element 7",
+        ],
+    }
 
 
 def test_validate_matrix_sample():
@@ -443,3 +488,93 @@ def test_corpus_files_are_canonical():
     for name, doc in corpus.corpus_documents().items():
         frozen = Path(f"corpus/{name}.json").read_text(encoding="utf-8")
         assert frozen == jsonio.canonical_json(doc), name
+
+
+# ---------------------------------------------------------------------------
+# the input contract under mutated documents
+
+CORPUS_DOCS = [
+    json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted((ROOT / "corpus").glob("*.json"))
+]
+
+# every command, with the smallest degree bound where it takes one
+FUZZ_COMMANDS = (
+    ["validate"],
+    ["convert", "--to", "graph"],
+    ["convert", "--to", "rack"],
+    ["homology", "--max-degree", "1"],
+    ["hopf", "--max-degree", "1"],
+    ["dgla", "--max-degree", "1"],
+    ["integrate"],
+    ["presentation"],
+)
+
+# one strategy per JSON type, so that a node can be given another type
+TYPED_VALUES = {
+    int: st.one_of(st.integers(-2, 8), st.sampled_from([2**63, -(10**9)])),
+    float: st.floats(-4, 4),
+    str: st.text(max_size=3),
+    type(None): st.none(),
+    bool: st.booleans(),
+    list: st.lists(st.integers(0, 3), max_size=3),
+    dict: st.dictionaries(st.sampled_from(["schema", "kind", "op"]), st.integers(0, 2), max_size=2),
+}
+
+
+def _node_paths(doc, path=()):
+    """The key paths of every node below the root of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _node_paths(value, path + (key,))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """A corpus document with one leaf replaced, one key or entry dropped,
+    or one node replaced by a value of another type."""
+    doc = copy.deepcopy(draw(st.sampled_from(CORPUS_DOCS)))
+    how = draw(st.sampled_from(["leaf", "drop", "type"]))
+    paths = [
+        p for p in _node_paths(doc)
+        if how != "leaf" or not isinstance(_node(doc, p), (dict, list))
+    ]
+    path = draw(st.sampled_from(paths))
+    parent, key = _node(doc, path[:-1]), path[-1]
+    if how == "drop":
+        del parent[key]
+    elif how == "leaf":
+        parent[key] = draw(st.one_of(*TYPED_VALUES.values()))
+    else:
+        old = type(parent[key])
+        parent[key] = draw(st.one_of(*(v for t, v in TYPED_VALUES.items() if t is not old)))
+    return doc
+
+
+# the working directory and the input file are shared by every example
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(doc=mutated_documents())
+def test_mutated_documents_keep_the_input_contract(tmp_path, doc):
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in FUZZ_COMMANDS:
+        code, text, _ = cli.render([argv[0], str(path), *argv[1:]])
+        report = json.loads(text)
+        assert code in (0, 1, 2), argv
+        assert isinstance(report, dict), argv
+        if code == 2:
+            assert isinstance(report["error"]["path"], str), argv

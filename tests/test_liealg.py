@@ -29,6 +29,7 @@ from rackgraph.liealg import (
     verify_e_truncation,
     verify_leibniz,
 )
+from rackgraph.linalg import FieldSpec, nullspace
 
 
 def test_sl2_validates():
@@ -146,8 +147,86 @@ def test_dims_follow_witts_formula(path, convention):
     # the free extension on M has the dimensions of the free Lie
     # (super)algebra on dim M generators, whatever g and the action are
     _, l = load_path(str(path))
-    dims = e_functor(l, 4, convention).dims
-    assert dims == (l.dim_g,) + tuple(_witt(l.dim_m, n, convention) for n in range(1, 5))
+    dims = e_functor(l, 5, convention).dims
+    assert dims == (l.dim_g,) + tuple(_witt(l.dim_m, n, convention) for n in range(1, 6))
+
+
+def _all_words(m: int, n: int) -> list:
+    """Every binary bracket word with n leaves on the letters 0..m-1: by the
+    degree of the left factor, then the left and right factors each in its
+    own order."""
+    if n == 1:
+        return list(range(m))
+    return [(u, v) for p in range(1, n) for u in _all_words(m, p) for v in _all_words(m, n - p)]
+
+
+def _degree(w) -> int:
+    return 1 if isinstance(w, int) else _degree(w[0]) + _degree(w[1])
+
+
+def _expand(w, convention: str) -> dict:
+    """The word in the tensor algebra, keyed by letter tuples: a letter is
+    itself and [u, v] is uv - sign vu, with sign -1 for two odd degrees in
+    the graded_koszul convention."""
+    if isinstance(w, int):
+        return {(w,): 1}
+    u, v = w
+    odd = _degree(u) * _degree(v) % 2
+    sign = -1 if convention == KOSZUL and odd else 1
+    out: dict = {}
+    for a, x in _expand(u, convention).items():
+        for b, y in _expand(v, convention).items():
+            out[a + b] = out.get(a + b, 0) + x * y
+            out[b + a] = out.get(b + a, 0) - sign * x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def _substitute(tensor: dict, rho) -> dict:
+    """The derivation of the tensor algebra that acts on each letter by rho,
+    row x being the image of letter x."""
+    out: dict = {}
+    for key, c in tensor.items():
+        for t, x in enumerate(key):
+            for z, r in enumerate(rho[x]):
+                new = key[:t] + (z,) + key[t + 1:]
+                out[new] = out.get(new, 0) + c * r
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("convention", [KOSZUL, PLAIN])
+@pytest.mark.parametrize("path", LM_LIE_FILES, ids=lambda p: p.stem)
+def test_basis_and_tables_against_every_bracket_word(path, convention):
+    # the basis is the words of the full list whose expansion is independent
+    # of the expansions of all later words, the non-leads of the canonical
+    # kernel; every table, expanded back, is the expansion it stands for
+    _, l = load_path(str(path))
+    t = e_functor(l, 4, convention)
+
+    def expanded(n: int, coords) -> dict:
+        out: dict = {}
+        for c, w in zip(coords, t.basis_words[n]):
+            for k, x in _expand(w, convention).items():
+                out[k] = out.get(k, 0) + c * x
+        return {k: c for k, c in out.items() if c}
+
+    for n in range(1, 5):
+        words = _all_words(l.dim_m, n)
+        rows: dict = {}
+        for i, w in enumerate(words):
+            for k, x in _expand(w, convention).items():
+                rows.setdefault(k, {})[i] = x
+        kernel = nullspace(FieldSpec.rationals(), len(words), list(rows.values()))
+        leads = {min(v) for v in kernel.basis}
+        assert t.basis_words[n] == tuple(w for i, w in enumerate(words) if i not in leads)
+        for i, w in enumerate(t.basis_words[n]):
+            for a in range(l.dim_g):
+                image = _substitute(_expand(w, convention), l.rho[a])
+                assert expanded(n, t.bracket[(n, 0)][i][a]) == image, (n, i, a)
+    for (p, q), table in t.bracket.items():
+        if p and q:
+            for i, u in enumerate(t.basis_words[p]):
+                for j, v in enumerate(t.basis_words[q]):
+                    assert expanded(p + q, table[i][j]) == _expand((u, v), convention), (p, q, i, j)
 
 
 @pytest.mark.parametrize(
