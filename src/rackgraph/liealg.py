@@ -350,14 +350,29 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
     )
 
 
-def apply_differential(t: GradedLieTruncation, n: int, v) -> list:
-    """d on a degree-n coordinate vector (n >= 1)."""
-    return combine(_Q, v, t.differential[n], t.dims[n - 1])
+def _sparse(vec) -> dict:
+    """A coordinate vector as {index: value} without its zeros; integral
+    values are plain ints, the policy `rref` follows over Q."""
+    return {k: x.numerator if x.denominator == 1 else x for k, x in enumerate(vec) if x}
+
+
+def _products(sign: int, v: dict, rows):
+    """sign * sum_m v[m] * rows[m] as (index, value) terms, for sparse v and
+    a sequence of sparse rows."""
+    return ((z, sign * a * x) for m, a in v.items() for z, x in rows[m].items())
 
 
 def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationReport:
     """Degree <= 1 equals the input; antisymmetry, Jacobi, derivation rule,
-    and d.d = 0 hold on all in-range basis tuples."""
+    and d.d = 0 hold on all in-range basis tuples.
+
+    The degree <= 1 and antisymmetry checks compare table entries as they
+    are.  For the others, each bracket table cell and differential row is
+    read once as a sparse row {index: value}, with integral values as
+    ints, and each identity is one `sparse_sum` of products of those rows,
+    which holds when the sum is empty.  Every basis tuple counts once in
+    `checked`, and the violations come in loop order.
+    """
     violations: list[str] = []
     checked = 0
 
@@ -397,13 +412,14 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
                         f"antisymmetry fails in degrees ({p}, {q}) at ({i}, {j})",
                     )
 
-    # basis brackets are table rows: [e_i, v] = sum_j v_j [e_i, e_j] and
-    # [v, e_j] = sum_i v_i [e_i, e_j]
-    def left(p, i, q, v):
-        return combine(_Q, v, t.bracket[(p, q)][i], t.dims[p + q])
-
-    def right(p, v, q, j):
-        return combine(_Q, v, [row[j] for row in t.bracket[(p, q)]], t.dims[p + q])
+    # cell[(p, q)][i][j] is [e_i, e_j], column[(p, q)][j][i] the same dict,
+    # and diff[n][j] is d e_j, all as sparse rows
+    cell = {key: [[_sparse(v) for v in row] for row in table] for key, table in t.bracket.items()}
+    column = {
+        (p, q): [[row[j] for row in rows] for j in range(t.dims[q])]
+        for (p, q), rows in cell.items()
+    }
+    diff = [()] + [[_sparse(v) for v in rows] for rows in t.differential[1:]]
 
     for p in range(D + 1):
         for q in range(D + 1 - p):
@@ -411,43 +427,44 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
                 if p + q + r == 0:
                     continue
                 s = _sigma(p, q, t.convention)
+                outer, inner = cell[(p, q + r)], cell[(q, r)]
+                pq, pq_r = cell[(p, q)], column[(p + q, r)]
+                pr, q_pr = cell[(p, r)], cell[(q, p + r)]
                 for i in range(t.dims[p]):
                     for j in range(t.dims[q]):
                         for k in range(t.dims[r]):
-                            lhs = left(p, i, q + r, t.bracket[(q, r)][j][k])
-                            mid = right(p + q, t.bracket[(p, q)][i][j], r, k)
-                            rgt = left(q, j, p + r, t.bracket[(p, r)][i][k])
-                            total = combine(_Q, (1, -1, -s), (lhs, mid, rgt), t.dims[p + q + r])
+                            # [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - s [e_j, [e_i, e_k]]
+                            total = sparse_sum(_Q, chain(
+                                _products(1, inner[j][k], outer[i]),
+                                _products(-1, pq[i][j], pq_r[k]),
+                                _products(-s, pr[i][k], q_pr[j]),
+                            ))
                             record(
-                                not any(total),
+                                not total,
                                 f"Jacobi fails in degrees ({p},{q},{r}) at ({i},{j},{k})",
                             )
 
     for p in range(D + 1):
         for q in range(max(1 - p, 0), D + 1 - p):
             n = p + q
-            if n < 1:
-                continue
+            sign = _d_sign(p, t.convention)
             for i in range(t.dims[p]):
                 for j in range(t.dims[q]):
-                    lhs = apply_differential(t, n, t.bracket[(p, q)][i][j])
-                    signs, terms = [], []
+                    # d[e_i, e_j] - [d e_i, e_j] - sign [e_i, d e_j]
+                    terms = [_products(1, cell[(p, q)][i][j], diff[n])]
                     if p >= 1:
-                        signs.append(1)
-                        terms.append(right(p - 1, t.differential[p][i], q, j))
+                        terms.append(_products(-1, diff[p][i], column[(p - 1, q)][j]))
                     if q >= 1:
-                        signs.append(_d_sign(p, t.convention))
-                        terms.append(left(p, i, q - 1, t.differential[q][j]))
-                    rhs = combine(_Q, signs, terms, t.dims[n - 1])
+                        terms.append(_products(-sign, diff[q][j], cell[(p, q - 1)][i]))
                     record(
-                        lhs == rhs,
+                        not sparse_sum(_Q, chain.from_iterable(terms)),
                         f"derivation rule fails in degrees ({p},{q}) at ({i},{j})",
                     )
 
     for n in range(2, D + 1):
         for j in range(t.dims[n]):
-            dd = apply_differential(t, n - 1, t.differential[n][j])
-            record(not any(dd), f"d.d nonzero in degree {n} at basis element {j}")
+            dd = sparse_sum(_Q, _products(1, diff[n][j], diff[n - 1]))
+            record(not dd, f"d.d nonzero in degree {n} at basis element {j}")
 
     return ValidationReport.collect(violations, checked)
 

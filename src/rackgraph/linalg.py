@@ -14,7 +14,11 @@ the Lie bracket and differential tables built from it, and the rows of
 `induced_matrix`, which returns its matrix as a tuple of row tuples.
 Linear combinations of those go through `combine` (sum of c_j * rows[j])
 and `bilinear` (a bilinear map from its structure constants), which
-accumulate in place, skip zeros, and reduce mod p once at the end.
+accumulate in place, skip zeros, and reduce mod p once at the end; the
+free graded extension builds its bracket and differential tables with
+them.  A check that evaluates many identities on finished tables reads
+each table cell once as a sparse row and sums products with
+`sparse_sum`, as `liealg.verify_e_truncation` does.
 
 Every row reduction over a field goes through one sparse kernel, `rref`,
 and `Subspace` keeps its output rows as they are.  Boundary matrices are

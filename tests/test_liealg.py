@@ -25,6 +25,7 @@ from rackgraph.liealg import (
     nilpotent_pair,
     one_generator,
     sl2_adjoint,
+    so3_adjoint,
     validate_lm_lie,
     verify_e_truncation,
     verify_leibniz,
@@ -366,4 +367,96 @@ def test_tampered_differential_breaks_d_squared():
         "derivation rule fails in degrees (3,0) at (0,0)",
         "derivation rule fails in degrees (3,0) at (1,0)",
         "d.d nonzero in degree 3 at basis element 0",
+    )
+
+
+def _sl2_rescaled() -> LMLieAlgebra:
+    """sl2 in the basis h, e/3, f: [h, e'] = 2e', [h, f] = -2f and
+    [e', f] = h/3, so the tables carry non-integral Fractions; adjoint
+    module with the identity as structure map."""
+    third = Fraction(1, 3)
+    z = [0, 0, 0]
+    c = [
+        [z, [0, 2, 0], [0, 0, -2]],
+        [[0, -2, 0], z, [third, 0, 0]],
+        [[0, 0, 2], [-third, 0, 0], z],
+    ]
+    rho = [[list(c[i][a]) for i in range(3)] for a in range(3)]
+    return LMLieAlgebra.make(c, rho, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("degree, checked", [(2, 469), (3, 1212), (4, 3018)])
+def test_fraction_structure_constants_pass_like_sl2(degree, checked):
+    l = _sl2_rescaled()
+    assert validate_lm_lie(l).ok
+    report = verify_e_truncation(e_functor(l, degree, KOSZUL), l)
+    assert report.ok, report.violations[:3]
+    assert report.checked == checked
+    assert verify_e_truncation(e_functor(sl2_adjoint(), degree, KOSZUL), sl2_adjoint()).checked == checked
+
+
+def test_tampered_table_by_a_fraction_detected():
+    # [e', f] in degree 2 picks up half of the first degree-2 basis element
+    # on one side only, so antisymmetry and the Jacobi identities through
+    # the (1, 1) table see it, next to the thirds of the degree-0 tables
+    l = _sl2_rescaled()
+    t = e_functor(l, 3, KOSZUL)
+    tables = dict(t.bracket)
+    rows = [list(map(list, row)) for row in tables[(1, 1)]]
+    rows[1][2][0] += Fraction(1, 2)
+    tables[(1, 1)] = _retabled(rows)
+    report = verify_e_truncation(dataclasses.replace(t, bracket=tables), l)
+    assert not report.ok
+    assert report.checked == 1212
+    assert report.violations == (
+        "antisymmetry fails in degrees (1, 1) at (1, 2)",
+        "antisymmetry fails in degrees (1, 1) at (2, 1)",
+        "Jacobi fails in degrees (0,1,1) at (1,0,2)",
+        "Jacobi fails in degrees (0,1,1) at (1,1,2)",
+        "Jacobi fails in degrees (0,1,1) at (2,1,0)",
+        "Jacobi fails in degrees (0,1,1) at (2,1,2)",
+        "Jacobi fails in degrees (1,0,1) at (0,1,2)",
+        "Jacobi fails in degrees (1,0,1) at (1,1,2)",
+        "Jacobi fails in degrees (1,0,1) at (1,2,0)",
+        "Jacobi fails in degrees (1,0,1) at (1,2,2)",
+        "Jacobi fails in degrees (1,1,0) at (0,1,2)",
+        "Jacobi fails in degrees (1,1,0) at (1,0,2)",
+        "Jacobi fails in degrees (1,1,0) at (1,2,0)",
+        "Jacobi fails in degrees (1,1,0) at (1,2,1)",
+        "Jacobi fails in degrees (1,1,0) at (1,2,2)",
+        "Jacobi fails in degrees (1,1,0) at (2,1,0)",
+        "Jacobi fails in degrees (1,1,1) at (1,1,2)",
+        "Jacobi fails in degrees (1,1,1) at (1,2,1)",
+        "Jacobi fails in degrees (1,1,1) at (1,2,2)",
+        "Jacobi fails in degrees (1,1,1) at (2,1,2)",
+    )
+
+
+def test_so3_plain_failure_pinned():
+    # with unsigned derivations, d.d picks up the cross products of the
+    # images under f = id, which the non-abelian so3 keeps; only d.d fails
+    l = so3_adjoint()
+    report = verify_e_truncation(e_functor(l, 4, PLAIN), l)
+    assert not report.ok
+    assert report.checked == 2322
+    assert report.violations == (
+        "d.d nonzero in degree 2 at basis element 0",
+        "d.d nonzero in degree 2 at basis element 1",
+        "d.d nonzero in degree 2 at basis element 2",
+        "d.d nonzero in degree 3 at basis element 0",
+        "d.d nonzero in degree 3 at basis element 1",
+        "d.d nonzero in degree 3 at basis element 2",
+        "d.d nonzero in degree 3 at basis element 4",
+        "d.d nonzero in degree 3 at basis element 6",
+        "d.d nonzero in degree 3 at basis element 7",
+        "d.d nonzero in degree 4 at basis element 0",
+        "d.d nonzero in degree 4 at basis element 2",
+        "d.d nonzero in degree 4 at basis element 3",
+        "d.d nonzero in degree 4 at basis element 4",
+        "d.d nonzero in degree 4 at basis element 8",
+        "d.d nonzero in degree 4 at basis element 9",
+        "d.d nonzero in degree 4 at basis element 13",
+        "d.d nonzero in degree 4 at basis element 14",
+        "d.d nonzero in degree 4 at basis element 15",
+        "d.d nonzero in degree 4 at basis element 17",
     )
