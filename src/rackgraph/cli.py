@@ -47,6 +47,7 @@ from .racks import (
     inner_group,
     translation_violations,
     validate_augmented,
+    validate_group,
     validate_rack,
 )
 
@@ -101,8 +102,13 @@ class CheckFailed(Exception):
 
 
 def _as_augmented(kind, obj):
-    """Any rack-like document as an augmented rack."""
+    """Any rack-like document as an augmented rack whose group table is
+    associative and whose action is an action, which the hopf filtrations
+    need to step by a generating set of the group."""
     if kind == "augmented_rack":
+        bad = [*validate_group(obj.group).violations, *validate_augmented(obj).violations]
+        if bad:
+            raise CheckFailed(bad)
         return obj
     if kind == "rack":
         # the inner group is generated by the right translations

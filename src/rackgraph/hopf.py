@@ -269,7 +269,15 @@ def _pad(levels, length: int) -> list:
 def _difference_span(field: FieldSpec, dim: int, tables):
     """Step map sending a level to the span of sigma(v) - v, over every
     permutation table sigma (sigma[i] is the image of basis vector i) and
-    every basis row v of the level."""
+    every basis row v of the level.
+
+    Callers pass the tables of a generating set S of the acting group
+    (FiniteGroup.generators), not of every element.  On a level L that the
+    action maps into itself, S gives the same span as the whole group,
+    since gh.v - v = g.(h.v) - h.v + h.v - v with h.v in L, and the step of
+    such a level is again one.  Every chain starts from the whole space, so
+    all its levels are.  This needs the tables to form an action of the
+    group, and two actions to commute when a caller passes both sides."""
 
     def step(level: Subspace) -> Subspace:
         vecs = [
@@ -290,8 +298,9 @@ def _right_mul_table(group: FiniteGroup, g: int) -> list[int]:
 def group_ideal_levels(
     group: FiniteGroup, field: FieldSpec, depth: int | None = None
 ) -> tuple[list[Subspace], int]:
-    """[H, I, I^2, ...] with the first-repeat index."""
-    tables = [group.mul[g] for g in range(group.order) if g != group.identity]
+    """[H, I, I^2, ...] with the first-repeat index; I^(n+1) = I.I^n is
+    the span of (s-1).v over a generating set S of the group."""
+    tables = [group.mul[g] for g in group.generators(range(group.order))]
     step = _difference_span(field, group.order, tables)
     return _chain(
         Subspace.full(field, group.order), step, depth + 1 if depth is not None else None
@@ -301,10 +310,12 @@ def group_ideal_levels(
 def augmentation_filtration(b: LMBialgebra, depth: int | None = None) -> FiltrationLevels:
     """Levels of H and A; depth=None computes until both chains repeat.
 
-    Level n+1 of A is (g-1).level + level.(g-1) over all g."""
+    Level n+1 of A is (s-1).level + level.(s-1) over a generating set S
+    of G, which is I.level + level.I: every level is a sub-bimodule, and
+    the two actions commute (see _difference_span)."""
     grp = b.group
     la, ra = b.graph.left_act, b.graph.right_act
-    tables = [t for g in range(grp.order) if g != grp.identity for t in (la[g], ra[g])]
+    tables = [t for g in grp.generators(range(grp.order)) for t in (la[g], ra[g])]
     step_a = _difference_span(b.field, b.a_dim, tables)
     levels_a, stab_a = _chain(Subspace.full(b.field, b.a_dim), step_a, depth)
     levels_g, stab_g = group_ideal_levels(
@@ -333,15 +344,20 @@ def relative_ideal_levels(
     b: LMBialgebra, component: tuple[int, ...], depth: int
 ) -> list[Subspace]:
     """Levels [full, K, I.K + K.I, ...] where K is the kernel of the map
-    collapsing each left coset of the subgroup spanned by `component`."""
+    collapsing each left coset of the subgroup spanned by `component`.
+
+    K is the span of v.(t-1) over a generating set of that subgroup, and
+    each later step multiplies by s-1 on both sides over a generating set
+    S of G.  The component is a normal subgroup, so K and every later
+    level are two-sided ideals, on which S gives the span over all of G
+    (see _difference_span)."""
     f = b.field
     grp = b.group
     n = grp.order
-    e = grp.identity
     full = Subspace.full(f, n)
-    first = _difference_span(f, n, [_right_mul_table(grp, t) for t in component if t != e])
-    both_sides = [grp.mul[g] for g in range(n) if g != e]
-    both_sides += [_right_mul_table(grp, g) for g in range(n) if g != e]
+    first = _difference_span(f, n, [_right_mul_table(grp, t) for t in grp.generators(component)])
+    gens = grp.generators(range(n))
+    both_sides = [grp.mul[g] for g in gens] + [_right_mul_table(grp, g) for g in gens]
     step = _difference_span(f, n, both_sides)
     return [full] + _chain(first(full), step, depth - 1)[0]
 
@@ -397,15 +413,16 @@ def coinvariant_module(
 ) -> CoinvariantModule:
     """levels_g is the augmentation-ideal chain [H, I, I^2, ...] of a.group
     over field, ending in a repeat (group_ideal_levels, or the levels_g of
-    augmentation_filtration); it is padded with its stable last level."""
+    augmentation_filtration); it is padded with its stable last level.
+
+    Level n+1 of the labels is the span of v.s - v over a generating set S
+    of the group, which is the span over all of it because a.action is an
+    action (see _difference_span)."""
     f = field
     m = a.x_size
 
-    tables = [
-        [a.action[x][g] for x in range(m)]
-        for g in range(a.group.order)
-        if g != a.group.identity
-    ]
+    gens = a.group.generators(range(a.group.order))
+    tables = [[a.action[x][g] for x in range(m)] for g in gens]
     step = _difference_span(f, m, tables)
     levels_x, stab_x = _chain(Subspace.full(f, m), step, depth)
     if stab_x is None:

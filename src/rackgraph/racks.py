@@ -70,6 +70,19 @@ class FiniteGroup:
                     frontier.append(k)
         return tuple(sorted(seen))
 
+    def generators(self, elements) -> tuple[int, ...]:
+        """A generating set of the subgroup that `elements` generate: each
+        element, in the given order, that the ones kept before it do not
+        already generate.  Each kept element at least doubles the subgroup
+        generated so far, so at most log2 of its order are kept."""
+        kept: list[int] = []
+        closure = {self.identity}
+        for g in elements:
+            if g not in closure:
+                kept.append(g)
+                closure = set(self.subgroup_closure(kept))
+        return tuple(kept)
+
     def is_normal(self, subgroup) -> bool:
         sub = set(subgroup)
         return all(self.conjugate(x, g) in sub for x in sub for g in range(self.order))

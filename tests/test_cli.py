@@ -250,6 +250,42 @@ def test_graph_not_group_like_reported(tmp_path, argv):
     }
 
 
+@pytest.mark.parametrize(
+    "argv", [["homology"], ["hopf"], ["presentation"], ["convert", "--to", "graph"]]
+)
+def test_augmented_rack_action_not_an_action_reported(tmp_path, argv):
+    doc = json.loads(Path("corpus/class_s3_transpositions.json").read_text())
+    action = doc["action"]
+    action[0][1], action[1][1] = action[1][1], action[0][1]
+    path = write_doc(tmp_path, doc)
+    _, validated, _ = run_cli(["validate", path])
+    assert validated["violations"]
+    code, report, _ = run_cli([argv[0], path, *argv[1:]])
+    assert code == 1
+    assert report == {
+        "schema": 1,
+        "command": argv[0],
+        "ok": False,
+        "violations": validated["violations"],
+    }
+
+
+def test_augmented_rack_group_not_associative_reported(tmp_path):
+    # every element has an inverse and the one-point action passes validate,
+    # but (1*1)*2 = 2 while 1*(1*2) = 1
+    doc = {
+        "schema": 1,
+        "kind": "augmented_rack",
+        "group": {"mul": [[0, 1, 2], [1, 0, 0], [2, 0, 0]], "identity": 0},
+        "action": [[0, 0, 0]],
+        "pi": [0],
+    }
+    path = write_doc(tmp_path, doc)
+    code, report, _ = run_cli(["hopf", path])
+    assert code == 1
+    assert "associativity fails at (1,1,2)" in report["violations"]
+
+
 def test_non_group_table_reported(tmp_path):
     doc = json.loads(Path("corpus/toy_c2.json").read_text())
     doc["group"]["mul"] = [[0, 1], [1, 1]]  # well shaped, no inverse for 1

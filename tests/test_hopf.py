@@ -2,10 +2,11 @@
 
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rackgraph.graphs import rack_to_graph
+from rackgraph.graphs import graph_to_rack, rack_to_graph, unit_component
 from rackgraph.hopf import (
     augmentation_filtration,
     build_lm_hopf,
@@ -17,6 +18,7 @@ from rackgraph.hopf import (
     verify_graded_structure,
     verify_hopf,
 )
+from rackgraph.jsonio import load_path
 from rackgraph.linalg import FieldSpec, FilteredSpace, Subspace, sparse_sum
 from rackgraph.racks import (
     conjugacy_class_rack,
@@ -34,6 +36,8 @@ from rackgraph.racks import (
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
+F5 = FieldSpec.prime(5)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def sample_racks():
@@ -442,3 +446,84 @@ def test_pi_star_lands_in_graded_primitives():
                 assert prim.contains(column), (name, n)
                 proper += bool(column) and prim.dim < prim.ambient_dim
     assert proper
+
+
+# ---------------------------------------------------------------------------
+# stepping by a generating set against stepping by every element
+
+
+def all_elements_chain(field, first, tables, length):
+    """`length` levels from `first`, each the span of sigma(v) - v over
+    every table sigma (one per non-identity group element) and every basis
+    row v of the level before."""
+    levels = [first]
+    while len(levels) < length:
+        rows = [
+            sparse_sum(field, [term for i, c in row.items() for term in ((t[i], c), (i, -c))])
+            for t in tables
+            for row in levels[-1].basis
+        ]
+        levels.append(Subspace.from_vectors(field, first.ambient_dim, rows))
+    return levels
+
+
+def oracle_cases():
+    """(name, augmented rack, group-like graph): the conjugation racks of
+    the cyclic groups of order 1 to 8, S3, D4 and Q8, and every rack-like
+    corpus file."""
+    groups = {f"c{n}": cyclic_group(n) for n in range(1, 9)}
+    groups.update(s3=symmetric_group_3(), d4=dihedral_group_4(), q8=quaternion_group_8())
+    cases = [(name, conjugation_rack(g)) for name, g in groups.items()]
+    graphs = []
+    for path in sorted((ROOT / "corpus").glob("*.json")):
+        kind, obj = load_path(str(path))
+        if kind == "rack":
+            cases.append((path.stem, inner_group(obj)[1]))
+        elif kind == "augmented_rack":
+            cases.append((path.stem, obj))
+        elif kind == "graph":
+            graphs.append((path.stem, graph_to_rack(obj), obj))
+    return [(name, rack, rack_to_graph(rack)) for name, rack in cases] + graphs
+
+
+def test_oracle_cases_cover_the_disconnected_corpus_files():
+    disconnected = {name for name, _, q in oracle_cases() if not unit_component(q)[1]}
+    assert {"class_c4_u2", "class_d4_r90", "class_q8_i"} <= disconnected
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5], ids=["q", "f2", "f3", "f5"])
+def test_generator_steps_equal_all_element_steps(field):
+    for name, rack, q in oracle_cases():
+        grp = rack.group
+        n = grp.order
+        others = [g for g in range(n) if g != grp.identity]
+        left = [grp.mul[g] for g in others]
+        right = [[grp.mul[i][g] for i in range(n)] for g in others]
+        full_h = Subspace.full(field, n)
+        b = build_lm_hopf(q, field)
+        stable = augmentation_filtration(b).stabilization
+        for depth in (None, stable + 2):
+            levels_g, _ = group_ideal_levels(grp, field, depth)
+            assert levels_g == all_elements_chain(field, full_h, left, len(levels_g)), name
+
+            f = augmentation_filtration(b, depth)
+            arrows = [t for g in others for t in (q.left_act[g], q.right_act[g])]
+            assert list(f.levels_a) == all_elements_chain(
+                field, Subspace.full(field, b.a_dim), arrows, len(f.levels_a)
+            ), (name, depth)
+            assert list(f.levels_g) == all_elements_chain(field, full_h, left, len(f.levels_g))
+
+            c = coinvariant_module(rack, field, f.levels_g, depth)
+            labels = [[rack.action[x][g] for x in range(rack.x_size)] for g in others]
+            assert list(c.levels_x) == all_elements_chain(
+                field, Subspace.full(field, rack.x_size), labels, len(c.levels_x)
+            ), (name, depth)
+
+        component = unit_component(q)[0]
+        in_component = [right[others.index(t)] for t in component if t != grp.identity]
+        for depth in (1, stable + 2):
+            rel = relative_ideal_levels(b, component, depth)
+            kernel = all_elements_chain(field, full_h, in_component, 2)[1]
+            assert rel == [full_h] + all_elements_chain(
+                field, kernel, left + right, len(rel) - 1
+            ), (name, depth)

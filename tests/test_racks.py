@@ -61,6 +61,23 @@ def test_group_orders_and_structure():
     assert any(s3.mul[a][b] != s3.mul[b][a] for a in range(6) for b in range(6))
 
 
+def test_generators_keep_each_element_not_yet_generated():
+    groups = dict(ALL_GROUPS, **{f"c{n}": cyclic_group(n) for n in range(5, 9)})
+    for name, g in groups.items():
+        subgroups = {g.subgroup_closure([x, y]) for x in range(g.order) for y in range(g.order)}
+        for sub in sorted(subgroups):
+            gens = g.generators(sub)
+            assert g.subgroup_closure(gens) == sub, (name, sub)
+            assert g.generators(list(sub)) == gens
+            for i, x in enumerate(gens):
+                assert x not in g.subgroup_closure(gens[:i]), (name, sub, gens)
+            assert 2 ** len(gens) <= len(sub), (name, sub, gens)
+        assert g.subgroup_closure(g.generators(range(g.order))) == tuple(range(g.order))
+    assert cyclic_group(1).generators(range(1)) == ()
+    assert cyclic_group(8).generators(range(8)) == (1,)
+    assert cyclic_group(6).generators([0, 2, 3, 4]) == (2, 3)
+
+
 def test_conjugacy_classes_s3():
     s3 = ALL_GROUPS["s3"]
     sizes = sorted({len(s3.conjugacy_class(x)) for x in range(6)})
