@@ -412,16 +412,20 @@ def main(argv=None) -> int:
     if m.out is None:
         sys.stdout.write(text)
         return code
-    if os.path.exists(m.out) and not m.golden_update:
-        with open(m.out, "r", encoding="utf-8") as fh:
-            if fh.read() != text:
-                sys.stderr.write(
-                    f"refusing to overwrite {m.out} with different content"
-                    " (pass --golden-update to allow)\n"
-                )
-                return 2
-    with open(m.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        if os.path.exists(m.out) and not m.golden_update:
+            with open(m.out, "r", encoding="utf-8") as fh:
+                if fh.read() != text:
+                    sys.stderr.write(
+                        f"refusing to overwrite {m.out} with different content"
+                        " (pass --golden-update to allow)\n"
+                    )
+                    return 2
+        with open(m.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"cannot write {m.out}: {exc.strerror}\n")
+        return 2
     return code
 
 

@@ -397,7 +397,9 @@ class CoinvariantModule:
 
     levels_x[n] is the span of iterated differences v.g - v; p_dims[n] the
     graded dimensions; pi_star[n] the induced matrix from graded piece n to
-    graded piece n+1 of the group algebra (via x -> pi(x) - 1).
+    graded piece n+1 of the group algebra (via x -> pi(x) - 1), as sparse
+    columns like the maps of LMBialgebra: column j is the image of basis
+    element j of piece n.
     """
 
     field: FieldSpec

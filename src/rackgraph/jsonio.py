@@ -230,12 +230,15 @@ def load_graph(doc) -> GroupLikeGraph:
 
 
 def dump_lm_lie(l: LMLieAlgebra) -> dict:
+    def dense(rows, n):
+        return [[row.get(k, 0) for k in range(n)] for row in rows]
+
     return {
         "schema": SCHEMA_VERSION,
         "kind": "lm_lie",
-        "c": [[list(v) for v in plane] for plane in l.c],
-        "rho": [[list(r) for r in mat] for mat in l.rho],
-        "f": [list(r) for r in l.f],
+        "c": [dense(plane, l.dim_g) for plane in l.c],
+        "rho": [dense(mat, l.dim_m) for mat in l.rho],
+        "f": dense(l.f, l.dim_g),
     }
 
 
@@ -310,6 +313,12 @@ def load_path(path: str):
             doc = json.load(fh)
     except FileNotFoundError:
         raise SchemaError("", f"no such file: {path}") from None
+    except OSError as exc:
+        raise SchemaError("", f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError("", f"not valid UTF-8: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("", "not valid JSON: nested too deeply") from None
     return load_document(doc)

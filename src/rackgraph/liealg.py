@@ -1,7 +1,9 @@
 """Lie algebra pairs (module over a Lie algebra with an equivariant map), the
 derived Leibniz bracket, and the free graded extension up to a degree bound.
 
-Structure data is exact (Fractions).  Conventions, used throughout:
+Structure data is exact and sparse: every row is a dict {index: value}
+over Q with no zero values and with integral values as ints (`_vector`).
+Conventions, used throughout:
   c[i][j]    coordinates of [e_i, e_j] in the basis of g
   rho[a]     matrix of the right action of e_a on M, row i = image of m_i,
              so composition reads (m ^ a) ^ b = m . (rho[a] rho[b])
@@ -30,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 
-from .linalg import FieldSpec, Subspace, bilinear, combine, nullspace, sparse_sum
+from .linalg import FieldSpec, Subspace, nullspace, sparse_sum
 from .racks import ValidationReport
 
 _Q = FieldSpec.rationals()
@@ -39,43 +41,53 @@ KOSZUL = "graded_koszul"
 PLAIN = "plain"
 
 
-def _frac_rows(rows) -> tuple:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+def _vector(terms) -> dict:
+    """The sparse vector sum of (index, value) terms over Q, with integral
+    values as ints: the one form of every row in this module."""
+    return {
+        k: x.numerator if x.denominator == 1 else x for k, x in sparse_sum(_Q, terms).items()
+    }
+
+
+def _products(sign: int, v: dict, rows):
+    """sign * sum_m v[m] * rows[m] as (index, value) terms, for sparse v and
+    a sequence of sparse rows."""
+    return ((z, sign * a * x) for m, a in v.items() for z, x in rows[m].items())
+
+
+def _rows(rows) -> tuple:
+    return tuple(_vector((k, Fraction(x)) for k, x in enumerate(row)) for row in rows)
 
 
 @dataclass(frozen=True)
 class LMLieAlgebra:
     dim_g: int
     dim_m: int
-    c: tuple  # c[i][j] -> coord tuple
-    rho: tuple  # rho[a] -> matrix rows
-    f: tuple  # f[i] -> coord tuple
+    c: tuple  # c[i][j] -> sparse row
+    rho: tuple  # rho[a][i] -> sparse row
+    f: tuple  # f[i] -> sparse row
 
     @staticmethod
     def make(c, rho, f, dim_g: int | None = None, dim_m: int | None = None) -> "LMLieAlgebra":
+        """Check the shapes of dense tables, then keep their rows sparse."""
         ng = len(c) if dim_g is None else dim_g
         nm = len(f) if dim_m is None else dim_m
-        c_t = tuple(_frac_rows(plane) for plane in c)
-        rho_t = tuple(_frac_rows(mat) for mat in rho)
-        f_t = _frac_rows(f)
-        if len(c_t) != ng or any(len(p) != ng for p in c_t):
+        if len(c) != ng or any(len(p) != ng for p in c):
             raise ValueError("bracket constants must be dim_g x dim_g x dim_g")
-        for plane in c_t:
+        for plane in c:
             for v in plane:
                 if len(v) != ng:
                     raise ValueError("bracket coordinate length mismatch")
-        if len(rho_t) != ng:
+        if len(rho) != ng:
             raise ValueError("one action matrix per Lie algebra basis element")
-        for mat in rho_t:
+        for mat in rho:
             if len(mat) != nm or any(len(r) != nm for r in mat):
                 raise ValueError("action matrices must be dim_m x dim_m")
-        if len(f_t) != nm or any(len(r) != ng for r in f_t):
+        if len(f) != nm or any(len(r) != ng for r in f):
             raise ValueError("f must be dim_m x dim_g")
-        return LMLieAlgebra(ng, nm, c_t, rho_t, f_t)
-
-
-def _neg(u) -> tuple:
-    return tuple(-a for a in u)
+        return LMLieAlgebra(
+            ng, nm, tuple(_rows(plane) for plane in c), tuple(_rows(mat) for mat in rho), _rows(f)
+        )
 
 
 def validate_lm_lie(l: LMLieAlgebra) -> ValidationReport:
@@ -83,23 +95,25 @@ def validate_lm_lie(l: LMLieAlgebra) -> ValidationReport:
     violations: list[str] = []
     checked = 0
     ng, nm = l.dim_g, l.dim_m
+    c, rho, f = l.c, l.rho, l.f
 
     for i in range(ng):
         for j in range(ng):
             checked += 1
-            if any(a + b for a, b in zip(l.c[i][j], l.c[j][i])):
+            if sparse_sum(_Q, chain(c[i][j].items(), c[j][i].items())):
                 violations.append(f"antisymmetry fails at ({i}, {j})")
 
     # right[k][t] = [e_t, e_k], so [u, e_k] = sum_t u_t right[k][t]
-    right = [tuple(l.c[t][k] for t in range(ng)) for k in range(ng)]
+    right = [[c[t][k] for t in range(ng)] for k in range(ng)]
     for i in range(ng):
         for j in range(ng):
             for k in range(ng):
                 checked += 1
-                total = combine(
-                    _Q, l.c[i][j] + l.c[j][k] + l.c[k][i], right[k] + right[i] + right[j], ng
-                )
-                if any(total):
+                if sparse_sum(_Q, chain(
+                    _products(1, c[i][j], right[k]),
+                    _products(1, c[j][k], right[i]),
+                    _products(1, c[k][i], right[j]),
+                )):
                     violations.append(f"Jacobi fails at ({i}, {j}, {k})")
 
     for a in range(ng):
@@ -107,8 +121,11 @@ def validate_lm_lie(l: LMLieAlgebra) -> ValidationReport:
             checked += 1
             # row i of rho[a] rho[b] - rho[b] rho[a] against sum_k c[a][b][k] rho[k]
             if any(
-                combine(_Q, l.rho[a][i] + _neg(l.rho[b][i]), l.rho[b] + l.rho[a], nm)
-                != combine(_Q, l.c[a][b], [rho_k[i] for rho_k in l.rho], nm)
+                sparse_sum(_Q, chain(
+                    _products(1, rho[a][i], rho[b]),
+                    _products(-1, rho[b][i], rho[a]),
+                    _products(-1, c[a][b], [rho_k[i] for rho_k in rho]),
+                ))
                 for i in range(nm)
             ):
                 violations.append(f"module axiom fails at ({a}, {b})")
@@ -117,7 +134,7 @@ def validate_lm_lie(l: LMLieAlgebra) -> ValidationReport:
         checked += 1
         # f(m_i ^ e_a) against [f(m_i), e_a]
         if any(
-            combine(_Q, l.rho[a][i], l.f, ng) != combine(_Q, l.f[i], right[a], ng)
+            sparse_sum(_Q, chain(_products(1, rho[a][i], f), _products(-1, f[i], right[a])))
             for i in range(nm)
         ):
             violations.append(f"equivariance fails at action element {a}")
@@ -131,25 +148,28 @@ def validate_lm_lie(l: LMLieAlgebra) -> ValidationReport:
 
 @dataclass(frozen=True)
 class LeibnizAlgebra:
+    """A bracket on a basis: bracket[i][j] is [e_i, e_j] as a sparse row."""
+
     dim: int
-    bracket: tuple  # bracket[i][j] -> coord tuple
+    bracket: tuple
 
 
 def verify_leibniz(b: LeibnizAlgebra) -> ValidationReport:
     """Right Leibniz identity [x,[y,z]] = [[x,y],z] - [[x,z],y] on basis triples."""
     n, br = b.dim, b.bracket
     # right[z][t] = [e_t, e_z]
-    right = [tuple(br[t][z] for t in range(n)) for z in range(n)]
+    right = [[br[t][z] for t in range(n)] for z in range(n)]
     violations: list[str] = []
     checked = 0
     for x in range(n):
         for y in range(n):
             for z in range(n):
                 checked += 1
-                total = combine(
-                    _Q, br[y][z] + _neg(br[x][y]) + br[x][z], br[x] + right[z] + right[y], n
-                )
-                if any(total):
+                if sparse_sum(_Q, chain(
+                    _products(1, br[y][z], br[x]),
+                    _products(-1, br[x][y], right[z]),
+                    _products(1, br[x][z], right[y]),
+                )):
                     violations.append(f"Leibniz identity fails at ({x}, {y}, {z})")
     return ValidationReport.collect(violations, checked)
 
@@ -158,9 +178,7 @@ def leibniz_bracket(l: LMLieAlgebra) -> LeibnizAlgebra:
     """[m, n] := m ^ f(n), which is a (generally non-Lie) Leibniz bracket."""
     nm = l.dim_m
     table = tuple(
-        tuple(
-            tuple(combine(_Q, l.f[j], [rho_k[i] for rho_k in l.rho], nm)) for j in range(nm)
-        )
+        tuple(_vector(_products(1, l.f[j], [rho_k[i] for rho_k in l.rho])) for j in range(nm))
         for i in range(nm)
     )
     out = LeibnizAlgebra(nm, table)
@@ -218,9 +236,10 @@ class GradedLieTruncation:
     n >= 1 is made of left-normed words ((x1, x2), ...), xn), written as
     nested pairs: those, in the product order of their letters, whose
     expansion into T(M) is independent of the expansions of all later ones.
-    bracket[(p, q)][i][j] is the coordinate vector of the bracket of basis
-    elements, defined for p + q <= max_degree.  differential[n][j] gives d
-    of the j-th basis element of degree n in the degree n-1 basis.
+    bracket[(p, q)][i][j] is the bracket of basis elements, defined for
+    p + q <= max_degree, and differential[n][j] is d of the j-th basis
+    element of degree n (n >= 1), each a sparse row of coordinates in the
+    basis of its degree.
     """
 
     convention: str
@@ -259,9 +278,8 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
             for t in range(n):
                 place = m**t
                 x = k // place % m
-                for z, r in enumerate(l.rho[a][x]):
-                    if r:
-                        terms.append((k + (z - x) * place, c * r))
+                for z, r in l.rho[a][x].items():
+                    terms.append((k + (z - x) * place, c * r))
         return sparse_sum(_Q, terms)
 
     # degree by degree: the left-normed words in product order, with
@@ -291,53 +309,58 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
         basis_words.append(basis)
     dims = [l.dim_g] + [len(basis) for basis in basis_words[1:]]
 
-    def coords(n: int, vec: dict) -> list:
+    def coords(n: int, vec: dict) -> dict:
         """Basis coordinates of a vector of T(M)_n that lies in L_n: reducing
         it by the tagged span clears its monomials and leaves the tags."""
         rest = readers[n].reduce(vec)
         if any(k < m**n for k in rest):
             raise AssertionError(f"vector outside the free Lie algebra in degree {n}")
-        return [rest.get(m**n + i, 0) for i in range(dims[n])]
+        return _vector((k - m**n, x) for k, x in rest.items())
 
     bracket: dict = {(0, 0): l.c}
     for n in range(1, max_degree + 1):
         table_n0 = tuple(
-            tuple(tuple(coords(n, act(a, n, expansion[w]))) for a in range(l.dim_g))
+            tuple(coords(n, act(a, n, expansion[w])) for a in range(l.dim_g))
             for w in basis_words[n]
         )
         bracket[(n, 0)] = table_n0
         bracket[(0, n)] = tuple(
-            tuple(tuple(-x for x in table_n0[j][a]) for j in range(dims[n]))
+            tuple({k: -x for k, x in table_n0[j][a].items()} for j in range(dims[n]))
             for a in range(l.dim_g)
         )
     for p in range(1, max_degree):
         for q in range(1, max_degree + 1 - p):
             bracket[(p, q)] = tuple(
                 tuple(
-                    tuple(coords(p + q, bracket_of(p, expansion[u], q, expansion[v])))
+                    coords(p + q, bracket_of(p, expansion[u], q, expansion[v]))
                     for v in basis_words[q]
                 )
                 for u in basis_words[p]
             )
 
     @cache
-    def d_word(w, n: int) -> list:
+    def d_word(w, n: int) -> dict:
         """d of the left-normed word w = (u, y) of degree n >= 2, in the basis
         of degree n - 1: d[u, y] = [du, y] + sign [u, f(y)]."""
         u, y = w
         p = n - 1
         if p == 1:
             # [du, y] with du in degree 0 is -[y, du]
-            sign1, term1 = -1, combine(_Q, l.f[u], bracket[(1, 0)][y], dims[1])
+            first = _products(-1, l.f[u], bracket[(1, 0)][y])
         else:
-            column_y = [row[y] for row in bracket[(p - 1, 1)]]
-            sign1, term1 = 1, combine(_Q, d_word(u, p), column_y, dims[p])
-        term2 = bilinear(_Q, bracket[(p, 0)], coords(p, expansion[u]), l.f[y], dims[p])
-        return combine(_Q, (sign1, _d_sign(p, convention)), (term1, term2), dims[p])
+            first = _products(1, d_word(u, p), [row[y] for row in bracket[(p - 1, 1)]])
+        s, table = _d_sign(p, convention), bracket[(p, 0)]
+        second = (
+            (z, s * a * b * x)
+            for i, a in coords(p, expansion[u]).items()
+            for k, b in l.f[y].items()
+            for z, x in table[i][k].items()
+        )
+        return _vector(chain(first, second))
 
-    differential = [(), tuple(tuple(row) for row in l.f)]
+    differential = [(), l.f]
     for n in range(2, max_degree + 1):
-        differential.append(tuple(tuple(d_word(w, n)) for w in basis_words[n]))
+        differential.append(tuple(d_word(w, n) for w in basis_words[n]))
 
     return GradedLieTruncation(
         convention=convention,
@@ -350,28 +373,14 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
     )
 
 
-def _sparse(vec) -> dict:
-    """A coordinate vector as {index: value} without its zeros; integral
-    values are plain ints, the policy `rref` follows over Q."""
-    return {k: x.numerator if x.denominator == 1 else x for k, x in enumerate(vec) if x}
-
-
-def _products(sign: int, v: dict, rows):
-    """sign * sum_m v[m] * rows[m] as (index, value) terms, for sparse v and
-    a sequence of sparse rows."""
-    return ((z, sign * a * x) for m, a in v.items() for z, x in rows[m].items())
-
-
 def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationReport:
     """Degree <= 1 equals the input; antisymmetry, Jacobi, derivation rule,
     and d.d = 0 hold on all in-range basis tuples.
 
-    The degree <= 1 and antisymmetry checks compare table entries as they
-    are.  For the others, each bracket table cell and differential row is
-    read once as a sparse row {index: value}, with integral values as
-    ints, and each identity is one `sparse_sum` of products of those rows,
-    which holds when the sum is empty.  Every basis tuple counts once in
-    `checked`, and the violations come in loop order.
+    The degree <= 1 checks compare table entries as they are.  Each other
+    identity is one `sparse_sum` of the rows of the tables, or of their
+    products, which holds when the sum is empty.  Every basis tuple counts
+    once in `checked`, and the violations come in loop order.
     """
     violations: list[str] = []
     checked = 0
@@ -389,7 +398,7 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
         for i in range(l.dim_m):
             for a in range(l.dim_g):
                 record(
-                    list(t.bracket[(1, 0)][i][a]) == list(l.rho[a][i]),
+                    t.bracket[(1, 0)][i][a] == l.rho[a][i],
                     f"degree (1,0) bracket differs from the action at ({i}, {a})",
                 )
         record(
@@ -405,21 +414,21 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
             s = _sigma(p, q, t.convention)
             for i in range(t.dims[p]):
                 for j in range(t.dims[q]):
-                    lhs = list(t.bracket[(p, q)][i][j])
-                    rhs = [-s * x for x in t.bracket[(q, p)][j][i]]
+                    lhs, rhs = t.bracket[(p, q)][i][j], t.bracket[(q, p)][j][i]
                     record(
-                        lhs == rhs,
+                        not sparse_sum(_Q, chain(
+                            lhs.items(), ((k, s * x) for k, x in rhs.items())
+                        )),
                         f"antisymmetry fails in degrees ({p}, {q}) at ({i}, {j})",
                     )
 
-    # cell[(p, q)][i][j] is [e_i, e_j], column[(p, q)][j][i] the same dict,
-    # and diff[n][j] is d e_j, all as sparse rows
-    cell = {key: [[_sparse(v) for v in row] for row in table] for key, table in t.bracket.items()}
+    # cell[(p, q)][i][j] is [e_i, e_j], column[(p, q)][j][i] the same row,
+    # and diff[n][j] is d e_j
+    cell, diff = t.bracket, t.differential
     column = {
         (p, q): [[row[j] for row in rows] for j in range(t.dims[q])]
         for (p, q), rows in cell.items()
     }
-    diff = [()] + [[_sparse(v) for v in rows] for rows in t.differential[1:]]
 
     for p in range(D + 1):
         for q in range(D + 1 - p):

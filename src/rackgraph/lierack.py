@@ -253,7 +253,11 @@ def derivative_check(
     nx = r.lie.dim_x
     if nx == 0:
         return NumericReport(True, {"err_h": 0.0, "err_h_half": 0.0})
-    table = np.array(leibniz_bracket(l_exact).bracket, dtype=float)
+    table = np.zeros((nx, nx, nx))
+    for i, row in enumerate(leibniz_bracket(l_exact).bracket):
+        for j, cell in enumerate(row):
+            for k, v in cell.items():
+                table[i, j, k] = v
     x, y = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 2, nx)).transpose(1, 0, 2)
     exact = np.einsum("si,sj,ijk->sk", x, y, table)
 

@@ -4,21 +4,14 @@ Scalars are ints and `fractions.Fraction`s over the rationals and plain
 ints in [0, p) over a prime field.  Subspaces are kept in reduced row echelon
 form, which makes equality and membership canonical.
 
-Vectors come in two formats, by one rule.  A vector of an ambient space
-field^n is a sparse dict {index: value}: subspace basis rows, the columns
-of the Hopf structure maps, tensors, and coefficients in a filtration's
-adapted basis.  `sparse_sum` builds such vectors from (index, value)
-terms, reducing mod p once and dropping zeros.  A coordinate vector in a
-quotient basis is a dense list: the output of `SubquotientBasis.coords`,
-the Lie bracket and differential tables built from it, and the rows of
-`induced_matrix`, which returns its matrix as a tuple of row tuples.
-Linear combinations of those go through `combine` (sum of c_j * rows[j])
-and `bilinear` (a bilinear map from its structure constants), which
-accumulate in place, skip zeros, and reduce mod p once at the end; the
-free graded extension builds its bracket and differential tables with
-them.  A check that evaluates many identities on finished tables reads
-each table cell once as a sparse row and sums products with
-`sparse_sum`, as `liealg.verify_e_truncation` does.
+Every vector is a sparse dict {index: value} with no zero values, over
+F_p its values in [0, p) and over Q ints unless a division made them
+Fractions: subspace basis rows, the columns of the Hopf structure maps
+and of `induced_matrix`, tensors, `SubquotientBasis.coords`, and
+coefficients in a filtration's adapted basis.  `sparse_sum` builds such
+vectors from (index, value) terms, reducing mod p once and dropping
+zeros; an identity is one `sparse_sum` of its terms, which holds when the
+sum is empty.
 
 Every row reduction over a field goes through one sparse kernel, `rref`,
 and `Subspace` keeps its output rows as they are.  Boundary matrices are
@@ -87,50 +80,12 @@ class FieldSpec:
     def is_prime_field(self) -> bool:
         return self.kind == "fp"
 
-    def zero(self):
-        return 0 if self.is_prime_field else Fraction(0)
-
     def label(self) -> str:
         return "q" if self.kind == "q" else f"f{self.p}"
 
 
 # ---------------------------------------------------------------------------
-# linear combinations
-
-
-def _axpy(acc: list, c, row) -> None:
-    """acc += c * row in place, skipping zero entries of row."""
-    for k, x in enumerate(row):
-        if x:
-            acc[k] += c * x
-
-
-def _settle(field: FieldSpec, acc: list) -> list:
-    """Entries of an accumulator in [0, p) over F_p; over Q they are exact."""
-    if field.is_prime_field:
-        return [x % field.p for x in acc]
-    return acc
-
-
-def combine(field: FieldSpec, coeffs, rows, n: int) -> list:
-    """sum_j coeffs[j] * rows[j] in field^n, skipping zero coefficients."""
-    acc = [field.zero()] * n
-    for c, row in zip(coeffs, rows):
-        if c:
-            _axpy(acc, c, row)
-    return _settle(field, acc)
-
-
-def bilinear(field: FieldSpec, table, u, v, n: int) -> list:
-    """sum_ij u_i v_j * table[i][j] in field^n: a bilinear map from its
-    structure constants, skipping zero coefficients."""
-    acc = [field.zero()] * n
-    for a, cells in zip(u, table):
-        if a:
-            for b, cell in zip(v, cells):
-                if b:
-                    _axpy(acc, a * b, cell)
-    return _settle(field, acc)
+# sparse vectors
 
 
 def sparse_sum(field: FieldSpec, terms) -> dict:
@@ -464,8 +419,9 @@ class SubquotientBasis:
     def dim(self) -> int:
         return len(self.rep_rows)
 
-    def coords(self, vector) -> list:
-        """Coset coordinates of a vector of V; raises if vector not in V.
+    def coords(self, vector) -> dict:
+        """Coset coordinates of a vector of V as a sparse vector; raises if
+        vector not in V.
 
         Reducing by W clears W's pivot columns without leaving the coset;
         what is left is a combination of the representative rows alone, so
@@ -473,7 +429,7 @@ class SubquotientBasis:
         u = self.w.reduce(vector)
         if not self.v.contains(u):
             raise ValueError("vector not in the subspace V")
-        return [u.get(p, 0) for p in self.rep_pivots]
+        return {i: u[p] for i, p in enumerate(self.rep_pivots) if p in u}
 
 
 class FilteredSpace:
@@ -555,8 +511,9 @@ def induced_matrix(
     dst: SubquotientBasis,
     check_kernel: Subspace | None = None,
 ) -> tuple:
-    """Rows of the matrix of the map induced on quotients by `apply_map`
-    (sparse vector -> sparse vector), one per basis element of `dst`.
+    """Columns of the matrix of the map induced on quotients by `apply_map`
+    (sparse vector -> sparse vector): one sparse vector of `dst`
+    coordinates per basis element of `src`.
 
     When check_kernel is given, verifies apply_map sends it into the
     denominator of `dst` (well-definedness on cosets).
@@ -565,5 +522,4 @@ def induced_matrix(
         for row in check_kernel.basis:
             if not dst.w.contains(apply_map(row)):
                 raise ValueError("map is not well-defined on cosets")
-    cols = [dst.coords(apply_map(row)) for row in src.rep_rows]
-    return tuple(tuple(col[i] for col in cols) for i in range(dst.dim))
+    return tuple(dst.coords(apply_map(row)) for row in src.rep_rows)

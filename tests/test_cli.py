@@ -70,6 +70,27 @@ def test_missing_file():
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read"),
+        (b'\xff{"schema": 1}', "not valid UTF-8"),
+        (b"[" * 100000, "not valid JSON"),
+    ],
+    ids=["directory", "not_utf8", "nested_too_deeply"],
+)
+def test_unreadable_input_is_a_schema_error(tmp_path, content, message):
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, report, _ = run_cli(["validate", str(path)])
+    assert code == 2
+    assert report["error"]["path"] == ""
+    assert report["error"]["message"].startswith(message)
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (["homology", "corpus/dihedral_3.json", "--max-degree", "0"], "degree bound must be positive"),
@@ -459,6 +480,15 @@ def test_out_refuses_divergent_overwrite(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(target.read_text(encoding="utf-8"))["ok"] is True
+
+
+@pytest.mark.parametrize("target", ["", "missing/report.json"], ids=["directory", "missing_parent"])
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, target):
+    code = cli.main(["presentation", "corpus/trivial_2.json", "--out", str(tmp_path / target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_console_entry_point_runs():

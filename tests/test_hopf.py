@@ -341,13 +341,32 @@ def test_pi_star_two_element_example_mod_two():
     rack = toy_rack_c2()
     c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
     assert c.p_dims[0] == 1
-    assert c.pi_star[0] == ((1,),)
+    assert c.pi_star[0] == ({0: 1},)
     # I/I^2 is G_ab (x) F2 and degree 0 sends an orbit to the class of pi(x):
     # a transposition is odd in S3, u^2 is twice the generator of C4
-    for name, image in (("s3_transpositions", ((1,),)), ("c4_u2", ((0,),))):
+    for name, image in (("s3_transpositions", ({0: 1},)), ("c4_u2", ({},))):
         rack = sample_racks()[name]
         c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
         assert c.pi_star[0] == image
+
+
+def test_pi_star_columns_are_sparse_rows():
+    # one sparse column per source basis element, with no zero value and
+    # with integral values as ints
+    columns = 0
+    for rack in sample_racks().values():
+        for field in (Q, F2, F3, F5):
+            c = coinvariant_module(rack, field, group_ideal_levels(rack.group, field)[0])
+            for n, mat in enumerate(c.pi_star):
+                assert len(mat) == c.p_dims[n]
+                for column in mat:
+                    columns += 1
+                    assert isinstance(column, dict), column
+                    assert all(
+                        x and not (isinstance(x, Fraction) and x.denominator == 1)
+                        for x in column.values()
+                    ), column
+    assert columns
 
 
 def test_graded_dimension_identity_and_raising():
@@ -437,12 +456,11 @@ def test_pi_star_lands_in_graded_primitives():
         b = hopf_of(rack, F2)
         f = augmentation_filtration(b)
         c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
-        for n, mat in enumerate(c.pi_star):
-            if n + 2 >= len(f.levels_g) or not mat or not mat[0]:
+        for n, columns in enumerate(c.pi_star):
+            if n + 2 >= len(f.levels_g) or not columns:
                 continue
             prim = graded_primitive_subspace(b, f, n + 1)
-            for j in range(len(mat[0])):
-                column = {i: row[j] for i, row in enumerate(mat) if row[j]}
+            for column in columns:
                 assert prim.contains(column), (name, n)
                 proper += bool(column) and prim.dim < prim.ambient_dim
     assert proper

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from rackgraph.jsonio import load_path
+from rackgraph.jsonio import dump_lm_lie, load_path
 from rackgraph.liealg import (
     KOSZUL,
     PLAIN,
@@ -47,21 +47,21 @@ def test_sl2_leibniz_equals_lie_bracket():
 
 
 def test_corrupt_structure_constants_detected():
-    l = sl2_adjoint()
-    c = [[list(v) for v in plane] for plane in l.c]
+    doc = dump_lm_lie(sl2_adjoint())
+    c = doc["c"]
     c[0][1] = [0, 3, 0]
     c[1][0] = [0, -3, 0]
-    bad = LMLieAlgebra.make(c, l.rho, l.f)
+    bad = LMLieAlgebra.make(c, doc["rho"], doc["f"])
     report = validate_lm_lie(bad)
     assert not report.ok
     assert any("Jacobi" in v for v in report.violations)
 
 
 def test_corrupt_action_detected():
-    l = sl2_adjoint()
-    rho = [[list(r) for r in mat] for mat in l.rho]
+    doc = dump_lm_lie(sl2_adjoint())
+    rho = doc["rho"]
     rho[0][0][0] += 1
-    bad = LMLieAlgebra.make(l.c, rho, l.f)
+    bad = LMLieAlgebra.make(doc["c"], rho, doc["f"])
     report = validate_lm_lie(bad)
     assert not report.ok
     assert any("module axiom" in v or "equivariance" in v for v in report.violations)
@@ -71,17 +71,15 @@ def test_nilpotent_pair_valid_but_not_lie():
     l = nilpotent_pair()
     assert validate_lm_lie(l).ok
     b = leibniz_bracket(l)
-    assert b.bracket[1][1] == (Fraction(1), Fraction(0))
-    assert b.bracket[0][1] == (Fraction(0), Fraction(0))
-    assert b.bracket[1][0] == (Fraction(0), Fraction(0))
+    assert b.bracket[1][1] == {0: 1}
+    assert b.bracket[0][1] == {}
+    assert b.bracket[1][0] == {}
     # the square of m2 is nonzero, so the bracket is not antisymmetric
-    assert any(b.bracket[1][1])
+    assert b.bracket[1][1]
 
 
 def test_non_leibniz_table_detected():
-    one = Fraction(1)
-    zero = Fraction(0)
-    table = tuple(tuple((one, zero) for _ in range(2)) for _ in range(2))
+    table = tuple(tuple({0: 1} for _ in range(2)) for _ in range(2))
     report = verify_leibniz(LeibnizAlgebra(2, table))
     assert not report.ok
     assert "Leibniz" in report.violations[0]
@@ -152,6 +150,30 @@ def test_dims_follow_witts_formula(path, convention):
     assert dims == (l.dim_g,) + tuple(_witt(l.dim_m, n, convention) for n in range(1, 6))
 
 
+def _is_sparse_row(v) -> bool:
+    """The one vector format: a dict {index: value} with no zero value and
+    with integral values as ints."""
+    return isinstance(v, dict) and all(
+        x and not (isinstance(x, Fraction) and x.denominator == 1) for x in v.values()
+    )
+
+
+@pytest.mark.parametrize("convention", [KOSZUL, PLAIN])
+@pytest.mark.parametrize(
+    "path", LM_LIE_FILES + [None], ids=lambda p: p.stem if p else "sl2_rescaled"
+)
+def test_every_row_is_a_sparse_row(path, convention):
+    # the corpus files load with every value a Fraction, and the rescaled
+    # sl2 makes integral Fractions in the tables' arithmetic
+    l = load_path(str(path))[1] if path else _sl2_rescaled()
+    t = e_functor(l, 4, convention)
+    rows = [v for table in (*l.c, *l.rho) for v in table] + list(l.f)
+    rows += [cell for table in t.bracket.values() for row in table for cell in row]
+    rows += [row for rows_n in t.differential for row in rows_n]
+    rows += [cell for row in leibniz_bracket(l).bracket for cell in row]
+    assert [v for v in rows if not _is_sparse_row(v)] == []
+
+
 def _all_words(m: int, n: int) -> list:
     """Every binary bracket word with n leaves on the letters 0..m-1: by the
     degree of the left factor, then the left and right factors each in its
@@ -184,11 +206,11 @@ def _expand(w, convention: str) -> dict:
 
 def _substitute(tensor: dict, rho) -> dict:
     """The derivation of the tensor algebra that acts on each letter by rho,
-    row x being the image of letter x."""
+    sparse row x being the image of letter x."""
     out: dict = {}
     for key, c in tensor.items():
         for t, x in enumerate(key):
-            for z, r in enumerate(rho[x]):
+            for z, r in rho[x].items():
                 new = key[:t] + (z,) + key[t + 1:]
                 out[new] = out.get(new, 0) + c * r
     return {k: c for k, c in out.items() if c}
@@ -203,10 +225,10 @@ def test_basis_and_tables_against_every_bracket_word(path, convention):
     _, l = load_path(str(path))
     t = e_functor(l, 4, convention)
 
-    def expanded(n: int, coords) -> dict:
+    def expanded(n: int, coords: dict) -> dict:
         out: dict = {}
-        for c, w in zip(coords, t.basis_words[n]):
-            for k, x in _expand(w, convention).items():
+        for i, c in coords.items():
+            for k, x in _expand(t.basis_words[n][i], convention).items():
                 out[k] = out.get(k, 0) + c * x
         return {k: c for k, c in out.items() if c}
 
@@ -264,8 +286,7 @@ def test_nilpotent_differential_values():
     assert t.basis_words[2] == ((0, 0), (1, 0), (1, 1))
     # d[m2, m2] = [f(m2), m2] - [m2, f(m2)] = -2 (m2 acted by a) = -2 m1,
     # while the other squares die because f(m1) = 0 and the action kills m1
-    zero = (Fraction(0), Fraction(0))
-    assert t.differential[2] == (zero, zero, (Fraction(-2), Fraction(0)))
+    assert t.differential[2] == ({}, {}, {0: -2})
 
 
 def test_empty_module_collapses_to_degree_zero():
@@ -286,19 +307,23 @@ def test_bad_arguments():
         e_functor(free_generators(12), 5, PLAIN)
 
 
-def _retabled(rows):
-    return tuple(tuple(tuple(v) for v in row) for row in rows)
+def _bumped(rows, at, k, delta):
+    """rows, a tuple of sparse rows nested as deep as the index tuple `at`,
+    with delta added at index k of the row at `at`."""
+    if len(at) > 1:
+        return rows[:at[0]] + (_bumped(rows[at[0]], at[1:], k, delta),) + rows[at[0] + 1:]
+    row = dict(rows[at[0]])
+    row[k] = row.get(k, 0) + delta
+    return rows[:at[0]] + ({z: x for z, x in row.items() if x},) + rows[at[0] + 1:]
 
 
 def test_tampered_table_detected():
     l = nilpotent_pair()
     t = e_functor(l, 2, KOSZUL)
     tables = dict(t.bracket)
-    broken = [list(map(list, row)) for row in tables[(1, 1)]]
     # leak the square of m2 into [m1, m1]; its differential is nonzero,
     # so the derivation rule must notice
-    broken[0][0][2] += 1
-    tables[(1, 1)] = _retabled(broken)
+    tables[(1, 1)] = _bumped(tables[(1, 1)], (0, 0), 2, 1)
     bad = dataclasses.replace(t, bracket=tables)
     report = verify_e_truncation(bad, l)
     assert not report.ok
@@ -326,9 +351,7 @@ def test_tampered_degree_three_table_breaks_only_jacobi():
     # rule cannot see it and only Jacobi can
     tables = dict(t.bracket)
     for key, delta in (((1, 2), 1), ((2, 1), -1)):
-        rows = [list(map(list, row)) for row in tables[key]]
-        rows[0][0][1] += delta
-        tables[key] = _retabled(rows)
+        tables[key] = _bumped(tables[key], (0, 0), 1, delta)
     report = verify_e_truncation(dataclasses.replace(t, bracket=tables), l)
     assert t.dims == (1, 2, 1, 2)
     assert report.checked == 92
@@ -353,9 +376,8 @@ def test_tampered_differential_breaks_d_squared():
     t = e_functor(l, 3, KOSZUL)
     # d of the first degree-3 element picks up the third degree-2 element,
     # whose own differential is -2 m1
-    d = [list(map(list, rows)) for rows in t.differential]
-    d[3][0][2] += 1
-    report = verify_e_truncation(dataclasses.replace(t, differential=_retabled(d)), l)
+    d = _bumped(t.differential, (3, 0), 2, 1)
+    report = verify_e_truncation(dataclasses.replace(t, differential=d), l)
     assert report.checked == 148
     assert report.violations == (
         "derivation rule fails in degrees (0,3) at (0,0)",
@@ -402,9 +424,7 @@ def test_tampered_table_by_a_fraction_detected():
     l = _sl2_rescaled()
     t = e_functor(l, 3, KOSZUL)
     tables = dict(t.bracket)
-    rows = [list(map(list, row)) for row in tables[(1, 1)]]
-    rows[1][2][0] += Fraction(1, 2)
-    tables[(1, 1)] = _retabled(rows)
+    tables[(1, 1)] = _bumped(tables[(1, 1)], (1, 2), 0, Fraction(1, 2))
     report = verify_e_truncation(dataclasses.replace(t, bracket=tables), l)
     assert not report.ok
     assert report.checked == 1212
