@@ -317,7 +317,8 @@ def load_path(path: str):
         raise SchemaError("", f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError("", f"not valid UTF-8: {exc.reason} at byte {exc.start}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a decode error, or an integer over the interpreter's digit limit
         raise SchemaError("", f"not valid JSON: {exc}") from None
     except RecursionError:
         raise SchemaError("", "not valid JSON: nested too deeply") from None

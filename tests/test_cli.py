@@ -75,8 +75,9 @@ def test_missing_file():
         (None, "cannot read"),
         (b'\xff{"schema": 1}', "not valid UTF-8"),
         (b"[" * 100000, "not valid JSON"),
+        (b'{"schema": 1, "kind": "rack", "op": [[1' + b"0" * 5000 + b"]]}", "not valid JSON"),
     ],
-    ids=["directory", "not_utf8", "nested_too_deeply"],
+    ids=["directory", "not_utf8", "nested_too_deeply", "integer_too_long"],
 )
 def test_unreadable_input_is_a_schema_error(tmp_path, content, message):
     path = tmp_path / "input.json"
