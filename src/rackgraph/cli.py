@@ -52,6 +52,13 @@ from .racks import (
 )
 
 
+# Largest --max-degree that homology and hopf accept.  The longest hopf
+# filtration on the corpus has 10 levels, and a complex on two or more rack
+# elements is over the size cap from degree 20; past this, a one-element
+# rack or a padded stable level only costs time.
+MAX_DEGREE = 64
+
+
 @dataclass
 class Manifest:
     """One resolved invocation; run() needs nothing else."""
@@ -75,6 +82,8 @@ def _check_manifest(m: Manifest) -> None:
         raise SchemaError("", f"no such file: {m.input_path}")
     if m.max_degree is not None and m.max_degree < 1:
         raise SchemaError("", "degree bound must be positive")
+    if m.command in ("homology", "hopf") and (m.max_degree or 0) > MAX_DEGREE:
+        raise SchemaError("", f"degree bound {m.max_degree} exceeds the limit {MAX_DEGREE}")
     # no residual exceeds nan or inf, so either would pass every check
     if m.tol is not None and not 0 < m.tol < float("inf"):
         raise SchemaError("", "tolerance must be finite and positive")

@@ -26,7 +26,6 @@ from .racks import (
     cyclic_group,
     dihedral_group_4,
     dihedral_quandle,
-    inner_group,
     quaternion_group_8,
     symmetric_group_3,
     toy_rack_c2,
@@ -65,14 +64,6 @@ def bare_racks() -> dict[str, FiniteRack]:
     out = {f"trivial_{n}": trivial_rack(n) for n in (1, 2, 3)}
     for n in (3, 4, 5, 6):
         out[f"dihedral_{n}"] = dihedral_quandle(n)
-    return out
-
-
-def all_augmented() -> dict[str, AugmentedRack]:
-    """Every corpus rack as an augmented rack; bare racks get their inner augmentation."""
-    out = dict(augmented_racks())
-    for name, r in bare_racks().items():
-        out[name] = inner_group(r)[1]
     return out
 
 

@@ -14,9 +14,8 @@ vertex by pi(xi) and conjugates the earlier letters by it.
 One builder makes two complexes from the faces, with signs
 sum_i (-1)^i (d_i^0 - d_i^1): the full one on basis G x X^n, and the reduced
 one on X^n obtained by forgetting the leading vertex.  It reads the faces
-off the rack tables directly; `ProductCube`, `cube_product`,
-`normalize_word` and `face` spell out the graph product that they come
-from, and the tests compare the builder's columns against them.
+off the rack tables directly; the tests compare its columns against the
+graph product spelled out on normal forms in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -25,67 +24,6 @@ from dataclasses import dataclass
 
 from .linalg import FieldSpec, eliminate_unit_pivots, rref, smith_normal_form
 from .racks import AugmentedRack
-
-
-@dataclass(frozen=True)
-class ProductCube:
-    leading: int  # vertex (group element)
-    letters: tuple[int, ...]  # elements of X
-
-    @property
-    def dim(self) -> int:
-        return len(self.letters)
-
-
-@dataclass(frozen=True)
-class ArrowWord:
-    """Nonempty word of tokens; ('v', g) is a vertex, ('a', g, x) an arrow g.x."""
-
-    tokens: tuple
-
-    @staticmethod
-    def make(tokens) -> "ArrowWord":
-        tokens = tuple(tuple(t) for t in tokens)
-        if not tokens:
-            raise ValueError("empty word")
-        for t in tokens:
-            if t[0] not in ("v", "a"):
-                raise ValueError(f"bad token {t!r}")
-        return ArrowWord(tokens)
-
-
-def cube_product(c1: ProductCube, c2: ProductCube, a: AugmentedRack) -> ProductCube:
-    g = a.group.mul[c1.leading][c2.leading]
-    h = c2.leading
-    moved = tuple(a.action[x][h] for x in c1.letters)
-    return ProductCube(g, moved + c2.letters)
-
-
-def normalize_word(w: ArrowWord, a: AugmentedRack) -> ProductCube:
-    acc = ProductCube(a.group.identity, ())
-    for t in w.tokens:
-        if t[0] == "v":
-            cube = ProductCube(t[1], ())
-        else:
-            cube = ProductCube(t[1], (t[2],))
-        acc = cube_product(acc, cube, a)
-    return acc
-
-
-def face(c: ProductCube, i: int, eps: int, a: AugmentedRack) -> ProductCube:
-    """i in 1..n; eps 0 = source, 1 = target."""
-    n = c.dim
-    if not 1 <= i <= n:
-        raise ValueError("face index out of range")
-    letters = c.letters
-    if eps == 0:
-        return ProductCube(c.leading, letters[: i - 1] + letters[i:])
-    if eps != 1:
-        raise ValueError("eps must be 0 or 1")
-    p = a.pi[letters[i - 1]]
-    lead = a.group.mul[c.leading][p]
-    moved = tuple(a.action[x][p] for x in letters[: i - 1])
-    return ProductCube(lead, moved + letters[i:])
 
 
 @dataclass(frozen=True)
@@ -120,17 +58,17 @@ class ChainComplex:
         return dense
 
 
-DEFAULT_SIZE_CAP = 10**6
+SIZE_CAP = 10**6
 
 
 class ComplexTooLarge(ValueError):
     """The top chain group of a requested complex is over the size cap."""
 
 
-def _check_cap(size: int, formula: str, cap: int) -> None:
-    if size > cap:
+def _check_cap(size: int, formula: str) -> None:
+    if size > SIZE_CAP:
         raise ComplexTooLarge(
-            f"memory bound exceeded: basis size {size} ({formula}) > cap {cap}"
+            f"memory bound exceeded: basis size {size} ({formula}) > cap {SIZE_CAP}"
         )
 
 
@@ -172,21 +110,19 @@ def _cube_complex(a: AugmentedRack, max_degree: int, heads: dict) -> ChainComple
     return ChainComplex(max_degree, tuple(map(len, labels)), tuple(boundaries), labels)
 
 
-def bq_chain_complex(a: AugmentedRack, max_degree: int = 4, size_cap: int = DEFAULT_SIZE_CAP) -> ChainComplex:
+def bq_chain_complex(a: AugmentedRack, max_degree: int = 4) -> ChainComplex:
     """Reduced complex on basis X^n (C_0 has rank 1): the full complex with
     the leading vertex forgotten, so its one head is the empty one."""
     base = max(a.x_size, 1)
-    _check_cap(base**max_degree, f"{base}^{max_degree}", size_cap)
+    _check_cap(base**max_degree, f"{base}^{max_degree}")
     return _cube_complex(a, max_degree, {(): [()] * a.x_size})
 
 
-def eq_chain_complex(a: AugmentedRack, max_degree: int = 4, size_cap: int = DEFAULT_SIZE_CAP) -> ChainComplex:
+def eq_chain_complex(a: AugmentedRack, max_degree: int = 4) -> ChainComplex:
     """Full complex on basis G x X^n."""
     order = a.group.order
     base = max(a.x_size, 1)
-    _check_cap(
-        order * base**max_degree, f"{order} x {base}^{max_degree}, full complex", size_cap
-    )
+    _check_cap(order * base**max_degree, f"{order} x {base}^{max_degree}, full complex")
     mul = a.group.mul
     heads = {(g,): [(mul[g][p],) for p in a.pi] for g in range(order)}
     return _cube_complex(a, max_degree, heads)

@@ -171,82 +171,6 @@ def graph_to_rack(q: GroupLikeGraph) -> AugmentedRack:
     return AugmentedRack.make(grp, action, pi)
 
 
-@dataclass(frozen=True)
-class GraphIsomorphism:
-    """Vertex and arrow bijections between two group-like graphs over the
-    same vertex group (vertex map is a group automorphism; here always id)."""
-
-    vertex_map: tuple[int, ...]
-    arrow_map: tuple[int, ...]
-
-
-def verify_graph_iso(q1: GroupLikeGraph, q2: GroupLikeGraph, iso: GraphIsomorphism) -> bool:
-    """Does iso carry q1 onto q2 compatibly with s, t, and both actions?"""
-    vm, am = iso.vertex_map, iso.arrow_map
-    n, na = q1.graph.vertex_count, q1.graph.arrow_count
-    if q2.graph.vertex_count != n or q2.graph.arrow_count != na:
-        return False
-    if sorted(vm) != list(range(n)) or sorted(am) != list(range(na)):
-        return False
-    for g in range(n):
-        for h in range(n):
-            if vm[q1.vertex_group.mul[g][h]] != q2.vertex_group.mul[vm[g]][vm[h]]:
-                return False
-    for a in range(na):
-        if vm[q1.graph.source(a)] != q2.graph.source(am[a]):
-            return False
-        if vm[q1.graph.target(a)] != q2.graph.target(am[a]):
-            return False
-    for g in range(n):
-        for a in range(na):
-            if am[q1.left_act[g][a]] != q2.left_act[vm[g]][am[a]]:
-                return False
-            if am[q1.right_act[g][a]] != q2.right_act[vm[g]][am[a]]:
-                return False
-    return True
-
-
-def roundtrip_graph_iso(q: GroupLikeGraph) -> tuple[GroupLikeGraph, GraphIsomorphism]:
-    """Canonical isomorphism q -> rack_to_graph(graph_to_rack(q)),
-    a |-> (s(a), s(a)^-1 . a).  Requires unitality (validated group-like input)."""
-    rack = graph_to_rack(q)
-    std = rack_to_graph(rack)
-    grp = q.vertex_group
-    e = grp.identity
-    xs = [a for a in range(q.graph.arrow_count) if q.graph.source(a) == e]
-    pos = {a: i for i, a in enumerate(xs)}
-    arrow_map = []
-    for a in range(q.graph.arrow_count):
-        g = q.graph.source(a)
-        x = q.left_act[grp.inv[g]][a]
-        if q.graph.source(x) != e:
-            raise ValueError("left action does not translate sources")
-        arrow_map.append(_arrow_index(rack.x_size, g, pos[x]))
-    iso = GraphIsomorphism(tuple(range(grp.order)), tuple(arrow_map))
-    if not verify_graph_iso(q, std, iso):
-        raise ValueError("canonical roundtrip map is not an isomorphism")
-    return std, iso
-
-
-def relabel_arrows(q: GroupLikeGraph, perm) -> GroupLikeGraph:
-    """Transport the structure along an arrow relabeling a -> perm[a]."""
-    perm = list(perm)
-    na = q.graph.arrow_count
-    if sorted(perm) != list(range(na)):
-        raise ValueError("not a permutation of the arrows")
-    arrows = [None] * na
-    for a in range(na):
-        arrows[perm[a]] = q.graph.arrows[a]
-    inv = [0] * na
-    for a in range(na):
-        inv[perm[a]] = a
-    n = q.graph.vertex_count
-    left = [[perm[q.left_act[g][inv[b]]] for b in range(na)] for g in range(n)]
-    right = [[perm[q.right_act[g][inv[b]]] for b in range(na)] for g in range(n)]
-    graph = DirectedMultigraph.make(n, arrows)
-    return GroupLikeGraph(graph, q.vertex_group, tuple(tuple(r) for r in left), tuple(tuple(r) for r in right))
-
-
 def unit_component(q: GroupLikeGraph) -> tuple[tuple[int, ...], bool]:
     """Vertices of the connected component of the identity, and whether the
     whole graph is connected.  The component is checked to be the normal

@@ -27,7 +27,6 @@ from .linalg import (
     SubquotientBasis,
     Subspace,
     induced_matrix,
-    nullspace,
     sparse_sum,
 )
 from .racks import AugmentedRack, FiniteGroup, ValidationReport, orbits
@@ -224,10 +223,6 @@ class FiltrationLevels:
     levels_a: tuple
     stab_g: int
     stab_a: int
-
-    @property
-    def stabilization(self) -> int:
-        return max(self.stab_g, self.stab_a)
 
 
 class DepthTooShallow(RuntimeError):
@@ -434,7 +429,7 @@ def coinvariant_module(
     p_dims = tuple(
         levels_x[n].dim - levels_x[n + 1].dim for n in range(len(levels_x) - 1)
     )
-    norbits = len(orbits(a, "group_action"))
+    norbits = len(orbits(a))
     if p_dims[0] != norbits:
         raise AssertionError(
             f"degree-0 graded dimension {p_dims[0]} != orbit count {norbits}"
@@ -524,44 +519,3 @@ def verify_graded_structure(
             violations.append(f"phi does not raise the degree at level {n}")
 
     return ValidationReport.collect(violations, checked)
-
-
-def graded_primitive_subspace(b: LMBialgebra, f: FiltrationLevels, n: int) -> Subspace:
-    """Classes [v] in graded piece n of H whose reduced coproduct
-    Delta0(v) - v(x)1 - 1(x)v falls one filtration stage deeper.
-
-    Returned in the coordinates of the graded piece's representative basis,
-    which are the adapted rows of degree n.
-    """
-    if n < 1:
-        raise ValueError("graded primitives live in positive degrees")
-    field = b.field
-    h = b.h_dim
-    e = b.group.identity
-    fg = FilteredSpace(f.levels_g)
-    level = [i for i, d in enumerate(fg.degrees) if d >= n]
-    piece = [k for k, i in enumerate(level) if fg.degrees[i] == n]
-    if not piece:
-        return Subspace.zero(field, 0)
-    def reduced_coproduct(v):
-        return sparse_sum(field, (
-            term
-            for g, c in v.items()
-            for term in ((g * h + g, c), (g * h + e, -c), (e * h + g, -c))
-        ))
-
-    # coordinates modulo level n+1 of H(x)H: one row per product of degree
-    # sum <= n, one column per adapted row of the level
-    rows = {
-        r * fg.dim + s: {}
-        for r, dr in enumerate(fg.degrees)
-        for s, ds in enumerate(fg.degrees)
-        if dr + ds <= n
-    }
-    for col, i in enumerate(level):
-        for k, x in fg.tensor_coefficients(fg, reduced_coproduct(fg.rows[i])).items():
-            if k in rows:
-                rows[k][col] = x
-    kernel = nullspace(field, len(level), list(rows.values()))
-    coords = [{j: kappa[k] for j, k in enumerate(piece) if k in kappa} for kappa in kernel.basis]
-    return Subspace.from_vectors(field, len(piece), coords)

@@ -1,5 +1,5 @@
-"""Lie algebra pairs (module over a Lie algebra with an equivariant map), the
-derived Leibniz bracket, and the free graded extension up to a degree bound.
+"""Lie algebra pairs (module over a Lie algebra with an equivariant map) and
+the free graded extension up to a degree bound.
 
 Structure data is exact and sparse: every row is a dict {index: value}
 over Q with no zero values and with integral values as ints (`_vector`).
@@ -140,52 +140,6 @@ def validate_lm_lie(l: LMLieAlgebra) -> ValidationReport:
             violations.append(f"equivariance fails at action element {a}")
 
     return ValidationReport.collect(violations, checked)
-
-
-# ---------------------------------------------------------------------------
-# derived Leibniz bracket
-
-
-@dataclass(frozen=True)
-class LeibnizAlgebra:
-    """A bracket on a basis: bracket[i][j] is [e_i, e_j] as a sparse row."""
-
-    dim: int
-    bracket: tuple
-
-
-def verify_leibniz(b: LeibnizAlgebra) -> ValidationReport:
-    """Right Leibniz identity [x,[y,z]] = [[x,y],z] - [[x,z],y] on basis triples."""
-    n, br = b.dim, b.bracket
-    # right[z][t] = [e_t, e_z]
-    right = [[br[t][z] for t in range(n)] for z in range(n)]
-    violations: list[str] = []
-    checked = 0
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                checked += 1
-                if sparse_sum(_Q, chain(
-                    _products(1, br[y][z], br[x]),
-                    _products(-1, br[x][y], right[z]),
-                    _products(1, br[x][z], right[y]),
-                )):
-                    violations.append(f"Leibniz identity fails at ({x}, {y}, {z})")
-    return ValidationReport.collect(violations, checked)
-
-
-def leibniz_bracket(l: LMLieAlgebra) -> LeibnizAlgebra:
-    """[m, n] := m ^ f(n), which is a (generally non-Lie) Leibniz bracket."""
-    nm = l.dim_m
-    table = tuple(
-        tuple(_vector(_products(1, l.f[j], [rho_k[i] for rho_k in l.rho])) for j in range(nm))
-        for i in range(nm)
-    )
-    out = LeibnizAlgebra(nm, table)
-    report = verify_leibniz(out)
-    if not report.ok:
-        raise AssertionError(f"derived bracket is not Leibniz: {report.violations[0]}")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from math import factorial
 
 import numpy as np
 
-from .liealg import LMLieAlgebra, leibniz_bracket
-
 # denominator coefficients of the degree-13 diagonal Pade approximant,
 # scaled to integers: b_k = (26 - k)! / (k! (13 - k)!)
 _PADE13 = tuple(float(factorial(26 - k) // (factorial(k) * factorial(13 - k))) for k in range(14))
@@ -237,47 +235,6 @@ def verify_rack_numeric(
         violations.append(f"pi(0) differs from the identity by {pi0:.3e}")
     residuals = {"self_distributivity": max_sd, "equivariance": max_eq, "pi_zero": pi0}
     return NumericReport(not violations, residuals, tuple(violations))
-
-
-def derivative_check(
-    r: LinearLieRack,
-    l_exact: LMLieAlgebra,
-    h: float = 1e-3,
-    samples: int = 20,
-    seed: int = 1,
-) -> NumericReport:
-    """Central differences of rack_op(x, t y) at t = 0 against the exact
-    derived bracket, with the n^2 convergence ratio between h and h/2."""
-    if l_exact.dim_m != r.lie.dim_x or l_exact.dim_g != r.lie.dim_g:
-        raise ValueError("exact structure dimensions do not match")
-    nx = r.lie.dim_x
-    if nx == 0:
-        return NumericReport(True, {"err_h": 0.0, "err_h_half": 0.0})
-    table = np.zeros((nx, nx, nx))
-    for i, row in enumerate(leibniz_bracket(l_exact).bracket):
-        for j, cell in enumerate(row):
-            for k, v in cell.items():
-                table[i, j, k] = v
-    x, y = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 2, nx)).transpose(1, 0, 2)
-    exact = np.einsum("si,sj,ijk->sk", x, y, table)
-
-    def max_error(step: float) -> float:
-        forward, back = r.rack_op(np.stack([x, x]), np.stack([step * y, -step * y]))
-        diff = (forward - back) / (2.0 * step)
-        return float(np.max(np.abs(diff - exact), initial=0.0))
-
-    err_h = max_error(h)
-    err_half = max_error(h / 2.0)
-
-    residuals = {"err_h": err_h, "err_h_half": err_half}
-    if err_h < 1e-13:
-        # the exponential is linear to machine precision on these inputs
-        return NumericReport(True, residuals)
-    ratio = err_h / err_half if err_half else float("inf")
-    residuals["ratio"] = ratio
-    ok = 3.0 <= ratio <= 5.0
-    violations = () if ok else (f"convergence ratio {ratio:.3f} outside [3, 5]",)
-    return NumericReport(ok, residuals, violations)
 
 
 # ---------------------------------------------------------------------------

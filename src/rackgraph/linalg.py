@@ -177,10 +177,6 @@ class Subspace:
         return Subspace(field, ambient_dim, tuple(rref(field, rows)))
 
     @staticmethod
-    def zero(field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return Subspace(field, ambient_dim, ())
-
-    @staticmethod
     def full(field: FieldSpec, ambient_dim: int) -> "Subspace":
         return Subspace(field, ambient_dim, tuple({i: 1} for i in range(ambient_dim)))
 
@@ -509,17 +505,16 @@ def induced_matrix(
     apply_map,
     src: SubquotientBasis,
     dst: SubquotientBasis,
-    check_kernel: Subspace | None = None,
+    check_kernel: Subspace,
 ) -> tuple:
     """Columns of the matrix of the map induced on quotients by `apply_map`
     (sparse vector -> sparse vector): one sparse vector of `dst`
     coordinates per basis element of `src`.
 
-    When check_kernel is given, verifies apply_map sends it into the
-    denominator of `dst` (well-definedness on cosets).
+    Verifies first that apply_map sends check_kernel into the denominator
+    of `dst` (well-definedness on cosets).
     """
-    if check_kernel is not None:
-        for row in check_kernel.basis:
-            if not dst.w.contains(apply_map(row)):
-                raise ValueError("map is not well-defined on cosets")
+    for row in check_kernel.basis:
+        if not dst.w.contains(apply_map(row)):
+            raise ValueError("map is not well-defined on cosets")
     return tuple(dst.coords(apply_map(row)) for row in src.rep_rows)

@@ -22,8 +22,9 @@ class ValidationReport:
     checked: int
 
     @staticmethod
-    def collect(violations: list[str], checked: int, limit: int = 20) -> "ValidationReport":
-        return ValidationReport(not violations, tuple(violations[:limit]), checked)
+    def collect(violations: list[str], checked: int) -> "ValidationReport":
+        """A report keeping the first 20 violations."""
+        return ValidationReport(not violations, tuple(violations[:20]), checked)
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +329,9 @@ def _union_find_orbits(n: int, moves) -> list[list[int]]:
     return sorted(groups.values())
 
 
-def orbits(a: AugmentedRack, mode: str) -> list[list[int]]:
-    """mode='group_action': orbits of X under all of G.
-    mode='inner': orbits under the translations x -> x ^ pi(y)."""
-    if mode == "group_action":
-        moves = [
-            (x, a.action[x][g])
-            for x in range(a.x_size)
-            for g in range(a.group.order)
-        ]
-    elif mode == "inner":
-        moves = [
-            (x, a.action[x][a.pi[y]])
-            for x in range(a.x_size)
-            for y in range(a.x_size)
-        ]
-    else:
-        raise ValueError(f"unknown orbit mode {mode!r}")
+def orbits(a: AugmentedRack) -> list[list[int]]:
+    """Orbits of X under all of G."""
+    moves = [(x, a.action[x][g]) for x in range(a.x_size) for g in range(a.group.order)]
     return _union_find_orbits(a.x_size, moves)
 
 
@@ -354,16 +341,19 @@ def rack_orbits(r: FiniteRack) -> list[list[int]]:
     return _union_find_orbits(r.size, moves)
 
 
-def inner_group(r: FiniteRack, max_order: int = 20000) -> tuple[FiniteGroup, AugmentedRack]:
+INNER_GROUP_BOUND = 20000
+
+
+def inner_group(r: FiniteRack) -> tuple[FiniteGroup, AugmentedRack]:
     """Group generated by the right translations, plus the induced augmentation.
 
     The augmented rack has X = the rack elements, the evident right action of
     the translation group, and pi(x) = translation by x.  A group of more
-    than max_order elements raises GroupTooLarge.
+    than INNER_GROUP_BOUND elements raises GroupTooLarge.
     """
     n = r.size
     gens = [tuple(r.op[x][y] for x in range(n)) for y in range(n)]
-    group, elems = group_from_permutations(gens, max_order)
+    group, elems = group_from_permutations(gens, INNER_GROUP_BOUND)
     index = {p: i for i, p in enumerate(elems)}
     action = [[elems[g][x] for g in range(group.order)] for x in range(n)]
     pi = [index[gens[y]] for y in range(n)]
@@ -386,18 +376,15 @@ class Presentation:
         return out
 
 
-def associated_group_presentation(r: FiniteRack, names=None) -> Presentation:
-    """One generator per element; relations t_x t_y = t_y t_(x^y)."""
-    if names is None:
-        names = [f"t{i}" for i in range(r.size)]
-    if len(names) != r.size:
-        raise ValueError("need one name per rack element")
+def associated_group_presentation(r: FiniteRack) -> Presentation:
+    """One generator t<x> per element x; relations t_x t_y = t_y t_(x^y)."""
+    names = tuple(f"t{i}" for i in range(r.size))
     rels = []
     for x in range(r.size):
         for y in range(r.size):
             z = r.op[x][y]
             rels.append((x + 1, y + 1, -(z + 1), -(y + 1)))
-    return Presentation(tuple(names), tuple(rels))
+    return Presentation(names, tuple(rels))
 
 
 def abelianization(p: Presentation) -> tuple[int, list[int]]:
@@ -414,10 +401,3 @@ def abelianization(p: Presentation) -> tuple[int, list[int]]:
     rk, divisors = smith_normal_form(rows)
     return n - rk, [d for d in divisors if d > 1]
 
-
-def is_inverse_closed(a: AugmentedRack) -> bool:
-    """For injective pi: is the image of pi closed under group inversion?"""
-    if len(set(a.pi)) != a.x_size:
-        raise ValueError("pi is not injective; inverse-closure is not defined")
-    image = set(a.pi)
-    return all(a.group.inv[g] in image for g in image)

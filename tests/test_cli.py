@@ -163,6 +163,35 @@ def test_oversize_complex_refused(flags, message):
     assert report["error"] == {"path": "", "message": message}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the size check formatted 6^6001, past the integer digit limit
+        ["homology", "corpus/dihedral_6.json", "--max-degree", "6000"],
+        # one cell per degree never trips the size cap
+        ["homology", "corpus/toy_c2.json", "--max-degree", "1000"],
+        # the stable level was padded, and checked, 20000 times
+        ["hopf", "corpus/conj_q8.json", "--field", "q", "--max-degree", "20000"],
+    ],
+)
+def test_degree_bound_over_limit_refused(argv):
+    code, report, _ = run_cli(argv)
+    assert code == 2
+    assert report["error"] == {
+        "path": "",
+        "message": f"degree bound {argv[-1]} exceeds the limit {cli.MAX_DEGREE}",
+    }
+
+
+@pytest.mark.parametrize("command", ["homology", "hopf"])
+def test_degree_bound_at_limit_accepted(command):
+    code, report, _ = run_cli(
+        [command, "corpus/toy_c2.json", "--max-degree", str(cli.MAX_DEGREE)]
+    )
+    assert code == 0
+    assert report["ok"]
+
+
 def test_degree_bound_too_shallow_for_hopf():
     code, report, _ = run_cli(
         ["hopf", "corpus/toy_c2.json", "--field", "f2", "--max-degree", "1"]

@@ -2,17 +2,15 @@
 
 import random
 
+from oracles import relabel_arrows, roundtrip_graph_iso, verify_graph_iso
 from rackgraph.graphs import (
     DirectedMultigraph,
     MultiplicativeGraph,
     graph_to_rack,
     rack_to_graph,
-    relabel_arrows,
-    roundtrip_graph_iso,
     unit_component,
     validate_group_like,
     validate_multiplicative,
-    verify_graph_iso,
 )
 from rackgraph.racks import (
     conjugacy_class_rack,

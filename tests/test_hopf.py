@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from oracles import graded_primitive_subspace
 from rackgraph.graphs import graph_to_rack, rack_to_graph, unit_component
 from rackgraph.hopf import (
     augmentation_filtration,
     build_lm_hopf,
     coinvariant_module,
-    graded_primitive_subspace,
     group_ideal_levels,
     relative_ideal_levels,
     verify_connected_lemma,
@@ -519,7 +519,8 @@ def test_generator_steps_equal_all_element_steps(field):
         right = [[grp.mul[i][g] for i in range(n)] for g in others]
         full_h = Subspace.full(field, n)
         b = build_lm_hopf(q, field)
-        stable = augmentation_filtration(b).stabilization
+        f = augmentation_filtration(b)
+        stable = max(f.stab_g, f.stab_a)
         for depth in (None, stable + 2):
             levels_g, _ = group_ideal_levels(grp, field, depth)
             assert levels_g == all_elements_chain(field, full_h, left, len(levels_g)), name

@@ -13,22 +13,20 @@ from pathlib import Path
 
 import pytest
 
+from oracles import LeibnizAlgebra, leibniz_bracket, verify_leibniz
 from rackgraph.jsonio import dump_lm_lie, load_path
 from rackgraph.liealg import (
     KOSZUL,
     PLAIN,
-    LeibnizAlgebra,
     LMLieAlgebra,
     e_functor,
     free_generators,
-    leibniz_bracket,
     nilpotent_pair,
     one_generator,
     sl2_adjoint,
     so3_adjoint,
     validate_lm_lie,
     verify_e_truncation,
-    verify_leibniz,
 )
 from rackgraph.linalg import FieldSpec, nullspace
 

@@ -12,11 +12,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from oracles import derivative_check
 from rackgraph.liealg import nilpotent_pair, so3_adjoint, validate_lm_lie
 from rackgraph.lierack import (
     LinearLieRack,
     MatrixLMLie,
-    derivative_check,
     inert_pair,
     matrix_exp,
     nilpotent_matrix,

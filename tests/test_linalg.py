@@ -126,7 +126,7 @@ def test_membership_and_equality():
     a = Subspace.from_vectors(F3, 3, [{0: 1, 1: 1}, {2: 1}])
     assert a.contains({0: 1, 1: 1, 2: 1})
     assert not a.contains({0: 1})
-    assert Subspace.zero(F3, 3).dim == 0
+    assert Subspace.from_vectors(F3, 3, []).dim == 0
     assert Subspace.full(F3, 3).dim == 3
 
 
