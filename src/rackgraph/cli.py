@@ -34,6 +34,7 @@ from .hopf import (
     augmentation_filtration,
     build_lm_hopf,
     coinvariant_module,
+    level_at,
     verify_connected_lemma,
     verify_graded_structure,
     verify_hopf,
@@ -55,7 +56,7 @@ from .racks import (
 # Largest --max-degree that homology and hopf accept.  The longest hopf
 # filtration on the corpus has 10 levels, and a complex on two or more rack
 # elements is over the size cap from degree 20; past this, a one-element
-# rack or a padded stable level only costs time.
+# rack only costs time, and hopf only lengthens its lists.
 MAX_DEGREE = 64
 
 
@@ -207,6 +208,10 @@ def _cmd_homology(m: Manifest, kind, obj) -> tuple[int, dict]:
     return (0 if ok else 1), report
 
 
+def _dims(levels, length: int) -> list[int]:
+    return [level_at(levels, n).dim for n in range(length)]
+
+
 def _cmd_hopf(m: Manifest, kind, obj) -> tuple[int, dict]:
     a = _as_augmented(kind, obj)
     q = obj if kind == "graph" else rack_to_graph(a)
@@ -229,8 +234,10 @@ def _cmd_hopf(m: Manifest, kind, obj) -> tuple[int, dict]:
         "connected": connected,
         "group_dim": b.group.order,
         "arrow_dim": b.a_dim,
-        "filtration_h": [s.dim for s in filt.levels_g],
-        "filtration_a": [s.dim for s in filt.levels_a],
+        # the chains end at their first repeat; the report shows A to the
+        # depth and H two levels further, or to its own repeat if later
+        "filtration_h": _dims(filt.levels_g, max(len(filt.levels_g) + 1, filt.depth + 3)),
+        "filtration_a": _dims(filt.levels_a, filt.depth + 1),
         "coinvariant_dims": list(coinv.p_dims),
         "identities": _report_from(hopf_rep),
         "ideal_lemma": _report_from(lemma_rep),

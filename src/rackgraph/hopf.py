@@ -6,8 +6,9 @@ coproduct on each part (group-like on vertices, a(x)t(a) + s(a)(x)a on
 arrows), antipodes, and a counit.  Downstream of the structure maps live the
 powers of the augmentation ideal, the induced filtration of A, and the
 levels of the G-action on the rack labels, whose graded pieces form the
-coinvariant module.  The graded checks read degrees off bases adapted to
-these filtrations (linalg.FilteredSpace).
+coinvariant module.  Each filtration is held up to its first repeat, whose
+level stands for every later index (level_at).  The graded checks read
+degrees off bases adapted to these filtrations (linalg.FilteredSpace).
 
 Tensor index conventions, used consistently everywhere:
   H(x)H:  (g, h)  ->  g * |G| + h
@@ -212,53 +213,35 @@ class FiltrationLevels:
     """Powers of the augmentation ideal in H and the induced levels in A.
 
     levels_g[n] is the n-th ideal power (index 0 is all of H), levels_a[n]
-    the n-th level of A.  stab_g / stab_a are the first indices where the
-    chain repeats.  Each chain runs at least one step past its first
-    repeat, and levels_g is padded with its stable last level to two
-    entries more than levels_a.
+    the n-th level of A.  Each chain holds its distinct levels: it ends at
+    its first repeat, and its last entry stands for every later index (see
+    level_at).  depth is the last level of A that a report shows.
     """
 
     field: FieldSpec
     levels_g: tuple
     levels_a: tuple
-    stab_g: int
-    stab_a: int
+    depth: int
 
 
 class DepthTooShallow(RuntimeError):
     """An explicit depth ends before a filtration chain repeats."""
 
 
-def _chain(first: Subspace, step, depth: int | None):
-    """Decreasing subspace chain from `first`; stops at first repeat.
+def level_at(levels, n: int):
+    """Entry n of a chain that ends at its first repeat."""
+    return levels[min(n, len(levels) - 1)]
 
-    With an explicit depth the chain is extended to depth+1 entries (the
-    stable tail repeats).  Returns (levels, first_repeat_index).
-    """
+
+def _chain(first: Subspace, step) -> list:
+    """Decreasing subspace chain from `first` up to its first repeat: the
+    distinct levels, the last of which `step` maps onto itself."""
     levels = [first]
-    stab = None
-    cap = first.ambient_dim + 2
-    while True:
-        if stab is not None:
-            if depth is None or len(levels) > depth:
-                break
-            levels.append(levels[-1])
-            continue
-        if depth is not None and len(levels) > depth:
-            break
-        nxt = step(levels[-1])
+    while (nxt := step(levels[-1])) != levels[-1]:
         levels.append(nxt)
-        if nxt == levels[-2]:
-            stab = len(levels) - 2
-        elif len(levels) > cap:
+        if len(levels) > first.ambient_dim + 1:
             raise RuntimeError("filtration chain failed to stabilize")
-    return levels, stab
-
-
-def _pad(levels, length: int) -> list:
-    """A chain that has repeated, extended by its stable last level to at
-    least `length` entries."""
-    return list(levels) + [levels[-1]] * (length - len(levels))
+    return levels
 
 
 def _difference_span(field: FieldSpec, dim: int, tables):
@@ -290,20 +273,18 @@ def _right_mul_table(group: FiniteGroup, g: int) -> list[int]:
     return [group.mul[i][g] for i in range(group.order)]
 
 
-def group_ideal_levels(
-    group: FiniteGroup, field: FieldSpec, depth: int | None = None
-) -> tuple[list[Subspace], int]:
-    """[H, I, I^2, ...] with the first-repeat index; I^(n+1) = I.I^n is
-    the span of (s-1).v over a generating set S of the group."""
+def group_ideal_levels(group: FiniteGroup, field: FieldSpec) -> list[Subspace]:
+    """[H, I, I^2, ...] up to the first repeat; I^(n+1) = I.I^n is the span
+    of (s-1).v over a generating set S of the group."""
     tables = [group.mul[g] for g in group.generators(range(group.order))]
-    step = _difference_span(field, group.order, tables)
-    return _chain(
-        Subspace.full(field, group.order), step, depth + 1 if depth is not None else None
-    )
+    return _chain(Subspace.full(field, group.order), _difference_span(field, group.order, tables))
 
 
 def augmentation_filtration(b: LMBialgebra, depth: int | None = None) -> FiltrationLevels:
-    """Levels of H and A; depth=None computes until both chains repeat.
+    """Levels of H and A, and the last level of A to report.  An explicit
+    depth is refused when A has more than depth distinct levels or H more
+    than depth + 2; without one, the report runs one level past the last
+    distinct level of A.
 
     Level n+1 of A is (s-1).level + level.(s-1) over a generating set S
     of G, which is I.level + level.I: every level is a sub-bimodule, and
@@ -311,19 +292,14 @@ def augmentation_filtration(b: LMBialgebra, depth: int | None = None) -> Filtrat
     grp = b.group
     la, ra = b.graph.left_act, b.graph.right_act
     tables = [t for g in grp.generators(range(grp.order)) for t in (la[g], ra[g])]
-    step_a = _difference_span(b.field, b.a_dim, tables)
-    levels_a, stab_a = _chain(Subspace.full(b.field, b.a_dim), step_a, depth)
-    levels_g, stab_g = group_ideal_levels(
-        b.group, b.field, depth=depth + 1 if depth is not None else None
-    )
-    if stab_a is None or stab_g is None:
+    levels_a = _chain(Subspace.full(b.field, b.a_dim), _difference_span(b.field, b.a_dim, tables))
+    levels_g = group_ideal_levels(grp, b.field)
+    if depth is None:
+        depth = len(levels_a)
+    elif len(levels_a) > depth or len(levels_g) > depth + 2:
         raise DepthTooShallow("depth too small to observe stabilization")
     return FiltrationLevels(
-        field=b.field,
-        levels_g=tuple(_pad(levels_g, len(levels_a) + 2)),
-        levels_a=tuple(levels_a),
-        stab_g=stab_g,
-        stab_a=stab_a,
+        field=b.field, levels_g=tuple(levels_g), levels_a=tuple(levels_a), depth=depth
     )
 
 
@@ -335,11 +311,10 @@ def _phi_image(b: LMBialgebra, level: Subspace) -> Subspace:
     return Subspace.from_vectors(b.field, b.h_dim, [_apply_phi(b, row) for row in level.basis])
 
 
-def relative_ideal_levels(
-    b: LMBialgebra, component: tuple[int, ...], depth: int
-) -> list[Subspace]:
-    """Levels [full, K, I.K + K.I, ...] where K is the kernel of the map
-    collapsing each left coset of the subgroup spanned by `component`.
+def relative_ideal_levels(b: LMBialgebra, component: tuple[int, ...]) -> list[Subspace]:
+    """Levels [full, K, I.K + K.I, ...] up to the first repeat, where K is
+    the kernel of the map collapsing each left coset of the subgroup
+    spanned by `component`.
 
     K is the span of v.(t-1) over a generating set of that subgroup, and
     each later step multiplies by s-1 on both sides over a generating set
@@ -353,33 +328,33 @@ def relative_ideal_levels(
     first = _difference_span(f, n, [_right_mul_table(grp, t) for t in grp.generators(component)])
     gens = grp.generators(range(n))
     both_sides = [grp.mul[g] for g in gens] + [_right_mul_table(grp, g) for g in gens]
-    step = _difference_span(f, n, both_sides)
-    return [full] + _chain(first(full), step, depth - 1)[0]
+    return [full] + _chain(first(full), _difference_span(f, n, both_sides))
 
 
 def verify_connected_lemma(b: LMBialgebra, f: FiltrationLevels) -> ValidationReport:
     """phi carries level n of A onto level n+1 of H (relative to the unit
-    component when the graph is disconnected); inclusion always holds."""
+    component when the graph is disconnected); inclusion always holds.
+
+    Checked for n up to f.depth.  One image per distinct level of A; past
+    the last index where a chain read here still changes, every verdict
+    repeats the one before."""
     component, connected = unit_component(b.graph)
-    depth = len(f.levels_a) - 1
-    targets = (
-        list(f.levels_g)
-        if connected
-        else relative_ideal_levels(b, component, depth + 1)
-    )
+    targets = f.levels_g if connected else relative_ideal_levels(b, component)
+    images = [_phi_image(b, level) for level in f.levels_a]
+    changing = max(len(images) - 1, len(f.levels_g) - 2, len(targets) - 2)
     violations: list[str] = []
-    checked = 0
-    for n in range(depth + 1):
-        img = _phi_image(b, f.levels_a[n])
-        checked += 1
-        if not f.levels_g[n + 1].contains_space(img):
+    for n in range(f.depth + 1):
+        if n <= changing:
+            img = level_at(images, n)
+            escapes = not level_at(f.levels_g, n + 1).contains_space(img)
+            differs = img != level_at(targets, n + 1)
+        if escapes:
             violations.append(f"phi image escapes level {n + 1} of H at level {n}")
-        checked += 1
-        if img != targets[n + 1]:
+        if differs:
             violations.append(
                 f"phi image of level {n} differs from the expected level {n + 1}"
             )
-    return ValidationReport.collect(violations, checked)
+    return ValidationReport.collect(violations, 2 * (f.depth + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +365,12 @@ def verify_connected_lemma(b: LMBialgebra, f: FiltrationLevels) -> ValidationRep
 class CoinvariantModule:
     """Levels of the G-action span on the rack labels and their graded data.
 
-    levels_x[n] is the span of iterated differences v.g - v; p_dims[n] the
-    graded dimensions; pi_star[n] the induced matrix from graded piece n to
-    graded piece n+1 of the group algebra (via x -> pi(x) - 1), as sparse
-    columns like the maps of LMBialgebra: column j is the image of basis
-    element j of piece n.
+    levels_x[n] is the span of iterated differences v.g - v, up to the
+    first repeat like the chains of FiltrationLevels; p_dims[n] the graded
+    dimensions, zero from the repeat on; pi_star[n] the induced matrix from
+    graded piece n to graded piece n+1 of the group algebra (via
+    x -> pi(x) - 1) for each nonzero piece, as sparse columns like the maps
+    of LMBialgebra: column j is the image of basis element j of piece n.
     """
 
     field: FieldSpec
@@ -402,15 +378,16 @@ class CoinvariantModule:
     levels_x: tuple
     p_dims: tuple[int, ...]
     pi_star: tuple
-    stab_x: int
 
 
 def coinvariant_module(
     a: AugmentedRack, field: FieldSpec, levels_g, depth: int | None = None
 ) -> CoinvariantModule:
     """levels_g is the augmentation-ideal chain [H, I, I^2, ...] of a.group
-    over field, ending in a repeat (group_ideal_levels, or the levels_g of
-    augmentation_filtration); it is padded with its stable last level.
+    over field up to its first repeat (group_ideal_levels, or the levels_g
+    of augmentation_filtration).  An explicit depth, the number of graded
+    dimensions to report, is refused when the labels have more than depth
+    distinct levels; without one, the report ends with the first zero.
 
     Level n+1 of the labels is the span of v.s - v over a generating set S
     of the group, which is the span over all of it because a.action is an
@@ -420,14 +397,14 @@ def coinvariant_module(
 
     gens = a.group.generators(range(a.group.order))
     tables = [[a.action[x][g] for x in range(m)] for g in gens]
-    step = _difference_span(f, m, tables)
-    levels_x, stab_x = _chain(Subspace.full(f, m), step, depth)
-    if stab_x is None:
+    levels_x = _chain(Subspace.full(f, m), _difference_span(f, m, tables))
+    if depth is None:
+        depth = len(levels_x)
+    elif len(levels_x) > depth:
         raise DepthTooShallow("depth too small to observe stabilization")
-    levels_g = _pad(levels_g, len(levels_x) + 2)
 
     p_dims = tuple(
-        levels_x[n].dim - levels_x[n + 1].dim for n in range(len(levels_x) - 1)
+        level_at(levels_x, n).dim - level_at(levels_x, n + 1).dim for n in range(depth)
     )
     norbits = len(orbits(a))
     if p_dims[0] != norbits:
@@ -443,7 +420,7 @@ def coinvariant_module(
     pi_star = []
     for n in range(len(levels_x) - 1):
         src = SubquotientBasis(levels_x[n], levels_x[n + 1])
-        dst = SubquotientBasis(levels_g[n + 1], levels_g[n + 2])
+        dst = SubquotientBasis(level_at(levels_g, n + 1), level_at(levels_g, n + 2))
         pi_star.append(
             induced_matrix(pi_tilde, src, dst, check_kernel=levels_x[n + 1])
         )
@@ -454,7 +431,6 @@ def coinvariant_module(
         levels_x=tuple(levels_x),
         p_dims=p_dims,
         pi_star=tuple(pi_star),
-        stab_x=stab_x,
     )
 
 
@@ -490,7 +466,7 @@ def verify_graded_structure(
     violations: list[str] = []
     checked = 0
 
-    n_max = f.stab_g + c.stab_x + f.stab_a + 1
+    n_max = len(f.levels_g) + len(c.levels_x) + len(f.levels_a) - 2
     for n in range(n_max + 1):
         lhs = fa.graded_dim(n)
         rhs = 0
@@ -505,7 +481,7 @@ def verify_graded_structure(
             )
 
     coproduct_deg = [fa.tensor_degree(fg, _delta1_prime_vector(b, row)) for row in fa.rows]
-    for n in range(len(f.levels_a)):
+    for n in range(f.depth + 1):
         checked += 1
         if not _raises_at(fa, coproduct_deg, n):
             violations.append(
@@ -513,7 +489,7 @@ def verify_graded_structure(
             )
 
     phi_deg = [fg.degree(_apply_phi(b, row)) for row in fa.rows]
-    for n in range(len(f.levels_a)):
+    for n in range(f.depth + 1):
         checked += 1
         if not _raises_at(fa, phi_deg, n):
             violations.append(f"phi does not raise the degree at level {n}")

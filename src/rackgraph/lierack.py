@@ -6,7 +6,7 @@ gl(m), a right module X = R^dim_x with one action matrix per basis element
 structure map f from X to Lie algebra coordinates.  Integration only ever
 exponentiates single Lie algebra elements:
 
-    rack_op(x, y) = x . exp(rho(f(y)))        pi(x) = exp(f(x) in gl(m))
+    x <| y = x . exp(rho(f(y)))        pi(x) = exp(f(x) in gl(m))
 
 Exponentials are taken in stacks, each matrix of one Lie algebra element, so
 a sampled check exponentiates like elements of all its samples in one call.
@@ -188,8 +188,9 @@ def _exp_where_finite(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LinearLieRack:
-    """Rack operation and augmentation evaluators for a validated input;
-    each takes one element of X or a stack of them (..., dim_x)."""
+    """Evaluators of the rack operation's generator and of the
+    augmentation for a validated input; each takes one element of X or a
+    stack of them (..., dim_x)."""
 
     lie: MatrixLMLie
 
@@ -203,9 +204,6 @@ class LinearLieRack:
 
     def pi(self, x) -> np.ndarray:
         return matrix_exp(self.ambient_element(x))
-
-    def rack_op(self, x, y) -> np.ndarray:
-        return _times(x, matrix_exp(self.action_generator(y)))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -16,7 +16,7 @@ directory on sys.path, and the file is not collected.
 - The derived Leibniz bracket [m, n] = m ^ f(n) of an exact Lie algebra
   pair (`LeibnizAlgebra`, `verify_leibniz`, `leibniz_bracket`), and
   `derivative_check`, which compares it with central differences of the
-  integrated linear rack.
+  integrated linear rack operation `rack_op`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from rackgraph.graphs import (
 )
 from rackgraph.hopf import FiltrationLevels, LMBialgebra
 from rackgraph.liealg import _Q, LMLieAlgebra, _products, _vector
-from rackgraph.lierack import LinearLieRack, NumericReport
+from rackgraph.lierack import LinearLieRack, NumericReport, _times, matrix_exp
 from rackgraph.linalg import FilteredSpace, Subspace, nullspace, sparse_sum
 from rackgraph.racks import AugmentedRack, ValidationReport
 
@@ -286,6 +286,11 @@ def leibniz_bracket(l: LMLieAlgebra) -> LeibnizAlgebra:
     return out
 
 
+def rack_op(r: LinearLieRack, x, y) -> np.ndarray:
+    """x <| y = x . exp(rho(f(y))), for one element or a stack of each."""
+    return _times(x, matrix_exp(r.action_generator(y)))
+
+
 def derivative_check(
     r: LinearLieRack,
     l_exact: LMLieAlgebra,
@@ -293,7 +298,7 @@ def derivative_check(
     samples: int = 20,
     seed: int = 1,
 ) -> NumericReport:
-    """Central differences of rack_op(x, t y) at t = 0 against the exact
+    """Central differences of rack_op(r, x, t y) at t = 0 against the exact
     derived bracket, with the n^2 convergence ratio between h and h/2."""
     if l_exact.dim_m != r.lie.dim_x or l_exact.dim_g != r.lie.dim_g:
         raise ValueError("exact structure dimensions do not match")
@@ -309,7 +314,7 @@ def derivative_check(
     exact = np.einsum("si,sj,ijk->sk", x, y, table)
 
     def max_error(step: float) -> float:
-        forward, back = r.rack_op(np.stack([x, x]), np.stack([step * y, -step * y]))
+        forward, back = rack_op(r, np.stack([x, x]), np.stack([step * y, -step * y]))
         diff = (forward - back) / (2.0 * step)
         return float(np.max(np.abs(diff - exact), initial=0.0))
 

@@ -40,6 +40,7 @@ from rackgraph.hopf import (
     build_lm_hopf,
     coinvariant_module,
     group_ideal_levels,
+    level_at,
     verify_connected_lemma,
     verify_graded_structure,
     verify_hopf,
@@ -206,10 +207,10 @@ def test_criterion_09_graded_dimension_identity():
             q = rack_to_graph(a)
             b = build_lm_hopf(q, F2)
             filt = augmentation_filtration(b)
-            coinv = coinvariant_module(a, F2, group_ideal_levels(a.group, F2)[0])
+            coinv = coinvariant_module(a, F2, group_ideal_levels(a.group, F2))
             assert verify_graded_structure(b, filt, coinv).ok, name
             if name == "toy_c2":
-                dims_a = [s.dim for s in filt.levels_a]
+                dims_a = [level_at(filt.levels_a, n).dim for n in range(filt.depth + 1)]
                 gr = tuple(dims_a[i] - dims_a[i + 1] for i in range(len(dims_a) - 1))
                 assert gr[:3] == (1, 1, 0)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rackgraph import cli, corpus, jsonio
+from rackgraph import cli, corpus, jsonio, linalg
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -170,7 +170,7 @@ def test_oversize_complex_refused(flags, message):
         ["homology", "corpus/dihedral_6.json", "--max-degree", "6000"],
         # one cell per degree never trips the size cap
         ["homology", "corpus/toy_c2.json", "--max-degree", "1000"],
-        # the stable level was padded, and checked, 20000 times
+        # a report of 20000 copies of the stable level
         ["hopf", "corpus/conj_q8.json", "--field", "q", "--max-degree", "20000"],
     ],
 )
@@ -201,6 +201,33 @@ def test_degree_bound_too_shallow_for_hopf():
         "path": "",
         "message": "depth too small to observe stabilization",
     }
+
+
+def test_hopf_degree_bound_past_the_repeats_adds_no_linear_algebra(monkeypatch):
+    # every chain of conj_q8 over Q repeats within a few levels, so a bound
+    # of 64 only lengthens each printed list by copies of its last value
+    calls = []
+    from_vectors = linalg.Subspace.from_vectors
+
+    def counted(*args):
+        calls.append(args)
+        return from_vectors(*args)
+
+    monkeypatch.setattr(linalg.Subspace, "from_vectors", staticmethod(counted))
+    argv = ["hopf", "corpus/conj_q8.json", "--field", "q"]
+    runs = []
+    for bound in ([], ["--max-degree", "64"]):
+        calls.clear()
+        code, report, _ = run_cli(argv + bound)
+        assert code == 0 and report["ok"]
+        runs.append((report, len(calls)))
+    (unbounded, count), (bounded, count_64) = runs
+    assert count > 0
+    assert count_64 == count
+    assert len(bounded["filtration_a"]) == 65
+    for key in ("filtration_h", "filtration_a", "coinvariant_dims"):
+        short, long = unbounded[key], bounded[key]
+        assert long == short + short[-1:] * (len(long) - len(short)), key
 
 
 def test_wrong_kind_for_dgla():

@@ -13,6 +13,7 @@ from rackgraph.hopf import (
     build_lm_hopf,
     coinvariant_module,
     group_ideal_levels,
+    level_at,
     relative_ideal_levels,
     verify_connected_lemma,
     verify_graded_structure,
@@ -56,6 +57,16 @@ def sample_racks():
 
 def hopf_of(rack, field):
     return build_lm_hopf(rack_to_graph(rack), field)
+
+
+def ends_at_first_repeat(levels, tables):
+    """No two consecutive levels are equal, and one more step of the last
+    level, over every permutation table, gives it back."""
+    last = levels[-1]
+    return (
+        all(u != v for u, v in zip(levels, levels[1:]))
+        and all_elements_chain(last.field, last, tables, 2)[1] == last
+    )
 
 
 def test_structure_maps_on_the_two_element_example():
@@ -242,24 +253,28 @@ def test_corrupted_structure_map_is_detected(rack, checked, name, field):
 def test_filtration_dims_two_element_example_mod_two():
     # (u+1)^2 = 0, so both chains die: dims 2,1,0 on A and on H
     f = augmentation_filtration(hopf_of(toy_rack_c2(), F2))
-    assert [s.dim for s in f.levels_a] == [2, 1, 0, 0]
-    assert [s.dim for s in f.levels_g[:3]] == [2, 1, 0]
-    assert f.stab_a == 2 and f.stab_g == 2
+    assert [s.dim for s in f.levels_a] == [2, 1, 0]
+    assert [s.dim for s in f.levels_g] == [2, 1, 0]
+    # without a depth the report runs one level past the repeat of A
+    assert f.depth == 3
 
 
 def test_filtration_dims_two_element_example_rational():
     # over the rationals the ideal square equals the ideal
-    f = augmentation_filtration(hopf_of(toy_rack_c2(), Q))
-    assert [s.dim for s in f.levels_a] == [2, 1, 1]
-    assert f.levels_a[1] == f.levels_a[2]
-    assert f.stab_a == 1 and f.stab_g == 1
+    b = hopf_of(toy_rack_c2(), Q)
+    f = augmentation_filtration(b)
+    assert [s.dim for s in f.levels_a] == [2, 1]
+    assert ends_at_first_repeat(f.levels_a, b.graph.left_act + b.graph.right_act)
+    assert [s.dim for s in f.levels_g] == [2, 1]
+    assert ends_at_first_repeat(f.levels_g, b.group.mul)
+    assert f.depth == 2
 
 
 def test_rational_ideal_square_equals_ideal_for_finite_groups():
     for group in (cyclic_group(2), cyclic_group(3), symmetric_group_3(), dihedral_group_4()):
-        levels, stab = group_ideal_levels(group, Q)
-        assert levels[1] == levels[2]
-        assert stab == 1
+        levels = group_ideal_levels(group, Q)
+        assert len(levels) == 2
+        assert ends_at_first_repeat(levels, group.mul)
 
 
 @pytest.mark.parametrize(
@@ -276,21 +291,26 @@ def test_augmentation_ideal_powers_follow_jennings(group, ranks):
             shifted = [0] * i + series
             series = [a + b for a, b in zip(series + [0] * i, shifted)]
     powers = [sum(series[n:]) for n in range(len(series) + 1)]
-    levels, stab = group_ideal_levels(group, F2)
-    assert [s.dim for s in levels[:stab + 1]] == powers
-    assert levels[stab + 1] == levels[stab]
+    levels = group_ideal_levels(group, F2)
+    assert [s.dim for s in levels] == powers
+    assert ends_at_first_repeat(levels, group.mul)
     # over F3 and Q, I/I^2 = G_ab (x) k = 0 for a 2-group, so I^2 = I
     for field in (F3, Q):
-        levels, stab = group_ideal_levels(group, field)
-        assert [s.dim for s in levels] == [group.order, group.order - 1, group.order - 1]
-        assert stab == 1
+        levels = group_ideal_levels(group, field)
+        assert [s.dim for s in levels] == [group.order, group.order - 1]
+        assert ends_at_first_repeat(levels, group.mul)
 
 
 def test_explicit_depth_and_too_shallow_depth():
+    # A has the three distinct levels 2, 1, 0: depth 3 is the least that
+    # reaches its repeat; a depth sets the reported length, not the chains
     b = hopf_of(toy_rack_c2(), F2)
+    unbounded = augmentation_filtration(b)
     f = augmentation_filtration(b, depth=4)
-    assert len(f.levels_a) == 5
-    assert f.stab_a == 2
+    assert f.depth == 4
+    assert f.levels_a == unbounded.levels_a and len(f.levels_a) == 3
+    assert f.levels_g == unbounded.levels_g
+    assert augmentation_filtration(b, depth=3).depth == 3
     with pytest.raises(RuntimeError):
         augmentation_filtration(b, depth=2)
 
@@ -314,18 +334,19 @@ def test_connected_lemma_disconnected_sample():
         f = augmentation_filtration(b)
         report = verify_connected_lemma(b, f)
         assert report.ok, (field.label(), report.violations[:3])
-        rel = relative_ideal_levels(b, (0, 2), len(f.levels_a))
+        rel = relative_ideal_levels(b, (0, 2))
         assert rel[1].dim == 2
 
 
 def test_coinvariant_levels_s3_transpositions_mod_two():
     rack = sample_racks()["s3_transpositions"]
-    c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
+    c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2))
     # span{x0+x1, x1+x2} in canonical echelon form, stable from level one
     assert c.levels_x[1].basis == ({0: 1, 2: 1}, {1: 1, 2: 1})
-    assert c.levels_x[2] == c.levels_x[1]
+    assert len(c.levels_x) == 2
+    labels = [[rack.action[x][g] for x in range(rack.x_size)] for g in range(rack.group.order)]
+    assert ends_at_first_repeat(c.levels_x, labels)
     assert c.p_dims == (1, 0)
-    assert c.stab_x == 1
 
 
 def test_coinvariant_levels_trivial_actions():
@@ -333,20 +354,20 @@ def test_coinvariant_levels_trivial_actions():
         (trivial_augmented_rack(3), Q, (3, 0)),
         (sample_racks()["conj_c2"], F3, (2, 0)),
     ):
-        c = coinvariant_module(rack, field, group_ideal_levels(rack.group, field)[0])
+        c = coinvariant_module(rack, field, group_ideal_levels(rack.group, field))
         assert c.p_dims == dims
 
 
 def test_pi_star_two_element_example_mod_two():
     rack = toy_rack_c2()
-    c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
+    c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2))
     assert c.p_dims[0] == 1
     assert c.pi_star[0] == ({0: 1},)
     # I/I^2 is G_ab (x) F2 and degree 0 sends an orbit to the class of pi(x):
     # a transposition is odd in S3, u^2 is twice the generator of C4
     for name, image in (("s3_transpositions", ({0: 1},)), ("c4_u2", ({},))):
         rack = sample_racks()[name]
-        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
+        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2))
         assert c.pi_star[0] == image
 
 
@@ -356,7 +377,7 @@ def test_pi_star_columns_are_sparse_rows():
     columns = 0
     for rack in sample_racks().values():
         for field in (Q, F2, F3, F5):
-            c = coinvariant_module(rack, field, group_ideal_levels(rack.group, field)[0])
+            c = coinvariant_module(rack, field, group_ideal_levels(rack.group, field))
             for n, mat in enumerate(c.pi_star):
                 assert len(mat) == c.p_dims[n]
                 for column in mat:
@@ -374,14 +395,14 @@ def test_graded_dimension_identity_and_raising():
         rack = sample_racks()[name]
         b = hopf_of(rack, F2)
         f = augmentation_filtration(b)
-        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
+        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2))
         report = verify_graded_structure(b, f, c)
         assert report.ok, (name, report.violations[:3])
 
 
 def test_graded_dims_two_element_example():
     f = augmentation_filtration(hopf_of(toy_rack_c2(), F2))
-    dims = [s.dim for s in f.levels_a]
+    dims = [level_at(f.levels_a, n).dim for n in range(f.depth + 1)]
     gr = [dims[i] - dims[i + 1] for i in range(len(dims) - 1)]
     assert gr == [1, 1, 0]
 
@@ -394,9 +415,9 @@ def test_module_levels_split_as_tensor_sums():
         rack = sample_racks()[name]
         b = hopf_of(rack, F2)
         f = augmentation_filtration(b)
-        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
+        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2))
         fg, fx = FilteredSpace(f.levels_g), FilteredSpace(c.levels_x)
-        for n in range(len(f.levels_a)):
+        for n in range(f.depth + 1):
             products = [
                 {i * fx.dim + j: u * v % 2 for i, u in gr.items() for j, v in xr.items()}
                 for gr, dg in zip(fg.rows, fg.degrees)
@@ -404,7 +425,7 @@ def test_module_levels_split_as_tensor_sums():
                 if dg + dx >= n
             ]
             expected = Subspace.from_vectors(F2, b.a_dim, products)
-            assert f.levels_a[n] == expected, (name, n)
+            assert level_at(f.levels_a, n) == expected, (name, n)
 
 
 @pytest.mark.parametrize(
@@ -415,7 +436,7 @@ def test_corrupted_phi_fails_the_graded_check(name, field, depth, checked):
     rack = sample_racks()[name]
     b = hopf_of(rack, field)
     f = augmentation_filtration(b)
-    c = coinvariant_module(rack, field, group_ideal_levels(rack.group, field)[0])
+    c = coinvariant_module(rack, field, group_ideal_levels(rack.group, field))
     assert verify_graded_structure(b, f, c).ok
     cols = list(b.phi)
     # arrow 0 now maps outside the augmentation ideal
@@ -429,6 +450,34 @@ def test_corrupted_phi_fails_the_graded_check(name, field, depth, checked):
         [f"{coproduct} {n}" for n in range(depth)]
         + [f"phi does not raise the degree at level {n}" for n in range(depth)]
     )
+
+
+@pytest.mark.parametrize(
+    "name,field,depth,failing",
+    [("toy_c2", F2, 5, 2), ("s3_transpositions", F3, 4, 5), ("c4_u2", Q, 4, 5)],
+)
+def test_corrupted_phi_lemma_verdicts_on_the_stable_levels(name, field, depth, failing):
+    # depth is 3 past the last index of every chain the lemma reads (c4_u2
+    # is disconnected, so it reads the relative ideal levels too); the
+    # lemma counts and reports each index up to depth
+    rack = sample_racks()[name]
+    b = hopf_of(rack, field)
+    f = augmentation_filtration(b, depth)
+    chains = [f.levels_a, f.levels_g, relative_ideal_levels(b, unit_component(b.graph)[0])]
+    assert depth == max(len(chain) for chain in chains) - 1 + 3
+    cols = list(b.phi)
+    # arrow 0 now maps outside the augmentation ideal
+    cols[0] = {g: x for g, x in cols[0].items() if g != 0}
+    report = verify_connected_lemma(dataclasses.replace(b, phi=tuple(cols)), f)
+    assert report.checked == 2 * (depth + 1)
+    assert list(report.violations) == [
+        message
+        for n in range(failing)
+        for message in (
+            f"phi image escapes level {n + 1} of H at level {n}",
+            f"phi image of level {n} differs from the expected level {n + 1}",
+        )
+    ]
 
 
 def test_graded_primitives_follow_the_jennings_series():
@@ -455,9 +504,9 @@ def test_pi_star_lands_in_graded_primitives():
     for name, rack in racks:
         b = hopf_of(rack, F2)
         f = augmentation_filtration(b)
-        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2)[0])
+        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2))
         for n, columns in enumerate(c.pi_star):
-            if n + 2 >= len(f.levels_g) or not columns:
+            if not columns:
                 continue
             prim = graded_primitive_subspace(b, f, n + 1)
             for column in columns:
@@ -483,6 +532,12 @@ def all_elements_chain(field, first, tables, length):
         ]
         levels.append(Subspace.from_vectors(field, first.ambient_dim, rows))
     return levels
+
+
+def repeat_last(levels):
+    """A chain with its last level once more: the all-element chain one
+    step longer, when the chain ends at its first repeat."""
+    return list(levels) + [levels[-1]]
 
 
 def oracle_cases():
@@ -519,30 +574,28 @@ def test_generator_steps_equal_all_element_steps(field):
         right = [[grp.mul[i][g] for i in range(n)] for g in others]
         full_h = Subspace.full(field, n)
         b = build_lm_hopf(q, field)
+        levels_g = group_ideal_levels(grp, field)
+        assert repeat_last(levels_g) == all_elements_chain(
+            field, full_h, left, len(levels_g) + 1
+        ), name
+
         f = augmentation_filtration(b)
-        stable = max(f.stab_g, f.stab_a)
-        for depth in (None, stable + 2):
-            levels_g, _ = group_ideal_levels(grp, field, depth)
-            assert levels_g == all_elements_chain(field, full_h, left, len(levels_g)), name
+        assert f.levels_g == tuple(levels_g), name
+        arrows = [t for g in others for t in (q.left_act[g], q.right_act[g])]
+        assert repeat_last(f.levels_a) == all_elements_chain(
+            field, Subspace.full(field, b.a_dim), arrows, len(f.levels_a) + 1
+        ), name
 
-            f = augmentation_filtration(b, depth)
-            arrows = [t for g in others for t in (q.left_act[g], q.right_act[g])]
-            assert list(f.levels_a) == all_elements_chain(
-                field, Subspace.full(field, b.a_dim), arrows, len(f.levels_a)
-            ), (name, depth)
-            assert list(f.levels_g) == all_elements_chain(field, full_h, left, len(f.levels_g))
-
-            c = coinvariant_module(rack, field, f.levels_g, depth)
-            labels = [[rack.action[x][g] for x in range(rack.x_size)] for g in others]
-            assert list(c.levels_x) == all_elements_chain(
-                field, Subspace.full(field, rack.x_size), labels, len(c.levels_x)
-            ), (name, depth)
+        c = coinvariant_module(rack, field, f.levels_g)
+        labels = [[rack.action[x][g] for x in range(rack.x_size)] for g in others]
+        assert repeat_last(c.levels_x) == all_elements_chain(
+            field, Subspace.full(field, rack.x_size), labels, len(c.levels_x) + 1
+        ), name
 
         component = unit_component(q)[0]
         in_component = [right[others.index(t)] for t in component if t != grp.identity]
-        for depth in (1, stable + 2):
-            rel = relative_ideal_levels(b, component, depth)
-            kernel = all_elements_chain(field, full_h, in_component, 2)[1]
-            assert rel == [full_h] + all_elements_chain(
-                field, kernel, left + right, len(rel) - 1
-            ), (name, depth)
+        rel = relative_ideal_levels(b, component)
+        kernel = all_elements_chain(field, full_h, in_component, 2)[1]
+        assert repeat_last(rel) == [full_h] + all_elements_chain(
+            field, kernel, left + right, len(rel)
+        ), name
