@@ -17,7 +17,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from rackgraph import cli, corpus  # noqa: E402
 
 
-def main() -> int:
+def main(argv) -> int:
+    if argv:
+        # even --help: a run rewrites every file
+        sys.stderr.write("usage: python3 scripts/regen_golden.py  (takes no arguments)\n")
+        return 2
     root = os.path.join(os.path.dirname(__file__), "..")
     os.chdir(root)
     written = corpus.write_corpus_files("corpus")
@@ -37,4 +41,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

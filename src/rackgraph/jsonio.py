@@ -6,8 +6,12 @@ path; structural axioms (rack identities, group associativity, ...) are NOT
 checked here, that is the job of the validate command, so a well-shaped but
 wrong table loads fine and fails its checks downstream.
 
-Canonical output: sorted keys, two-space indent, trailing newline, floats
-rounded to 12 significant digits, exact rationals as "p/q" strings.  Two
+Canonical output: sorted keys, two-space indent, ASCII only with json's
+escapes, trailing newline, floats rounded to 12 significant digits and
+written as float repr (NaN, Infinity, -Infinity as json spells them), exact
+rationals as integers or "p/q" strings.  The layout is that of
+json.dumps(..., sort_keys=True, indent=2, ensure_ascii=True); one recursive
+writer normalises as it emits, since json's C encoder does not indent.  Two
 runs over the same exact data produce byte-identical files.
 """
 
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from .liealg import LMLieAlgebra
 from .lierack import MatrixLMLie
@@ -37,24 +42,69 @@ class SchemaError(ValueError):
 # canonical serialization
 
 
-def _normalize(value):
-    if isinstance(value, bool) or isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, str) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): _normalize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_normalize(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def canonical_json(data) -> str:
-    return json.dumps(_normalize(data), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """The canonical text of a document built from dicts, lists, tuples,
+    str, int, bool, None, float and Fraction."""
+    out: list[str] = []
+    _write(data, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, out: list, nl: str) -> None:
+    """Append the text of `value` to `out`; `nl` is a newline followed by
+    the indent of the line `value` starts on."""
+    if isinstance(value, str):
+        out.append(_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = repr(float(f"{value:.12g}"))
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(value, Fraction):
+        out.append(
+            int.__repr__(value.numerator)
+            if value.denominator == 1
+            else f'"{value.numerator}/{value.denominator}"'
+        )
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        # keys become strings first: 1 and "1" are one key, the later value wins
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        sep = "{" + inner
+        for key, item in items:
+            out.append(sep + _string(key) + ": ")
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if all(type(v) is int for v in value):
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ sampled rack axioms, 1e-12 for linear-algebra identities.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import factorial
 
@@ -214,9 +215,15 @@ def verify_rack_numeric(
 
     Three stacked stages: draw every triple (x, y, z); exponentiate rho f(y),
     rho f(z), +-f(y) and f(x) of all samples; form x E_y, x E_z and y E_z
-    (E_v = exp rho f(v)) and exponentiate rho f(y E_z) and f(x E_y)."""
-    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, (samples, 3, r.lie.dim_x))
-    x, y, z = draws.transpose(1, 0, 2)
+    (E_v = exp rho f(v)) and exponentiate rho f(y E_z) and f(x E_y).
+
+    Coordinate k of the draws, in C order over (sample, x|y|z, coordinate),
+    is -1 + 2 u_k for the k-th u of random.Random(seed).random(), a sequence
+    that Python keeps the same for a seed across versions."""
+    n = samples * 3 * r.lie.dim_x
+    rand = random.Random(seed).random
+    draws = -1.0 + 2.0 * np.fromiter((rand() for _ in range(n)), float, n)
+    x, y, z = draws.reshape(samples, 3, r.lie.dim_x).transpose(1, 0, 2)
     e_y, e_z = _exp_where_finite(r.action_generator(np.stack([y, z])))
     f_y = r.ambient_element(y)
     e, e_inv, pi_x = _exp_where_finite(np.stack([f_y, -f_y, r.ambient_element(x)]))

@@ -17,11 +17,15 @@ directory on sys.path, and the file is not collected.
   pair (`LeibnizAlgebra`, `verify_leibniz`, `leibniz_bracket`), and
   `derivative_check`, which compares it with central differences of the
   integrated linear rack operation `rack_op`.
+- `json_dumps_canonical`, the canonical text through `json.dumps` after a
+  normalising copy, which `jsonio.canonical_json` writes in one pass.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -330,3 +334,29 @@ def derivative_check(
     ok = 3.0 <= ratio <= 5.0
     violations = () if ok else (f"convergence ratio {ratio:.3f} outside [3, 5]",)
     return NumericReport(ok, residuals, violations)
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON through the standard encoder
+
+
+def _normalize(value):
+    if isinstance(value, bool) or isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    if isinstance(value, str) or value is None:
+        return value
+    if isinstance(value, dict):
+        return {str(k): _normalize(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_normalize(v) for v in value]
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def json_dumps_canonical(data) -> str:
+    """Sorted keys, two-space indent, ASCII only, a trailing newline; floats
+    rounded to 12 significant digits and Fractions as ints or "p/q"."""
+    return json.dumps(_normalize(data), sort_keys=True, indent=2, ensure_ascii=True) + "\n"

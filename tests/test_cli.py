@@ -2,6 +2,7 @@
 
 import copy
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracles import json_dumps_canonical
 from rackgraph import cli, corpus, jsonio, linalg
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -190,6 +192,24 @@ def test_degree_bound_at_limit_accepted(command):
     )
     assert code == 0
     assert report["ok"]
+
+
+def test_sample_count_over_limit_refused():
+    # refused before any sampling, as a report: no traceback reaches stderr
+    samples = str(cli.MAX_SAMPLES + 1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rackgraph.cli", "integrate", "corpus/so3_matrix.json",
+         "--samples", samples],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == {
+        "path": "",
+        "message": f"sample count {samples} exceeds the limit {cli.MAX_SAMPLES}",
+    }
 
 
 def test_degree_bound_too_shallow_for_hopf():
@@ -431,6 +451,21 @@ def test_integrate_so3():
     assert report["rack_checks"]["ok"] is True
 
 
+def test_integrate_leaves_numpy_random_unimported():
+    # the samples come from the random module, which numpy imports anyway
+    script = (
+        "import sys\n"
+        "from rackgraph import cli\n"
+        "code, _, _ = cli.render(['integrate', 'corpus/so3_matrix.json'])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_integrate_rejects_rack_input():
     code, report, _ = run_cli(["integrate", "corpus/dihedral_3.json"])
     assert code == 2
@@ -457,7 +492,7 @@ NILPOTENT_RHO = ("nilpotent_matrix", ("rho", 0, 0, 0), 1e154)  # exp(rho f(y)) o
             "integrate",
             "rack_checks",
             [
-                "self-distributivity residual is not finite at sample 0",
+                "self-distributivity residual is not finite at sample 1",
                 "equivariance residual is not finite at sample 1",
             ],
         ),
@@ -522,6 +557,25 @@ def test_golden_runs_are_deterministic():
     first = cli.render(argv)[1]
     second = cli.render(argv)[1]
     assert first == second
+
+
+@pytest.mark.parametrize("arg", ["--help", "corpus"])
+def test_regen_golden_refuses_arguments(tmp_path, arg):
+    # run a copy, so that a run that ignored its argument writes under tmp_path
+    script = tmp_path / "scripts" / "regen_golden.py"
+    script.parent.mkdir()
+    script.write_bytes((ROOT / "scripts" / "regen_golden.py").read_bytes())
+    proc = subprocess.run(
+        [sys.executable, str(script), arg],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: ") and proc.stderr.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["scripts"]
 
 
 def test_out_refuses_divergent_overwrite(tmp_path, capsys):
@@ -611,6 +665,38 @@ def test_corpus_files_are_canonical():
     for name, doc in corpus.corpus_documents().items():
         frozen = Path(f"corpus/{name}.json").read_text(encoding="utf-8")
         assert frozen == jsonio.canonical_json(doc), name
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 1e300, -1e300]),
+    st.fractions(),
+    st.text(max_size=4),
+    st.sampled_from(["", "caf\u00e9 \u2603 \U0001f600", "\x00\t\n\x1f\x7f\"\\"]),
+)
+INT_KEYS = st.integers(-3, 3)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=4),
+        # an int key and its string are one key
+        st.dictionaries(
+            st.one_of(INT_KEYS, INT_KEYS.map(str), st.text(max_size=3)), inner, max_size=4
+        ),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS)
+def test_canonical_json_matches_json_dumps(doc):
+    assert jsonio.canonical_json(doc) == json_dumps_canonical(doc)
 
 
 # ---------------------------------------------------------------------------
