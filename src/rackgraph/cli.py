@@ -64,6 +64,18 @@ MAX_DEGREE = 64
 # so(3) on R^3 at the limit takes about 2.5 s and 290 MB on a 2-core Xeon.
 MAX_SAMPLES = 100_000
 
+# Largest samples * (m^2 + dim_x^2) that integrate accepts, m the size of
+# the Lie algebra's matrices and dim_x that of the module: each sample holds
+# a few matrices of both sizes.  so(3) at MAX_SAMPLES costs 1.8e6; a 20 x 20
+# input at 4000 samples costs 3.2e6 and takes 2.2 s and 500 MB.
+MAX_SAMPLE_COST = 2 * 10**6
+
+# Largest |G| |arrows| = |G|^2 |X| that hopf accepts, the size of the
+# group's action tables on the arrows, capped like cubical.SIZE_CAP.  The
+# corpus peaks at 512 and S5 on its transpositions (1.4e5) takes 1.6 s;
+# S6 on its transpositions (7.8e6) takes 110 s and 785 MB over F2.
+MAX_HOPF_SIZE = 10**6
+
 
 @dataclass
 class Manifest:
@@ -221,13 +233,18 @@ def _dims(levels, length: int) -> list[int]:
 
 def _cmd_hopf(m: Manifest, kind, obj) -> tuple[int, dict]:
     a = _as_augmented(kind, obj)
+    g, x = a.group.order, a.x_size
+    if g * g * x > MAX_HOPF_SIZE:
+        raise SchemaError(
+            "", f"hopf size |G|^2 |X| = {g}^2 * {x} = {g * g * x} exceeds the limit {MAX_HOPF_SIZE}"
+        )
     q = obj if kind == "graph" else rack_to_graph(a)
     field = FieldSpec.parse(m.field)
     b = build_lm_hopf(q, field)
     hopf_rep = verify_hopf(b)
     try:
         filt = augmentation_filtration(b, depth=m.max_degree)
-        coinv = coinvariant_module(a, field, filt.levels_g, depth=m.max_degree)
+        coinv = coinvariant_module(a, field, depth=m.max_degree)
     except DepthTooShallow as exc:
         raise SchemaError("", str(exc)) from None
     lemma_rep = verify_connected_lemma(b, filt)
@@ -282,6 +299,13 @@ def _cmd_dgla(m: Manifest, kind, obj) -> tuple[int, dict]:
 def _cmd_integrate(m: Manifest, kind, obj) -> tuple[int, dict]:
     if kind != "matrix_lm_lie":
         raise SchemaError("/kind", f"expected matrix_lm_lie, got {kind!r}")
+    cost = m.samples * (obj.m**2 + obj.dim_x**2)
+    if cost > MAX_SAMPLE_COST:
+        raise SchemaError(
+            "",
+            f"sample cost samples * (m^2 + dim_x^2) = {m.samples} * ({obj.m}^2 + {obj.dim_x}^2)"
+            f" = {cost} exceeds the limit {MAX_SAMPLE_COST}",
+        )
     val = lierack.validate_matrix_lm_lie(obj, tol=1e-10)
     report = {
         "schema": jsonio.SCHEMA_VERSION,

@@ -22,14 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import GroupLikeGraph, unit_component
-from .linalg import (
-    FieldSpec,
-    FilteredSpace,
-    SubquotientBasis,
-    Subspace,
-    induced_matrix,
-    sparse_sum,
-)
+from .linalg import FieldSpec, FilteredSpace, Subspace, sparse_sum
 from .racks import AugmentedRack, FiniteGroup, ValidationReport, orbits
 
 
@@ -367,27 +360,20 @@ class CoinvariantModule:
 
     levels_x[n] is the span of iterated differences v.g - v, up to the
     first repeat like the chains of FiltrationLevels; p_dims[n] the graded
-    dimensions, zero from the repeat on; pi_star[n] the induced matrix from
-    graded piece n to graded piece n+1 of the group algebra (via
-    x -> pi(x) - 1) for each nonzero piece, as sparse columns like the maps
-    of LMBialgebra: column j is the image of basis element j of piece n.
+    dimensions, zero from the repeat on.
     """
 
     field: FieldSpec
-    rack: AugmentedRack
     levels_x: tuple
     p_dims: tuple[int, ...]
-    pi_star: tuple
 
 
 def coinvariant_module(
-    a: AugmentedRack, field: FieldSpec, levels_g, depth: int | None = None
+    a: AugmentedRack, field: FieldSpec, depth: int | None = None
 ) -> CoinvariantModule:
-    """levels_g is the augmentation-ideal chain [H, I, I^2, ...] of a.group
-    over field up to its first repeat (group_ideal_levels, or the levels_g
-    of augmentation_filtration).  An explicit depth, the number of graded
-    dimensions to report, is refused when the labels have more than depth
-    distinct levels; without one, the report ends with the first zero.
+    """An explicit depth, the number of graded dimensions to report, is
+    refused when the labels have more than depth distinct levels; without
+    one, the report ends with the first zero.
 
     Level n+1 of the labels is the span of v.s - v over a generating set S
     of the group, which is the span over all of it because a.action is an
@@ -411,27 +397,7 @@ def coinvariant_module(
         raise AssertionError(
             f"degree-0 graded dimension {p_dims[0]} != orbit count {norbits}"
         )
-
-    e = a.group.identity
-
-    def pi_tilde(v):
-        return sparse_sum(f, [(a.pi[x], c) for x, c in v.items()] + [(e, -c) for c in v.values()])
-
-    pi_star = []
-    for n in range(len(levels_x) - 1):
-        src = SubquotientBasis(levels_x[n], levels_x[n + 1])
-        dst = SubquotientBasis(level_at(levels_g, n + 1), level_at(levels_g, n + 2))
-        pi_star.append(
-            induced_matrix(pi_tilde, src, dst, check_kernel=levels_x[n + 1])
-        )
-
-    return CoinvariantModule(
-        field=f,
-        rack=a,
-        levels_x=tuple(levels_x),
-        p_dims=p_dims,
-        pi_star=tuple(pi_star),
-    )
+    return CoinvariantModule(field=f, levels_x=tuple(levels_x), p_dims=p_dims)
 
 
 # ---------------------------------------------------------------------------

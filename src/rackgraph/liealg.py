@@ -198,7 +198,6 @@ class GradedLieTruncation:
 
     convention: str
     max_degree: int
-    source: LMLieAlgebra
     dims: tuple[int, ...]
     basis_words: tuple
     bracket: dict
@@ -319,7 +318,6 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
     return GradedLieTruncation(
         convention=convention,
         max_degree=max_degree,
-        source=l,
         dims=tuple(dims),
         basis_words=tuple(basis_words),
         bracket=bracket,

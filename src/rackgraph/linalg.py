@@ -6,12 +6,15 @@ form, which makes equality and membership canonical.
 
 Every vector is a sparse dict {index: value} with no zero values, over
 F_p its values in [0, p) and over Q ints unless a division made them
-Fractions: subspace basis rows, the columns of the Hopf structure maps
-and of `induced_matrix`, tensors, `SubquotientBasis.coords`, and
-coefficients in a filtration's adapted basis.  `sparse_sum` builds such
-vectors from (index, value) terms, reducing mod p once and dropping
-zeros; an identity is one `sparse_sum` of its terms, which holds when the
-sum is empty.
+Fractions: subspace basis rows, the columns of the Hopf structure maps,
+tensors, and coefficients in a filtration's adapted basis.  `sparse_sum`
+builds such vectors from (index, value) terms, reducing mod p once and
+dropping zeros; an identity is one `sparse_sum` of its terms, which holds
+when the sum is empty.
+
+A filtration and its quotients have one type, `FilteredSpace`: its adapted
+rows of degree d represent V_d / V_(d+1), and the coefficients of a vector
+of V_d at them are its coset coordinates.
 
 Every row reduction over a field goes through one sparse kernel, `rref`,
 and `Subspace` keeps its output rows as they are.  Boundary matrices are
@@ -392,40 +395,7 @@ def eliminate_unit_pivots(columns) -> tuple[list[tuple[int, int]], dict[int, dic
 
 
 # ---------------------------------------------------------------------------
-# quotients
-
-
-class SubquotientBasis:
-    """Basis data for V/W with W <= V <= field^ambient, both in RREF."""
-
-    def __init__(self, v: Subspace, w: Subspace):
-        if v.field != w.field or v.ambient_dim != w.ambient_dim:
-            raise ValueError("subquotient mismatch")
-        if not v.contains_space(w):
-            raise ValueError("W not contained in V")
-        self.field = v.field
-        self.ambient_dim = v.ambient_dim
-        self.v = v
-        self.w = w
-        reps = [(k, row) for k, row in v.pivot_rows.items() if k not in w.pivot_rows]
-        self.rep_pivots = [k for k, _ in reps]
-        self.rep_rows = [row for _, row in reps]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rep_rows)
-
-    def coords(self, vector) -> dict:
-        """Coset coordinates of a vector of V as a sparse vector; raises if
-        vector not in V.
-
-        Reducing by W clears W's pivot columns without leaving the coset;
-        what is left is a combination of the representative rows alone, so
-        its entries at their pivots are the coordinates."""
-        u = self.w.reduce(vector)
-        if not self.v.contains(u):
-            raise ValueError("vector not in the subspace V")
-        return {i: u[p] for i, p in enumerate(self.rep_pivots) if p in u}
+# filtrations
 
 
 class FilteredSpace:
@@ -433,13 +403,15 @@ class FilteredSpace:
 
     Built from a level chain [V_0 = field^n, V_1, ..., V_k] whose last entry
     is stable (V_m = V_k for m > k).  `rows` lists, for each d < k, the
-    SubquotientBasis(V_d, V_(d+1)) representatives with degree d, then the
-    basis of V_k with degree inf, so level m is spanned by the rows of degree
-    >= m.  The inverse of the row matrix comes from one `rref` of the rows
-    with the identity appended; coefficients and filtration degrees are then
-    products with it.  For tensors of two filtered spaces, level m of the
-    sum of V_p (x) W_q over p + q = m is spanned by the products of rows
-    whose degrees sum to at least m.
+    basis rows of V_d whose leads are not leads of V_(d+1), with degree d,
+    then the basis of V_k with degree inf, so level m is spanned by the rows
+    of degree >= m.  Rows of degree d represent a basis of V_d / V_(d+1),
+    and the coefficients of a vector of V_d at them are its coset
+    coordinates.  The inverse of the row matrix comes from one `rref` of the
+    rows with the identity appended; coefficients and filtration degrees
+    are then products with it.  For tensors of two filtered spaces, level m
+    of the sum of V_p (x) W_q over p + q = m is spanned by the products of
+    rows whose degrees sum to at least m.
     """
 
     def __init__(self, levels):
@@ -448,8 +420,11 @@ class FilteredSpace:
             raise ValueError("level 0 must be the whole space")
         field, n = full.field, full.ambient_dim
         rows, degrees = [], []
-        for d in range(len(levels) - 1):
-            reps = SubquotientBasis(levels[d], levels[d + 1]).rep_rows
+        for d, (upper, lower) in enumerate(zip(levels, levels[1:])):
+            if not upper.contains_space(lower):
+                raise ValueError(f"level {d + 1} is not inside level {d}")
+            # both bases are in RREF, so the leads of lower are leads of upper
+            reps = [row for k, row in upper.pivot_rows.items() if k not in lower.pivot_rows]
             rows += reps
             degrees += [d] * len(reps)
         rows += levels[-1].basis
@@ -500,21 +475,3 @@ class FilteredSpace:
             default=math.inf,
         )
 
-
-def induced_matrix(
-    apply_map,
-    src: SubquotientBasis,
-    dst: SubquotientBasis,
-    check_kernel: Subspace,
-) -> tuple:
-    """Columns of the matrix of the map induced on quotients by `apply_map`
-    (sparse vector -> sparse vector): one sparse vector of `dst`
-    coordinates per basis element of `src`.
-
-    Verifies first that apply_map sends check_kernel into the denominator
-    of `dst` (well-definedness on cosets).
-    """
-    for row in check_kernel.basis:
-        if not dst.w.contains(apply_map(row)):
-            raise ValueError("map is not well-defined on cosets")
-    return tuple(dst.coords(apply_map(row)) for row in src.rep_rows)

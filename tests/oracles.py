@@ -12,7 +12,9 @@ directory on sys.path, and the file is not collected.
   (`GraphIsomorphism`, `verify_graph_iso`, `roundtrip_graph_iso`) and
   `relabel_arrows`, which transports a graph along an arrow relabelling.
 - `graded_primitive_subspace`, the graded primitives of the arrow
-  bialgebra's filtration.
+  bialgebra's filtration, and `pi_star`, the map x -> pi(x) - 1 that the
+  rack's projection induces on graded pieces, both read in the adapted
+  rows of `FilteredSpace`.
 - The derived Leibniz bracket [m, n] = m ^ f(n) of an exact Lie algebra
   pair (`LeibnizAlgebra`, `verify_leibniz`, `leibniz_bracket`), and
   `derivative_check`, which compares it with central differences of the
@@ -242,6 +244,30 @@ def graded_primitive_subspace(b: LMBialgebra, f: FiltrationLevels, n: int) -> Su
     kernel = nullspace(field, len(level), list(rows.values()))
     coords = [{j: kappa[k] for j, k in enumerate(piece) if k in kappa} for kappa in kernel.basis]
     return Subspace.from_vectors(field, len(piece), coords)
+
+
+def pi_star(a: AugmentedRack, field, levels_x, levels_g) -> tuple:
+    """The map x -> pi(x) - 1 induced from graded piece n of the labels to
+    graded piece n+1 of the group algebra, for each n before the labels'
+    chain repeats: one sparse column per adapted row of degree n of the
+    labels, in the coordinates of the adapted rows of degree n+1 of H.
+    Raises ValueError when the map is not well defined on cosets."""
+    fx, fg = FilteredSpace(levels_x), FilteredSpace(levels_g)
+    e = a.group.identity
+
+    def pi_tilde(v):
+        return sparse_sum(field, [(a.pi[x], c) for x, c in v.items()] + [(e, -c) for c in v.values()])
+
+    rows, maps = list(zip(fx.rows, fx.degrees)), []
+    for n in range(len(levels_x) - 1):
+        if any(fg.degree(pi_tilde(r)) < n + 2 for r, d in rows if d >= n + 1):
+            raise ValueError("map is not well-defined on cosets")
+        piece = [i for i, d in enumerate(fg.degrees) if d == n + 1]
+        maps.append(tuple(
+            {j: c[i] for j, i in enumerate(piece) if i in c}
+            for c in (fg.coefficients(pi_tilde(r)) for r, d in rows if d == n)
+        ))
+    return tuple(maps)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from rackgraph.hopf import (
     augmentation_filtration,
     build_lm_hopf,
     coinvariant_module,
-    group_ideal_levels,
     level_at,
     verify_connected_lemma,
     verify_graded_structure,
@@ -207,7 +206,7 @@ def test_criterion_09_graded_dimension_identity():
             q = rack_to_graph(a)
             b = build_lm_hopf(q, F2)
             filt = augmentation_filtration(b)
-            coinv = coinvariant_module(a, F2, group_ideal_levels(a.group, F2))
+            coinv = coinvariant_module(a, F2)
             assert verify_graded_structure(b, filt, coinv).ok, name
             if name == "toy_c2":
                 dims_a = [level_at(filt.levels_a, n).dim for n in range(filt.depth + 1)]

@@ -8,11 +8,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import json_dumps_canonical
-from rackgraph import cli, corpus, jsonio, linalg
+from rackgraph import cli, corpus, jsonio, lierack, linalg, racks
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -209,6 +210,48 @@ def test_sample_count_over_limit_refused():
     assert json.loads(proc.stdout)["error"] == {
         "path": "",
         "message": f"sample count {samples} exceeds the limit {cli.MAX_SAMPLES}",
+    }
+
+
+def test_integrate_over_sample_cost_refused(tmp_path):
+    # a valid 20 x 20 input: every sample costs 20^2 + 20^2, so 4000 samples
+    # are over the budget although the count is far below MAX_SAMPLES
+    lie = lierack.MatrixLMLie.make(
+        [np.diag(np.arange(20.0))], np.zeros((1, 20, 20)), np.zeros((20, 1))
+    )
+    path = write_doc(tmp_path, jsonio.dump_matrix_lm_lie(lie))
+    code, report, _ = run_cli(["integrate", path, "--samples", "4000"])
+    assert code == 2
+    assert report["error"] == {
+        "path": "",
+        "message": "sample cost samples * (m^2 + dim_x^2) = 4000 * (20^2 + 20^2) = 3200000"
+        f" exceeds the limit {cli.MAX_SAMPLE_COST}",
+    }
+    # so(3) on R^3 stays inside it at the largest sample count
+    assert cli.MAX_SAMPLES * (3**2 + 3**2) <= cli.MAX_SAMPLE_COST
+
+
+def test_hopf_over_size_budget_refused(tmp_path):
+    # the transpositions of S6 as a bare rack: its inner group is S6, so the
+    # arrow bialgebra would hold 720^2 * 15 table entries; refused before it
+    # is built, in seconds where building it runs for minutes
+    group, perms = racks.group_from_permutations([(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
+    assert group.order == 720
+    a = racks.conjugacy_class_rack(group, [perms.index((1, 0, 2, 3, 4, 5))])
+    path = write_doc(tmp_path, jsonio.dump_rack(a.derived_rack()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rackgraph.cli", "hopf", path, "--field", "f2"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == {
+        "path": "",
+        "message": "hopf size |G|^2 |X| = 720^2 * 15 = 7776000"
+        f" exceeds the limit {cli.MAX_HOPF_SIZE}",
     }
 
 
@@ -576,6 +619,17 @@ def test_regen_golden_refuses_arguments(tmp_path, arg):
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage: ") and proc.stderr.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["scripts"]
+
+
+def test_sweep_refuses_arguments():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sweep.py"), "--help"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "usage: python3 scripts/sweep.py  (takes no arguments)\n"
 
 
 def test_out_refuses_divergent_overwrite(tmp_path, capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import graded_primitive_subspace
+from oracles import graded_primitive_subspace, pi_star
 from rackgraph.graphs import graph_to_rack, rack_to_graph, unit_component
 from rackgraph.hopf import (
     augmentation_filtration,
@@ -340,7 +340,7 @@ def test_connected_lemma_disconnected_sample():
 
 def test_coinvariant_levels_s3_transpositions_mod_two():
     rack = sample_racks()["s3_transpositions"]
-    c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2))
+    c = coinvariant_module(rack, F2)
     # span{x0+x1, x1+x2} in canonical echelon form, stable from level one
     assert c.levels_x[1].basis == ({0: 1, 2: 1}, {1: 1, 2: 1})
     assert len(c.levels_x) == 2
@@ -354,21 +354,23 @@ def test_coinvariant_levels_trivial_actions():
         (trivial_augmented_rack(3), Q, (3, 0)),
         (sample_racks()["conj_c2"], F3, (2, 0)),
     ):
-        c = coinvariant_module(rack, field, group_ideal_levels(rack.group, field))
+        c = coinvariant_module(rack, field)
         assert c.p_dims == dims
 
 
+def induced_pi(rack, field):
+    c = coinvariant_module(rack, field)
+    return c, pi_star(rack, field, c.levels_x, group_ideal_levels(rack.group, field))
+
+
 def test_pi_star_two_element_example_mod_two():
-    rack = toy_rack_c2()
-    c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2))
+    c, induced = induced_pi(toy_rack_c2(), F2)
     assert c.p_dims[0] == 1
-    assert c.pi_star[0] == ({0: 1},)
+    assert induced[0] == ({0: 1},)
     # I/I^2 is G_ab (x) F2 and degree 0 sends an orbit to the class of pi(x):
     # a transposition is odd in S3, u^2 is twice the generator of C4
     for name, image in (("s3_transpositions", ({0: 1},)), ("c4_u2", ({},))):
-        rack = sample_racks()[name]
-        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2))
-        assert c.pi_star[0] == image
+        assert induced_pi(sample_racks()[name], F2)[1][0] == image
 
 
 def test_pi_star_columns_are_sparse_rows():
@@ -377,8 +379,8 @@ def test_pi_star_columns_are_sparse_rows():
     columns = 0
     for rack in sample_racks().values():
         for field in (Q, F2, F3, F5):
-            c = coinvariant_module(rack, field, group_ideal_levels(rack.group, field))
-            for n, mat in enumerate(c.pi_star):
+            c, induced = induced_pi(rack, field)
+            for n, mat in enumerate(induced):
                 assert len(mat) == c.p_dims[n]
                 for column in mat:
                     columns += 1
@@ -395,7 +397,7 @@ def test_graded_dimension_identity_and_raising():
         rack = sample_racks()[name]
         b = hopf_of(rack, F2)
         f = augmentation_filtration(b)
-        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2))
+        c = coinvariant_module(rack, F2)
         report = verify_graded_structure(b, f, c)
         assert report.ok, (name, report.violations[:3])
 
@@ -415,7 +417,7 @@ def test_module_levels_split_as_tensor_sums():
         rack = sample_racks()[name]
         b = hopf_of(rack, F2)
         f = augmentation_filtration(b)
-        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2))
+        c = coinvariant_module(rack, F2)
         fg, fx = FilteredSpace(f.levels_g), FilteredSpace(c.levels_x)
         for n in range(f.depth + 1):
             products = [
@@ -436,7 +438,7 @@ def test_corrupted_phi_fails_the_graded_check(name, field, depth, checked):
     rack = sample_racks()[name]
     b = hopf_of(rack, field)
     f = augmentation_filtration(b)
-    c = coinvariant_module(rack, field, group_ideal_levels(rack.group, field))
+    c = coinvariant_module(rack, field)
     assert verify_graded_structure(b, f, c).ok
     cols = list(b.phi)
     # arrow 0 now maps outside the augmentation ideal
@@ -504,8 +506,7 @@ def test_pi_star_lands_in_graded_primitives():
     for name, rack in racks:
         b = hopf_of(rack, F2)
         f = augmentation_filtration(b)
-        c = coinvariant_module(rack, F2, group_ideal_levels(rack.group, F2))
-        for n, columns in enumerate(c.pi_star):
+        for n, columns in enumerate(induced_pi(rack, F2)[1]):
             if not columns:
                 continue
             prim = graded_primitive_subspace(b, f, n + 1)
@@ -586,7 +587,7 @@ def test_generator_steps_equal_all_element_steps(field):
             field, Subspace.full(field, b.a_dim), arrows, len(f.levels_a) + 1
         ), name
 
-        c = coinvariant_module(rack, field, f.levels_g)
+        c = coinvariant_module(rack, field)
         labels = [[rack.action[x][g] for x in range(rack.x_size)] for g in others]
         assert repeat_last(c.levels_x) == all_elements_chain(
             field, Subspace.full(field, rack.x_size), labels, len(c.levels_x) + 1

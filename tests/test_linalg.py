@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from rackgraph.linalg import (
     FieldSpec,
     FilteredSpace,
-    SubquotientBasis,
     Subspace,
     eliminate_unit_pivots,
     nullspace,
@@ -211,34 +210,38 @@ def test_nullspace_vector_meets_several_leads():
     assert nullspace(F3, 4, rows).basis == ({0: 1, 2: 2, 3: 2}, {1: 1, 2: 2})
 
 
-def test_quotient_space_coords():
+def test_filtered_space_coset_coords():
     # the quotient of the whole space by W: representatives are the unit
-    # vectors at W's non-pivot columns
+    # vectors at W's non-pivot columns, of degree 0
     w = Subspace.from_vectors(Q, 3, [{0: 1, 1: 1}])
-    q = SubquotientBasis(Subspace.full(Q, 3), w)
-    assert q.dim == 2
-    assert q.rep_pivots == [1, 2]
-    assert q.rep_rows[0] == {1: 1}
-    # e0 and e0 - e1 lie in the same coset mod span{e0+e1}... e0-(e0+e1) = -e1
-    assert q.coords({0: 1}) == q.coords({1: -1})
-    assert q.coords({0: 1, 1: 1}) == {}
+    fs = FilteredSpace([Subspace.full(Q, 3), w])
+    assert fs.rows[:2] == ({1: 1}, {2: 1})
+    assert fs.graded_dim(0) == 2
+    # e0 and e0 - (e0 + e1) = -e1 lie in one coset mod span{e0 + e1}
+    cosets = [
+        {i: c for i, c in fs.coefficients(v).items() if fs.degrees[i] == 0}
+        for v in ({0: 1}, {1: -1}, {0: 1, 1: 1})
+    ]
+    assert cosets == [{0: -1}, {0: -1}, {}]
+    assert fs.degree({0: 1, 1: 1}) == math.inf
 
 
-def test_subquotient_basis():
+def test_filtered_space_w_pivot_need_not_be_a_non_representative_row():
+    # W's row e0 + e1 is not a row of V: it shares V's lead 0, so e1 is the
+    # one representative and e0 = -e1 + (e0 + e1) has coset coordinate -1
+    fs = FilteredSpace([Subspace.full(Q, 2), Subspace.from_vectors(Q, 2, [{0: 1, 1: 1}])])
+    assert fs.rows == ({1: 1}, {0: 1, 1: 1})
+    assert fs.degrees == (0, math.inf)
+    assert fs.coefficients({0: 1}) == {0: -1, 1: 1}
+    assert fs.degree({0: 1}) == fs.degree({1: -1}) == 0
+
+
+def test_filtered_space_refuses_a_chain_that_is_not_nested():
     v = Subspace.from_vectors(Q, 3, [{0: 1}, {1: 1}])
-    w = Subspace.from_vectors(Q, 3, [{1: 1}])
-    sq = SubquotientBasis(v, w)
-    assert sq.dim == 1
-    assert sq.coords({0: 1, 1: 5}) == {0: 1}
-    try:
-        sq.coords({2: 1})
-        assert False, "vector outside V must be rejected"
-    except ValueError:
-        pass
-    # W's pivot column need not be one of V's non-representative rows:
-    # (1, 0) and (1, 0) - (1, 1) lie in one coset of span{(1, 1)}
-    sq = SubquotientBasis(Subspace.full(Q, 2), Subspace.from_vectors(Q, 2, [{0: 1, 1: 1}]))
-    assert sq.coords({0: 1}) == sq.coords({1: -1}) == {0: -1}
+    with pytest.raises(ValueError, match="level 2 is not inside level 1"):
+        FilteredSpace([Subspace.full(Q, 3), v, Subspace.from_vectors(Q, 3, [{2: 1}])])
+    with pytest.raises(ValueError, match="level 0 must be the whole space"):
+        FilteredSpace([v, Subspace.from_vectors(Q, 3, [{1: 1}])])
 
 
 def test_prime_field_arithmetic():
