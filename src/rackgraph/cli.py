@@ -43,10 +43,10 @@ from .jsonio import SchemaError, TableNotGroup, canonical_json
 from .linalg import FieldSpec
 from .racks import (
     GroupTooLarge,
+    _rack_report,
     abelianization,
     associated_group_presentation,
     inner_group,
-    translation_violations,
     validate_augmented,
     validate_group,
     validate_rack,
@@ -130,6 +130,13 @@ class CheckFailed(Exception):
         self.violations = list(violations)
 
 
+def _check_rack(r) -> None:
+    """Refuse a bare rack that fails validate, with validate's violations."""
+    rep = _rack_report(r)
+    if not rep.ok:
+        raise CheckFailed(rep.violations)
+
+
 def _as_augmented(kind, obj):
     """Any rack-like document as an augmented rack whose group table is
     associative and whose action is an action, which the hopf filtrations
@@ -140,10 +147,7 @@ def _as_augmented(kind, obj):
             raise CheckFailed(bad)
         return obj
     if kind == "rack":
-        # the inner group is generated by the right translations
-        bad = translation_violations(obj)
-        if bad:
-            raise CheckFailed(bad)
+        _check_rack(obj)
         try:
             return inner_group(obj)[1]
         except GroupTooLarge as exc:
@@ -231,13 +235,26 @@ def _dims(levels, length: int) -> list[int]:
     return [level_at(levels, n).dim for n in range(length)]
 
 
+def _check_hopf_size(kind, obj) -> None:
+    """Refuse an augmented rack or graph whose arrow tables are over MAX_HOPF_SIZE."""
+    if kind == "graph":
+        g, na = obj.vertex_group.order, len(obj.arrows)
+        size, factors = g * na, f"|G| |arrows| = {g} * {na}"
+    else:
+        g, x = obj.group.order, obj.x_size
+        size, factors = g * g * x, f"|G|^2 |X| = {g}^2 * {x}"
+    if size > MAX_HOPF_SIZE:
+        raise SchemaError("", f"hopf size {factors} = {size} exceeds the limit {MAX_HOPF_SIZE}")
+
+
 def _cmd_hopf(m: Manifest, kind, obj) -> tuple[int, dict]:
+    # before the checks, which cost |G|^3 and more; a bare rack has a group
+    # only once its inner group is built
+    if kind in ("augmented_rack", "graph"):
+        _check_hopf_size(kind, obj)
     a = _as_augmented(kind, obj)
-    g, x = a.group.order, a.x_size
-    if g * g * x > MAX_HOPF_SIZE:
-        raise SchemaError(
-            "", f"hopf size |G|^2 |X| = {g}^2 * {x} = {g * g * x} exceeds the limit {MAX_HOPF_SIZE}"
-        )
+    if kind == "rack":
+        _check_hopf_size("augmented_rack", a)
     q = obj if kind == "graph" else rack_to_graph(a)
     field = FieldSpec.parse(m.field)
     b = build_lm_hopf(q, field)
@@ -333,8 +350,11 @@ def _cmd_integrate(m: Manifest, kind, obj) -> tuple[int, dict]:
 
 
 def _cmd_presentation(m: Manifest, kind, obj) -> tuple[int, dict]:
-    a = _as_augmented(kind, obj)
-    r = obj if kind == "rack" else a.derived_rack()
+    if kind == "rack":
+        _check_rack(obj)  # the presentation needs no inner group
+        r = obj
+    else:
+        r = _as_augmented(kind, obj).derived_rack()
     p = associated_group_presentation(r)
     rank, divisors = abelianization(p)
     report = {

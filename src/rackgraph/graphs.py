@@ -1,127 +1,72 @@
-"""Directed multigraphs with vertex multiplication and two-sided vertex actions
-on arrows, and the correspondence between those graphs and augmented racks.
+"""Group-like graphs, and the correspondence between them and augmented racks.
 
-A multiplicative structure on a graph Q is a graph morphism Q x Q -> Q; on
-vertices it is a semigroup multiplication, on arrows it is the pair of tables
-left_act[g][a] = g.a and right_act[g][a] = a.g (both vertex-major).  Group-like
-means the vertex semigroup is a group and the identity acts trivially on
-arrows.  The rack attached to a group-like graph lives on the arrows with
-source 1; the graph attached to an augmented rack has arrow set G x X.
+A group-like graph is a directed multigraph whose vertices form a finite
+group G, with arrows a tuple of (source, target) pairs, together with the
+two-sided action of the vertices on the arrows, left_act[g][a] = g.a and
+right_act[g][a] = a.g (both vertex-major).  The group law and the actions
+make up a multiplicative structure, a graph morphism Q x Q -> Q: the actions
+move sources and targets by the group law and associate with it and with
+each other, and the identity acts trivially.  The rack attached to a
+group-like graph lives on the arrows with source 1; the graph attached to an
+augmented rack has arrow set G x X.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .racks import AugmentedRack, FiniteGroup, ValidationReport, validate_group
-
-
-@dataclass(frozen=True)
-class DirectedMultigraph:
-    vertex_count: int
-    arrows: tuple  # tuple of (source, target)
-
-    @staticmethod
-    def make(vertex_count: int, arrows) -> "DirectedMultigraph":
-        arrows = tuple((int(s), int(t)) for s, t in arrows)
-        for s, t in arrows:
-            if not (0 <= s < vertex_count and 0 <= t < vertex_count):
-                raise ValueError("arrow endpoint out of range")
-        return DirectedMultigraph(vertex_count, arrows)
-
-    @property
-    def arrow_count(self) -> int:
-        return len(self.arrows)
-
-    def source(self, a: int) -> int:
-        return self.arrows[a][0]
-
-    def target(self, a: int) -> int:
-        return self.arrows[a][1]
-
-
-@dataclass(frozen=True)
-class MultiplicativeGraph:
-    graph: DirectedMultigraph
-    vertex_mul: tuple  # vertex_mul[g][h]
-    left_act: tuple  # left_act[g][a]
-    right_act: tuple  # right_act[g][a]
-
-    @staticmethod
-    def make(graph, vertex_mul, left_act, right_act) -> "MultiplicativeGraph":
-        return MultiplicativeGraph(
-            graph,
-            tuple(tuple(r) for r in vertex_mul),
-            tuple(tuple(r) for r in left_act),
-            tuple(tuple(r) for r in right_act),
-        )
+from .racks import AugmentedRack, FiniteGroup, ValidationReport, _group_violations
 
 
 @dataclass(frozen=True)
 class GroupLikeGraph:
-    graph: DirectedMultigraph
     vertex_group: FiniteGroup
-    left_act: tuple
-    right_act: tuple
-
-    def as_multiplicative(self) -> MultiplicativeGraph:
-        return MultiplicativeGraph.make(
-            self.graph, self.vertex_group.mul, self.left_act, self.right_act
-        )
-
-
-def validate_multiplicative(m: MultiplicativeGraph) -> ValidationReport:
-    violations: list[str] = []
-    g = m.graph
-    nv = g.vertex_count
-    na = g.arrow_count
-    checked = 0
-    mul = m.vertex_mul
-    for a in range(nv):
-        for b in range(nv):
-            for c in range(nv):
-                checked += 1
-                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                    violations.append(f"vertex associativity fails at ({a},{b},{c})")
-    # morphism property: actions are compatible with source and target
-    for v in range(nv):
-        for a in range(na):
-            checked += 4
-            la, ra = m.left_act[v][a], m.right_act[v][a]
-            if g.source(la) != mul[v][g.source(a)]:
-                violations.append(f"s(v.a) != v.s(a) at ({v},{a})")
-            if g.target(la) != mul[v][g.target(a)]:
-                violations.append(f"t(v.a) != v.t(a) at ({v},{a})")
-            if g.source(ra) != mul[g.source(a)][v]:
-                violations.append(f"s(a.v) != s(a).v at ({v},{a})")
-            if g.target(ra) != mul[g.target(a)][v]:
-                violations.append(f"t(a.v) != t(a).v at ({v},{a})")
-    # mixed associativity
-    for u in range(nv):
-        for v in range(nv):
-            for a in range(na):
-                checked += 3
-                if m.left_act[mul[u][v]][a] != m.left_act[u][m.left_act[v][a]]:
-                    violations.append(f"(uv).a != u.(v.a) at ({u},{v},{a})")
-                if m.right_act[v][m.right_act[u][a]] != m.right_act[mul[u][v]][a]:
-                    violations.append(f"(a.u).v != a.(uv) at ({u},{v},{a})")
-                if m.right_act[v][m.left_act[u][a]] != m.left_act[u][m.right_act[v][a]]:
-                    violations.append(f"(u.a).v != u.(a.v) at ({u},{v},{a})")
-    return ValidationReport.collect(violations, checked)
+    arrows: tuple  # tuple of (source, target)
+    left_act: tuple  # left_act[g][a] = g.a
+    right_act: tuple  # right_act[g][a] = a.g
 
 
 def validate_group_like(q: GroupLikeGraph) -> ValidationReport:
-    group_rep = validate_group(q.vertex_group)
-    base = validate_multiplicative(q.as_multiplicative())
-    violations = list(group_rep.violations) + list(base.violations)
-    checked = group_rep.checked + base.checked
-    e = q.vertex_group.identity
-    for a in range(q.graph.arrow_count):
-        checked += 2
-        if q.left_act[e][a] != a:
+    """The group axioms of the vertices, then those of a multiplicative
+    graph (vertex associativity, the actions as a graph morphism, mixed
+    associativity), then the identity acting trivially.  Both associativity
+    checks read one pass over the triples of vertices."""
+    grp = q.vertex_group
+    mul, la, ra, arrows = grp.mul, q.left_act, q.right_act, q.arrows
+    n, na = grp.order, len(arrows)
+    violations, triples = _group_violations(grp)
+    violations += [f"vertex associativity fails at {t}" for t in triples]
+    # morphism property: actions are compatible with source and target
+    for v in range(n):
+        for a, (s, t) in enumerate(arrows):
+            (ls, lt), (rs, rt) = arrows[la[v][a]], arrows[ra[v][a]]
+            if ls != mul[v][s]:
+                violations.append(f"s(v.a) != v.s(a) at ({v},{a})")
+            if lt != mul[v][t]:
+                violations.append(f"t(v.a) != v.t(a) at ({v},{a})")
+            if rs != mul[s][v]:
+                violations.append(f"s(a.v) != s(a).v at ({v},{a})")
+            if rt != mul[t][v]:
+                violations.append(f"t(a.v) != t(a).v at ({v},{a})")
+    # mixed associativity
+    for u in range(n):
+        for v in range(n):
+            uv = mul[u][v]
+            lu, lv, luv, ru, rv, ruv = la[u], la[v], la[uv], ra[u], ra[v], ra[uv]
+            for a in range(na):
+                if luv[a] != lu[lv[a]]:
+                    violations.append(f"(uv).a != u.(v.a) at ({u},{v},{a})")
+                if rv[ru[a]] != ruv[a]:
+                    violations.append(f"(a.u).v != a.(uv) at ({u},{v},{a})")
+                if rv[lu[a]] != lu[rv[a]]:
+                    violations.append(f"(u.a).v != u.(a.v) at ({u},{v},{a})")
+    e = grp.identity
+    for a in range(na):
+        if la[e][a] != a:
             violations.append(f"1.a != a at arrow {a}")
-        if q.right_act[e][a] != a:
+        if ra[e][a] != a:
             violations.append(f"a.1 != a at arrow {a}")
+    checked = 2 * n + 2 * n**3 + 4 * n * na + 3 * n * n * na + 2 * na
     return ValidationReport.collect(violations, checked)
 
 
@@ -129,45 +74,31 @@ def validate_group_like(q: GroupLikeGraph) -> ValidationReport:
 # the correspondence
 
 
-def _arrow_index(x_size: int, g: int, x: int) -> int:
-    return g * x_size + x
-
-
 def rack_to_graph(a: AugmentedRack) -> GroupLikeGraph:
-    """Arrows G x X with s(g,x) = g, t(g,x) = g pi(x),
-    h.(g,x) = (hg,x) and (g,x).h = (gh, x^h)."""
+    """Arrows G x X, arrow (g,x) at index g |X| + x, with s(g,x) = g,
+    t(g,x) = g pi(x), h.(g,x) = (hg,x) and (g,x).h = (gh, x^h)."""
     grp = a.group
     n, m = grp.order, a.x_size
-    arrows = []
-    for g in range(n):
-        for x in range(m):
-            arrows.append((g, grp.mul[g][a.pi[x]]))
-    graph = DirectedMultigraph.make(n, arrows)
-    left = [
-        [_arrow_index(m, grp.mul[h][g], x) for g in range(n) for x in range(m)]
+    arrows = tuple((g, grp.mul[g][a.pi[x]]) for g in range(n) for x in range(m))
+    left = tuple(
+        tuple(grp.mul[h][g] * m + x for g in range(n) for x in range(m)) for h in range(n)
+    )
+    right = tuple(
+        tuple(grp.mul[g][h] * m + a.action[x][h] for g in range(n) for x in range(m))
         for h in range(n)
-    ]
-    right = [
-        [_arrow_index(m, grp.mul[g][h], a.action[x][h]) for g in range(n) for x in range(m)]
-        for h in range(n)
-    ]
-    return GroupLikeGraph(graph, grp, tuple(tuple(r) for r in left), tuple(tuple(r) for r in right))
+    )
+    return GroupLikeGraph(grp, arrows, left, right)
 
 
 def graph_to_rack(q: GroupLikeGraph) -> AugmentedRack:
     """X = arrows with source 1; x ^ g = g^-1.x.g; pi = target restricted to X."""
     grp = q.vertex_group
-    e = grp.identity
-    xs = [a for a in range(q.graph.arrow_count) if q.graph.source(a) == e]
+    xs = [a for a, (s, _) in enumerate(q.arrows) if s == grp.identity]
     pos = {a: i for i, a in enumerate(xs)}
-    action = []
-    for a in xs:
-        row = []
-        for g in range(grp.order):
-            moved = q.right_act[g][q.left_act[grp.inv[g]][a]]
-            row.append(pos[moved])
-        action.append(row)
-    pi = [q.graph.target(a) for a in xs]
+    action = [
+        [pos[q.right_act[g][q.left_act[grp.inv[g]][a]]] for g in range(grp.order)] for a in xs
+    ]
+    pi = [q.arrows[a][1] for a in xs]
     return AugmentedRack.make(grp, action, pi)
 
 
@@ -176,9 +107,8 @@ def unit_component(q: GroupLikeGraph) -> tuple[tuple[int, ...], bool]:
     whole graph is connected.  The component is checked to be the normal
     subgroup generated by the targets of the arrows out of the identity."""
     grp = q.vertex_group
-    n = q.graph.vertex_count
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for (s, t) in q.graph.arrows:
+    adj: list[set[int]] = [set() for _ in range(grp.order)]
+    for s, t in q.arrows:
         adj[s].add(t)
         adj[t].add(s)
     seen = {grp.identity}
@@ -190,10 +120,9 @@ def unit_component(q: GroupLikeGraph) -> tuple[tuple[int, ...], bool]:
                 seen.add(w)
                 stack.append(w)
     component = tuple(sorted(seen))
-    rack = graph_to_rack(q)
-    generated = grp.subgroup_closure(set(rack.pi))
+    generated = grp.subgroup_closure({t for s, t in q.arrows if s == grp.identity})
     if component != generated:
         raise ValueError("unit component is not the subgroup generated by im(pi)")
     if not grp.is_normal(component):
         raise ValueError("unit component is not normal")
-    return component, len(component) == n
+    return component, len(component) == grp.order

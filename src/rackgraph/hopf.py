@@ -60,9 +60,9 @@ class LMBialgebra:
 def build_lm_hopf(q: GroupLikeGraph, field: FieldSpec) -> LMBialgebra:
     grp = q.vertex_group
     h = grp.order
-    na = q.graph.arrow_count
+    na = len(q.arrows)
     phi, s1, d1 = [], [], []
-    for a, (s, t) in enumerate(q.graph.arrows):
+    for a, (s, t) in enumerate(q.arrows):
         phi.append(sparse_sum(field, [(t, 1), (s, -1)]))
         b = q.left_act[grp.inv[s]][q.right_act[grp.inv[t]][a]]
         s1.append(sparse_sum(field, [(b, -1)]))

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _string
 from .liealg import LMLieAlgebra
 from .lierack import MatrixLMLie
 from .racks import AugmentedRack, FiniteGroup, FiniteRack
-from .graphs import DirectedMultigraph, GroupLikeGraph
+from .graphs import GroupLikeGraph
 
 SCHEMA_VERSION = 1
 
@@ -260,7 +260,7 @@ def dump_graph(q: GroupLikeGraph) -> dict:
         "schema": SCHEMA_VERSION,
         "kind": "graph",
         "vertex_group": dump_group(q.vertex_group),
-        "arrows": [list(p) for p in q.graph.arrows],
+        "arrows": [list(p) for p in q.arrows],
         "left_act": [list(row) for row in q.left_act],
         "right_act": [list(row) for row in q.right_act],
     }
@@ -275,8 +275,9 @@ def load_graph(doc) -> GroupLikeGraph:
     arrow = _int_below(max(na, 1))
     left = _matrix(_need(doc, "left_act", ""), "/left_act", arrow, rows=n, cols=na)
     right = _matrix(_need(doc, "right_act", ""), "/right_act", arrow, rows=n, cols=na)
-    graph = DirectedMultigraph.make(n, [tuple(p) for p in arrows])
-    return GroupLikeGraph(graph, group, tuple(tuple(r) for r in left), tuple(tuple(r) for r in right))
+    return GroupLikeGraph(
+        group, tuple(map(tuple, arrows)), tuple(map(tuple, left)), tuple(map(tuple, right))
+    )
 
 
 def dump_lm_lie(l: LMLieAlgebra) -> dict:

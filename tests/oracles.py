@@ -32,13 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from rackgraph.graphs import (
-    DirectedMultigraph,
-    GroupLikeGraph,
-    _arrow_index,
-    graph_to_rack,
-    rack_to_graph,
-)
+from rackgraph.graphs import GroupLikeGraph, graph_to_rack, rack_to_graph
 from rackgraph.hopf import FiltrationLevels, LMBialgebra
 from rackgraph.liealg import _Q, LMLieAlgebra, _products, _vector
 from rackgraph.lierack import LinearLieRack, NumericReport, _times, matrix_exp
@@ -137,8 +131,8 @@ class GraphIsomorphism:
 def verify_graph_iso(q1: GroupLikeGraph, q2: GroupLikeGraph, iso: GraphIsomorphism) -> bool:
     """Does iso carry q1 onto q2 compatibly with s, t, and both actions?"""
     vm, am = iso.vertex_map, iso.arrow_map
-    n, na = q1.graph.vertex_count, q1.graph.arrow_count
-    if q2.graph.vertex_count != n or q2.graph.arrow_count != na:
+    n, na = q1.vertex_group.order, len(q1.arrows)
+    if q2.vertex_group.order != n or len(q2.arrows) != na:
         return False
     if sorted(vm) != list(range(n)) or sorted(am) != list(range(na)):
         return False
@@ -146,10 +140,8 @@ def verify_graph_iso(q1: GroupLikeGraph, q2: GroupLikeGraph, iso: GraphIsomorphi
         for h in range(n):
             if vm[q1.vertex_group.mul[g][h]] != q2.vertex_group.mul[vm[g]][vm[h]]:
                 return False
-    for a in range(na):
-        if vm[q1.graph.source(a)] != q2.graph.source(am[a]):
-            return False
-        if vm[q1.graph.target(a)] != q2.graph.target(am[a]):
+    for a, (s, t) in enumerate(q1.arrows):
+        if (vm[s], vm[t]) != q2.arrows[am[a]]:
             return False
     for g in range(n):
         for a in range(na):
@@ -167,15 +159,14 @@ def roundtrip_graph_iso(q: GroupLikeGraph) -> tuple[GroupLikeGraph, GraphIsomorp
     std = rack_to_graph(rack)
     grp = q.vertex_group
     e = grp.identity
-    xs = [a for a in range(q.graph.arrow_count) if q.graph.source(a) == e]
+    xs = [a for a, (s, _) in enumerate(q.arrows) if s == e]
     pos = {a: i for i, a in enumerate(xs)}
     arrow_map = []
-    for a in range(q.graph.arrow_count):
-        g = q.graph.source(a)
+    for a, (g, _) in enumerate(q.arrows):
         x = q.left_act[grp.inv[g]][a]
-        if q.graph.source(x) != e:
+        if q.arrows[x][0] != e:
             raise ValueError("left action does not translate sources")
-        arrow_map.append(_arrow_index(rack.x_size, g, pos[x]))
+        arrow_map.append(g * rack.x_size + pos[x])
     iso = GraphIsomorphism(tuple(range(grp.order)), tuple(arrow_map))
     if not verify_graph_iso(q, std, iso):
         raise ValueError("canonical roundtrip map is not an isomorphism")
@@ -185,20 +176,21 @@ def roundtrip_graph_iso(q: GroupLikeGraph) -> tuple[GroupLikeGraph, GraphIsomorp
 def relabel_arrows(q: GroupLikeGraph, perm) -> GroupLikeGraph:
     """Transport the structure along an arrow relabeling a -> perm[a]."""
     perm = list(perm)
-    na = q.graph.arrow_count
+    na = len(q.arrows)
     if sorted(perm) != list(range(na)):
         raise ValueError("not a permutation of the arrows")
     arrows = [None] * na
     for a in range(na):
-        arrows[perm[a]] = q.graph.arrows[a]
+        arrows[perm[a]] = q.arrows[a]
     inv = [0] * na
     for a in range(na):
         inv[perm[a]] = a
-    n = q.graph.vertex_count
+    n = q.vertex_group.order
     left = [[perm[q.left_act[g][inv[b]]] for b in range(na)] for g in range(n)]
     right = [[perm[q.right_act[g][inv[b]]] for b in range(na)] for g in range(n)]
-    graph = DirectedMultigraph.make(n, arrows)
-    return GroupLikeGraph(graph, q.vertex_group, tuple(tuple(r) for r in left), tuple(tuple(r) for r in right))
+    return GroupLikeGraph(
+        q.vertex_group, tuple(arrows), tuple(map(tuple, left)), tuple(map(tuple, right))
+    )
 
 
 # ---------------------------------------------------------------------------

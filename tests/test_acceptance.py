@@ -125,7 +125,7 @@ def test_criterion_02_roundtrips():
         done = 0
         while done < 20:
             q = rack_to_graph(AUGMENTED[names[done % len(names)]])
-            perm = list(range(q.graph.arrow_count))
+            perm = list(range(len(q.arrows)))
             rng.shuffle(perm)
             shuffled = relabel_arrows(q, perm)
             std, iso = roundtrip_graph_iso(shuffled)

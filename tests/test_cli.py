@@ -255,6 +255,36 @@ def test_hopf_over_size_budget_refused(tmp_path):
     }
 
 
+def _refuse(*args):
+    raise AssertionError("structure checked before the size budget")
+
+
+def test_hopf_size_budget_before_the_checks(tmp_path, monkeypatch):
+    # S5 on itself by conjugation: 120^3 = 1.7e6 table entries; validate_group
+    # alone would spend 120^3 steps before the budget refused them
+    group, _ = racks.group_from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+    path = write_doc(tmp_path, jsonio.dump_augmented(racks.conjugation_rack(group)))
+    monkeypatch.setattr(cli, "validate_group", _refuse)
+    code, report, _ = run_cli(["hopf", path])
+    assert code == 2
+    assert report["error"] == {
+        "path": "",
+        "message": "hopf size |G|^2 |X| = 120^2 * 120 = 1728000"
+        f" exceeds the limit {cli.MAX_HOPF_SIZE}",
+    }
+
+
+def test_hopf_size_budget_of_a_graph_before_the_checks(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_HOPF_SIZE", 100)
+    monkeypatch.setattr(cli, "validate_group_like", _refuse)
+    code, report, _ = run_cli(["hopf", "corpus/graph_s3_transpositions.json"])
+    assert code == 2
+    assert report["error"] == {
+        "path": "",
+        "message": "hopf size |G| |arrows| = 6 * 18 = 108 exceeds the limit 100",
+    }
+
+
 def test_degree_bound_too_shallow_for_hopf():
     code, report, _ = run_cli(
         ["hopf", "corpus/toy_c2.json", "--field", "f2", "--max-degree", "1"]
@@ -348,28 +378,73 @@ def test_rack_with_non_bijective_translation_reported(tmp_path, argv):
     doc = json.loads(Path("corpus/dihedral_3.json").read_text())
     doc["op"][0][0] = 1  # column 0 becomes (1, 2, 1)
     path = write_doc(tmp_path, doc)
+    _, validated, _ = run_cli(["validate", path])
+    assert validated["violations"][0] == "right translation by 0 is not a bijection"
     code, report, _ = run_cli([argv[0], path, *argv[1:]])
     assert code == 1
     assert report == {
         "schema": 1,
         "command": argv[0],
         "ok": False,
-        "violations": ["right translation by 0 is not a bijection"],
+        "violations": validated["violations"],
     }
 
 
 @pytest.mark.parametrize(
     "argv", [["homology"], ["hopf"], ["presentation"], ["convert", "--to", "graph"]]
 )
+def test_rack_not_self_distributive_reported(tmp_path, capsys, argv):
+    # every right translation is a bijection; (0^0)^0 = 0 but (0^0)^(0^0) = 1
+    doc = {"schema": 1, "kind": "rack", "op": [[1, 0, 0], [0, 2, 1], [2, 1, 2]]}
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["validate", path]) == 1
+    validated = json.loads(capsys.readouterr().out)
+    assert "self-distributivity fails at (0,0,0)" in validated["violations"]
+    assert cli.main([argv[0], path, *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {
+        "schema": 1,
+        "command": argv[0],
+        "ok": False,
+        "violations": validated["violations"],
+    }
+
+
+def _transposition_quandle(n):
+    """The transpositions of S_n as a bare rack, x ^ y = y x y."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def swap(k, t):
+        return t[1] if k == t[0] else t[0] if k == t[1] else k
+
+    return [[pairs.index(tuple(sorted((swap(x[0], y), swap(x[1], y))))) for y in pairs]
+            for x in pairs]
+
+
+@pytest.mark.parametrize(
+    "argv", [["homology"], ["hopf"], ["presentation"], ["convert", "--to", "graph"]]
+)
 def test_inner_group_over_order_bound_refused(tmp_path, argv):
-    # translations (0 1) and an 8-cycle generate S_8, of order 40320; its
+    # the 28 transpositions of S_8 generate it, of order 40320; its
     # multiplication table alone would hold 40320^2 entries
-    op = [[(1 - x if x < 2 else x) if y == 0 else (x + 1) % 8 for y in range(8)]
-          for x in range(8)]
-    path = write_doc(tmp_path, {"schema": 1, "kind": "rack", "op": op})
+    path = write_doc(tmp_path, {"schema": 1, "kind": "rack", "op": _transposition_quandle(8)})
     code, report, _ = run_cli([argv[0], path, *argv[1:]])
+    if argv[0] == "presentation":  # reads the rack alone
+        assert code == 0 and report["abelianization"] == {"rank": 1, "torsion": []}
+        return
     assert code == 2
     assert report["error"] == {"path": "", "message": "group order exceeds bound 20000"}
+
+
+def test_presentation_of_a_bare_rack_builds_no_inner_group(monkeypatch):
+    def refuse(r):
+        raise AssertionError("inner group built")
+
+    monkeypatch.setattr(cli, "inner_group", refuse)
+    code, _, text = run_cli(["presentation", "corpus/dihedral_3.json"])
+    assert code == 0
+    assert text == Path("golden/presentation_dihedral_3.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -389,6 +464,133 @@ def test_graph_not_group_like_reported(tmp_path, argv):
         "ok": False,
         "violations": validated["violations"],
     }
+
+
+def _corrupt_vertex_table(doc):
+    # keeps the identity and every inverse, so both the group's and the
+    # graph's associativity lines show inside the first 20
+    doc["vertex_group"]["mul"][3][3] = 3
+
+
+def _corrupt_left_act(doc):
+    doc["left_act"][2][5] = 15
+
+
+def _corrupt_right_act(doc):
+    doc["right_act"][4][7] = 6
+
+
+def _corrupt_arrow_target(doc):
+    doc["arrows"][4][1] = 2
+
+
+@pytest.mark.parametrize(
+    "corrupt, violations",
+    [
+        (_corrupt_vertex_table, """
+associativity fails at (1,2,3)
+associativity fails at (1,3,3)
+associativity fails at (2,3,3)
+associativity fails at (2,5,3)
+associativity fails at (3,1,2)
+associativity fails at (3,2,5)
+associativity fails at (3,3,1)
+associativity fails at (3,3,2)
+associativity fails at (3,3,4)
+associativity fails at (3,3,5)
+associativity fails at (3,4,4)
+associativity fails at (3,5,1)
+associativity fails at (4,3,3)
+associativity fails at (4,4,3)
+associativity fails at (5,1,3)
+associativity fails at (5,3,3)
+vertex associativity fails at (1,2,3)
+vertex associativity fails at (1,3,3)
+vertex associativity fails at (2,3,3)
+vertex associativity fails at (2,5,3)
+"""),
+        (_corrupt_left_act, """
+s(v.a) != v.s(a) at (2,5)
+t(v.a) != v.t(a) at (2,5)
+(uv).a != u.(v.a) at (1,2,5)
+(uv).a != u.(v.a) at (1,3,5)
+(u.a).v != u.(a.v) at (2,1,1)
+(uv).a != u.(v.a) at (2,1,2)
+(u.a).v != u.(a.v) at (2,1,5)
+(uv).a != u.(v.a) at (2,2,5)
+(u.a).v != u.(a.v) at (2,2,5)
+(u.a).v != u.(a.v) at (2,2,9)
+(uv).a != u.(v.a) at (2,2,14)
+(u.a).v != u.(a.v) at (2,3,5)
+(uv).a != u.(v.a) at (2,3,8)
+(u.a).v != u.(a.v) at (2,3,15)
+(u.a).v != u.(a.v) at (2,4,5)
+(u.a).v != u.(a.v) at (2,4,7)
+(uv).a != u.(v.a) at (2,4,17)
+(u.a).v != u.(a.v) at (2,5,5)
+(uv).a != u.(v.a) at (2,5,11)
+(u.a).v != u.(a.v) at (2,5,14)
+"""),
+        (_corrupt_right_act, """
+s(a.v) != s(a).v at (4,7)
+(u.a).v != u.(a.v) at (1,4,7)
+(u.a).v != u.(a.v) at (1,4,10)
+(a.u).v != a.(uv) at (1,4,14)
+(a.u).v != a.(uv) at (1,5,7)
+(a.u).v != a.(uv) at (2,1,7)
+(a.u).v != a.(uv) at (2,4,1)
+(u.a).v != u.(a.v) at (2,4,1)
+(u.a).v != u.(a.v) at (2,4,7)
+(a.u).v != a.(uv) at (3,3,7)
+(a.u).v != a.(uv) at (3,4,5)
+(u.a).v != u.(a.v) at (3,4,7)
+(u.a).v != u.(a.v) at (3,4,16)
+(a.u).v != a.(uv) at (4,1,7)
+(a.u).v != a.(uv) at (4,2,7)
+(a.u).v != a.(uv) at (4,3,7)
+(u.a).v != u.(a.v) at (4,4,4)
+(a.u).v != a.(uv) at (4,4,7)
+(u.a).v != u.(a.v) at (4,4,7)
+(a.u).v != a.(uv) at (4,4,15)
+"""),
+        (_corrupt_arrow_target, """
+t(v.a) != v.t(a) at (1,1)
+t(a.v) != t(a).v at (1,2)
+t(v.a) != v.t(a) at (1,4)
+t(a.v) != t(a).v at (1,4)
+t(v.a) != v.t(a) at (2,4)
+t(a.v) != t(a).v at (2,4)
+t(a.v) != t(a).v at (2,10)
+t(v.a) != v.t(a) at (2,13)
+t(v.a) != v.t(a) at (3,4)
+t(a.v) != t(a).v at (3,4)
+t(v.a) != v.t(a) at (3,7)
+t(a.v) != t(a).v at (3,17)
+t(v.a) != v.t(a) at (4,4)
+t(a.v) != t(a).v at (4,4)
+t(a.v) != t(a).v at (4,6)
+t(v.a) != v.t(a) at (4,16)
+t(v.a) != v.t(a) at (5,4)
+t(a.v) != t(a).v at (5,4)
+t(v.a) != v.t(a) at (5,10)
+t(a.v) != t(a).v at (5,12)
+"""),
+    ],
+    ids=["vertex_table", "left_act", "right_act", "arrow_target"],
+)
+def test_corrupted_graph_validate_report_pinned(tmp_path, corrupt, violations):
+    doc = json.loads(Path("corpus/graph_s3_transpositions.json").read_text())
+    corrupt(doc)
+    code, _, text = run_cli(["validate", write_doc(tmp_path, doc)])
+    assert code == 1
+    assert text == jsonio.canonical_json({
+        "schema": 1,
+        "command": "validate",
+        "kind": "graph",
+        "ok": False,
+        "checked": 2856,
+        "violations": violations.strip().split("\n"),
+    })
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,11 @@ import random
 
 from oracles import relabel_arrows, roundtrip_graph_iso, verify_graph_iso
 from rackgraph.graphs import (
-    DirectedMultigraph,
-    MultiplicativeGraph,
+    GroupLikeGraph,
     graph_to_rack,
     rack_to_graph,
     unit_component,
     validate_group_like,
-    validate_multiplicative,
 )
 from rackgraph.racks import (
     conjugacy_class_rack,
@@ -67,7 +65,7 @@ def test_roundtrip_on_relabeled_graphs():
     rng = random.Random(11)
     for name, a in corpus_racks().items():
         q = rack_to_graph(a)
-        perm = list(range(q.graph.arrow_count))
+        perm = list(range(len(q.arrows)))
         rng.shuffle(perm)
         q2 = relabel_arrows(q, perm)
         assert validate_group_like(q2).ok
@@ -97,21 +95,22 @@ def test_corrupted_action_detected():
     q = rack_to_graph(toy_rack_c2())
     left = [list(r) for r in q.left_act]
     left[1][0], left[1][1] = left[1][1], left[1][0]
-    bad = MultiplicativeGraph.make(q.graph, q.vertex_group.mul, left, q.right_act)
-    assert not validate_multiplicative(bad).ok
+    bad = GroupLikeGraph(q.vertex_group, q.arrows, tuple(map(tuple, left)), q.right_act)
+    rep = validate_group_like(bad)
+    assert rep.checked == 64
+    assert rep.violations == (
+        "s(v.a) != v.s(a) at (1,0)",
+        "t(v.a) != v.t(a) at (1,0)",
+        "s(v.a) != v.s(a) at (1,1)",
+        "t(v.a) != v.t(a) at (1,1)",
+    )
 
 
 def test_identity_action_required_for_group_like():
     # multiplicative but not unital: one vertex, two loops, identity acting
-    # as the constant map onto loop 0 (idempotent, hence associative)
-    graph = DirectedMultigraph.make(1, [(0, 0), (0, 0)])
-    mul = [[0]]
-    left = [[0, 0]]
-    right = [[0, 0]]
-    m = MultiplicativeGraph.make(graph, mul, left, right)
-    assert validate_multiplicative(m).ok
-    from rackgraph.graphs import GroupLikeGraph
-    from rackgraph.racks import cyclic_group as cg
-
-    q = GroupLikeGraph(graph, cg(1), m.left_act, m.right_act)
-    assert not validate_group_like(q).ok
+    # as the constant map onto loop 0 (idempotent, hence associative), so
+    # only the unit checks fail, both at loop 1
+    q = GroupLikeGraph(cyclic_group(1), ((0, 0), (0, 0)), ((0, 0),), ((0, 0),))
+    rep = validate_group_like(q)
+    assert rep.checked == 22
+    assert rep.violations == ("1.a != a at arrow 1", "a.1 != a at arrow 1")
