@@ -25,6 +25,7 @@ from .cubical import (
     assert_boundary_squares_to_zero,
     betti_numbers_rational,
     bq_chain_complex,
+    check_size,
     eq_chain_complex,
     homology,
 )
@@ -202,10 +203,16 @@ def _cmd_convert(m: Manifest, kind, obj) -> tuple[int, dict]:
 
 
 def _cmd_homology(m: Manifest, kind, obj) -> tuple[int, dict]:
-    a = _as_augmented(kind, obj)
     top = (m.max_degree if m.max_degree is not None else 3) + 1
     build = bq_chain_complex if m.complex_kind == "bq" else eq_chain_complex
     try:
+        # before the |G|^3 checks; a bare rack's group is its inner group, built later
+        if kind == "augmented_rack":
+            check_size(m.complex_kind, obj.group.order, obj.x_size, top)
+        elif kind == "graph":
+            grp = obj.vertex_group
+            check_size(m.complex_kind, grp.order, sum(s == grp.identity for s, _ in obj.arrows), top)
+        a = _as_augmented(kind, obj)
         complex_ = build(a, max_degree=top)
     except ComplexTooLarge as exc:
         raise SchemaError("", str(exc)) from None

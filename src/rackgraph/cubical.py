@@ -65,11 +65,14 @@ class ComplexTooLarge(ValueError):
     """The top chain group of a requested complex is over the size cap."""
 
 
-def _check_cap(size: int, formula: str) -> None:
+def check_size(complex_kind: str, order: int, x_size: int, max_degree: int) -> None:
+    """Refuse a bq or eq complex whose top chain group is over SIZE_CAP."""
+    base = max(x_size, 1)
+    size, formula = base**max_degree, f"{base}^{max_degree}"
+    if complex_kind == "eq":
+        size, formula = order * size, f"{order} x {formula}, full complex"
     if size > SIZE_CAP:
-        raise ComplexTooLarge(
-            f"memory bound exceeded: basis size {size} ({formula}) > cap {SIZE_CAP}"
-        )
+        raise ComplexTooLarge(f"memory bound exceeded: basis size {size} ({formula}) > cap {SIZE_CAP}")
 
 
 def _enumerate_tuples(size: int, n: int) -> list[tuple[int, ...]]:
@@ -113,18 +116,15 @@ def _cube_complex(a: AugmentedRack, max_degree: int, heads: dict) -> ChainComple
 def bq_chain_complex(a: AugmentedRack, max_degree: int = 4) -> ChainComplex:
     """Reduced complex on basis X^n (C_0 has rank 1): the full complex with
     the leading vertex forgotten, so its one head is the empty one."""
-    base = max(a.x_size, 1)
-    _check_cap(base**max_degree, f"{base}^{max_degree}")
+    check_size("bq", a.group.order, a.x_size, max_degree)
     return _cube_complex(a, max_degree, {(): [()] * a.x_size})
 
 
 def eq_chain_complex(a: AugmentedRack, max_degree: int = 4) -> ChainComplex:
     """Full complex on basis G x X^n."""
-    order = a.group.order
-    base = max(a.x_size, 1)
-    _check_cap(order * base**max_degree, f"{order} x {base}^{max_degree}, full complex")
+    check_size("eq", a.group.order, a.x_size, max_degree)
     mul = a.group.mul
-    heads = {(g,): [(mul[g][p],) for p in a.pi] for g in range(order)}
+    heads = {(g,): [(mul[g][p],) for p in a.pi] for g in range(a.group.order)}
     return _cube_complex(a, max_degree, heads)
 
 

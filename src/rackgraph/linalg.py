@@ -1,8 +1,8 @@
 """Exact linear algebra: rationals, prime fields, and integer Smith normal form.
 
-Scalars are ints and `fractions.Fraction`s over the rationals and plain
-ints in [0, p) over a prime field.  Subspaces are kept in reduced row echelon
-form, which makes equality and membership canonical.
+Scalars are ints and `fractions.Fraction`s over Q, ints in [0, p) over F_p.
+Subspaces are kept in reduced row echelon form, which makes equality and
+membership canonical; over Q `rref` reaches it on integer pivot rows.
 
 Every vector is a sparse dict {index: value} with no zero values, over
 F_p its values in [0, p) and over Q ints unless a division made them
@@ -112,22 +112,25 @@ def rref(field: FieldSpec, rows) -> list[dict]:
     """Reduced row echelon basis of the span of sparse rows {index: value}.
 
     Returns the nonzero rows of the reduced echelon form, sorted by leading
-    index, each with lead 1 and zero at every other row's lead.  The pivot
-    rows are kept fully reduced, so the entries of an incoming row at pivot
-    indices are exactly the multiples of pivot rows to subtract, and one
-    pass clears it.  Over F_p values are reduced mod p; over Q ints stay
-    ints until a lead other than +-1 needs a division.
+    index, each with lead 1 and zero at every other row's lead.  Pivot rows
+    stay zero at each other's leads: an incoming row is cleared in one pass,
+    then cleared out of the pivot rows.  Over F_p values are reduced mod p.
+    Over Q every step is on integers (after Bareiss 1968): rows come in
+    scaled by the lcm of their denominators, and u is cleared at the lead a
+    of w by u <- (a / g) u - (c / g) w, c = u's entry there, g = gcd(a, c).
+    A pivot row is kept primitive (content 1) with a positive lead, and is
+    divided by its lead only on the way out, to ints where that is exact.
     """
-    p = field.p if field.is_prime_field else None
+    p = field.p
+    if not field.is_prime_field:
+        return _rref_rational(rows)
     pivots: dict[int, dict] = {}
 
     def clean(v):
-        if p:
-            return {k: y for k, x in v.items() if (y := x % p)}
-        return {k: x for k, x in v.items() if x}
+        return {k: y for k, x in v.items() if (y := x % p)}
 
     for row in rows:
-        v = clean({k: int(x) for k, x in row.items()} if p else row)
+        v = clean({k: int(x) for k, x in row.items()})
         for k, c in [(k, c) for k, c in v.items() if k in pivots]:
             for j, x in pivots[k].items():
                 v[j] = v.get(j, 0) - c * x
@@ -137,25 +140,64 @@ def rref(field: FieldSpec, rows) -> list[dict]:
         lead = min(v)
         a = v[lead]
         if a != 1:
-            if p:
-                inv = pow(a, p - 2, p)
-            else:
-                inv = a if a == -1 else Fraction(1) / a
+            inv = pow(a, p - 2, p)
             v = clean({k: x * inv for k, x in v.items()})
         # keep the other pivot rows zero at the new lead
         for prow in pivots.values():
             c = prow.get(lead)
             if c:
                 for j, x in v.items():
-                    w = prow.get(j, 0) - c * x
-                    if p:
-                        w %= p
+                    w = (prow.get(j, 0) - c * x) % p
                     if w:
                         prow[j] = w
                     else:
                         del prow[j]
         pivots[lead] = v
     return [pivots[k] for k in sorted(pivots)]
+
+
+def _rref_rational(rows) -> list[dict]:
+    """`rref` over Q: integer pivot rows, one division on the way out."""
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        m = math.lcm(*[x.denominator for x in row.values()])
+        v = {k: x.numerator * (m // x.denominator) for k, x in row.items() if x}
+        for k in [k for k in v if k in pivots]:
+            prow, c = pivots[k], v[k]
+            if (a := prow[k]) != 1:
+                a, c = a // (g := math.gcd(a, c)), c // g
+                if a != 1:
+                    v = {j: a * x for j, x in v.items()}
+            for j, x in prow.items():
+                v[j] = v.get(j, 0) - c * x
+        v = {j: x for j, x in v.items() if x}
+        if not v:
+            continue
+        g = math.gcd(*v.values()) * (1 if v[lead := min(v)] > 0 else -1)
+        v = {j: x // g for j, x in v.items()} if g != 1 else v
+        a = v[lead]
+        for k, prow in pivots.items():
+            if not (c := prow.get(lead)):
+                continue
+            if a != 1:
+                c //= (g := math.gcd(a, c))
+                if (s := a // g) != 1:
+                    for j in prow:
+                        prow[j] *= s
+            for j, x in v.items():
+                if w := prow.get(j, 0) - c * x:
+                    prow[j] = w
+                else:
+                    del prow[j]
+            # the content divides the lead, so beside a lead 1 it stays 1
+            if prow[k] != 1 and (g := math.gcd(*prow.values())) != 1:
+                for j in prow:
+                    prow[j] //= g
+        pivots[lead] = v
+    return [
+        v if (a := v[k]) == 1 else {j: x // a if x % a == 0 else Fraction(x, a) for j, x in v.items()}
+        for k, v in sorted(pivots.items())
+    ]
 
 
 # ---------------------------------------------------------------------------
