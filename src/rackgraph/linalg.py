@@ -121,9 +121,9 @@ def rref(field: FieldSpec, rows) -> list[dict]:
     A pivot row is kept primitive (content 1) with a positive lead, and is
     divided by its lead only on the way out, to ints where that is exact.
     """
-    p = field.p
     if not field.is_prime_field:
         return _rref_rational(rows)
+    p = field.p
     pivots: dict[int, dict] = {}
 
     def clean(v):

@@ -21,6 +21,8 @@ directory on sys.path, and the file is not collected.
   integrated linear rack operation `rack_op`.
 - `json_dumps_canonical`, the canonical text through `json.dumps` after a
   normalising copy, which `jsonio.canonical_json` writes in one pass.
+- `rref_fractions`, the reduced echelon form over Q kept in Fraction
+  arithmetic, which `linalg.rref` computes on primitive integer rows.
 """
 
 from __future__ import annotations
@@ -378,3 +380,40 @@ def json_dumps_canonical(data) -> str:
     """Sorted keys, two-space indent, ASCII only, a trailing newline; floats
     rounded to 12 significant digits and Fractions as ints or "p/q"."""
     return json.dumps(_normalize(data), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# reduced echelon form over Q in Fraction arithmetic
+
+
+def rref_fractions(rows) -> list[dict]:
+    """The reduced echelon rows of the span of sparse rows over Q, sorted by
+    lead, each with lead 1.  Pivot rows are kept fully reduced: from an
+    incoming row, each pivot row is subtracted times the row's entry at its
+    lead; what is left is divided by its own lead and then cleared out of
+    the pivot rows that have an entry there."""
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        v = {k: x for k, x in row.items() if x}
+        for k, c in [(k, c) for k, c in v.items() if k in pivots]:
+            for j, x in pivots[k].items():
+                v[j] = v.get(j, 0) - c * x
+        v = {k: x for k, x in v.items() if x}
+        if not v:
+            continue
+        lead = min(v)
+        a = v[lead]
+        if a != 1:
+            inv = a if a == -1 else Fraction(1) / a
+            v = {k: x * inv for k, x in v.items()}
+        for prow in pivots.values():
+            c = prow.get(lead)
+            if c:
+                for j, x in v.items():
+                    w = prow.get(j, 0) - c * x
+                    if w:
+                        prow[j] = w
+                    else:
+                        del prow[j]
+        pivots[lead] = v
+    return [pivots[k] for k in sorted(pivots)]

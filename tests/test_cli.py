@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import json_dumps_canonical
-from rackgraph import cli, corpus, jsonio, lierack, linalg, racks
+from rackgraph import cli, corpus, cubical, jsonio, lierack, linalg, racks
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -282,6 +282,34 @@ def test_hopf_size_budget_of_a_graph_before_the_checks(monkeypatch):
     assert report["error"] == {
         "path": "",
         "message": "hopf size |G| |arrows| = 6 * 18 = 108 exceeds the limit 100",
+    }
+
+
+def test_homology_size_budget_before_the_checks(tmp_path, monkeypatch):
+    # S5 on itself by conjugation: the bq top chain group at degree 4 holds
+    # 120^4 cells, refused before validate_group spends 120^3 steps
+    group, _ = racks.group_from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+    path = write_doc(tmp_path, jsonio.dump_augmented(racks.conjugation_rack(group)))
+    monkeypatch.setattr(cli, "validate_group", _refuse)
+    code, report, _ = run_cli(["homology", path, "--max-degree", "3"])
+    assert code == 2
+    assert report["error"] == {
+        "path": "",
+        "message": "memory bound exceeded: basis size 207360000 (120^4) > cap 1000000",
+    }
+
+
+def test_homology_size_budget_of_a_graph_before_the_checks(monkeypatch):
+    # |X| of a graph is the number of arrows out of the identity: 3 of 18
+    monkeypatch.setattr(cubical, "SIZE_CAP", 100)
+    monkeypatch.setattr(cli, "validate_group_like", _refuse)
+    code, report, _ = run_cli(
+        ["homology", "corpus/graph_s3_transpositions.json", "--complex", "eq", "--max-degree", "2"]
+    )
+    assert code == 2
+    assert report["error"] == {
+        "path": "",
+        "message": "memory bound exceeded: basis size 162 (6 x 3^3, full complex) > cap 100",
     }
 
 
@@ -657,6 +685,50 @@ def test_homology_worked_example():
     assert code == 0
     assert report["degrees"][0]["betti"] == 1
     assert report["degrees"][1]["betti"] == 1
+
+
+@pytest.mark.parametrize(
+    "flags,degrees",
+    [
+        # the rational route's largest input: d_4 of eq, 6250 columns of rank 1040
+        (["--complex", "eq", "--max-degree", "3"], [(1, []), (1, []), (1, [5]), (1, [5, 5])]),
+        (["--complex", "bq", "--max-degree", "4"],
+         [(1, []), (1, []), (1, []), (1, [5]), (1, [5, 5])]),
+    ],
+)
+def test_homology_dihedral_5_at_the_largest_degrees_pinned(flags, degrees):
+    code, report, _ = run_cli(["homology", "corpus/dihedral_5.json", *flags])
+    assert code == 0
+    assert report["ok"] is True
+    assert [(d["betti"], d["torsion"]) for d in report["degrees"]] == degrees
+
+
+@st.composite
+def conjugacy_class_racks(draw):
+    """A union of one or two conjugacy classes of a subgroup of S4 made
+    from one or two random permutations."""
+    perms = draw(st.lists(st.permutations(range(4)), min_size=1, max_size=2))
+    group, _ = racks.group_from_permutations([tuple(p) for p in perms])
+    seeds = draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=2))
+    return racks.conjugacy_class_rack(group, seeds)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(conjugacy_class_racks())
+def test_random_conjugacy_class_racks(tmp_path, a):
+    path = write_doc(tmp_path, jsonio.dump_augmented(a))
+    code, _, graph_text = run_cli(["convert", path, "--to", "graph"])
+    assert code == 0
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(graph_text, encoding="utf-8")
+    code, _, rack_text = run_cli(["convert", str(graph_path), "--to", "rack"])
+    assert (code, rack_text) == (0, Path(path).read_text(encoding="utf-8"))
+    for n in (1, 2, 3):
+        cubical.assert_boundary_squares_to_zero(cubical.bq_chain_complex(a, max_degree=n))
+        cubical.assert_boundary_squares_to_zero(cubical.eq_chain_complex(a, max_degree=min(n, 2)))
+    # ok: the rational Betti numbers of the integer-row `rref` equal the SNF ones
+    code, report, _ = run_cli(["homology", path, "--complex", "bq", "--max-degree", "2"])
+    assert (code, report["ok"]) == (0, True)
 
 
 def test_dgla_plain_failure_pinned():

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from oracles import rref_fractions
 
 from rackgraph.linalg import (
     FieldSpec,
@@ -356,6 +357,45 @@ def test_rref_rank_and_shape_against_smith_normal_form(field, rows):
             for k, x in row.items():
                 left[k] = left.get(k, 0) - c * x
         assert all(x % field.p == 0 if field.is_prime_field else x == 0 for x in left.values())
+
+
+@st.composite
+def rational_rows(draw):
+    """Sparse rows over Q for the integer kernel: leads of +-1, +-2 and +-3,
+    Fraction entries with denominators 1-4, a common factor that gives the
+    scaled row a content above 1, and zero and repeated rows."""
+    n = draw(st.integers(1, 6))
+    entry = st.just(0) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        shape = draw(st.sampled_from(["new", "new", "zero", "repeat"]))
+        if shape == "zero":
+            rows.append({})
+        elif shape == "repeat" and rows:
+            rows.append(dict(draw(st.sampled_from(rows))))
+        else:
+            lead = draw(st.integers(0, n - 1))
+            row = {lead: draw(st.sampled_from([1, -1, 2, -2, 3, -3]))}
+            row.update({j: x for j in range(lead + 1, n) if (x := draw(entry))})
+            scale = draw(st.sampled_from([1, 2, 6, Fraction(1, 2)]))
+            rows.append({j: x * scale for j, x in row.items()})
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(rational_rows())
+# the example of the shape test above: the third row vanishes once cleared
+@example([{2: 1}, {0: 1, 1: 1, 2: 1}, {0: 1, 1: 1}])
+# the second row's lead 2 meets the first pivot row at index 1, which the
+# back-substitution clears as 2 row_0 - row_1 = (2, 0, -1), lead 2
+@example([{0: 1, 1: 1}, {1: 2, 2: 1}])
+def test_rref_over_q_equals_the_fraction_oracle(rows):
+    before = [dict(row) for row in rows]
+    reduced = rref(Q, rows)
+    expected = rref_fractions(rows)
+    assert [min(row) for row in reduced] == [min(row) for row in expected]
+    assert reduced == expected
+    assert rows == before
 
 
 def _random_chain(rng, field, n):
