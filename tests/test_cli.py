@@ -950,17 +950,101 @@ def test_flags_of_one_command_do_not_reach_the_next():
     assert json.loads(text)["field"] == "q"
 
 
+# (command, flags after the input, the Manifest fields they set); each case
+# also runs with every value joined as --flag=value and with the input last
+ARGV_CASES = [
+    ("validate", [], {}),
+    ("validate", ["--tol", "1e-6", "--out", "r.json", "--golden-update"],
+     {"tol": 1e-6, "out": "r.json", "golden_update": True}),
+    ("convert", ["--to", "rack"], {"to": "rack"}),
+    ("convert", ["--to", "graph", "--out", "r.json", "--golden-update"],
+     {"to": "graph", "out": "r.json", "golden_update": True}),
+    ("homology", [], {}),
+    ("homology", ["--max-degree", "2", "--complex", "eq", "--out", "r.json", "--golden-update"],
+     {"max_degree": 2, "complex_kind": "eq", "out": "r.json", "golden_update": True}),
+    ("hopf", [], {}),
+    ("hopf", ["--field", "f3", "--max-degree", "4", "--out", "r.json", "--golden-update"],
+     {"field": "f3", "max_degree": 4, "out": "r.json", "golden_update": True}),
+    ("dgla", [], {}),
+    ("dgla", ["--max-degree", "2", "--convention", "plain", "--out", "r.json", "--golden-update"],
+     {"max_degree": 2, "convention": "plain", "out": "r.json", "golden_update": True}),
+    ("integrate", [], {}),
+    ("integrate",
+     ["--tol", "0.5", "--seed", "5", "--samples", "7", "--out", "r.json", "--golden-update"],
+     {"tol": 0.5, "seed": 5, "samples": 7, "out": "r.json", "golden_update": True}),
+    ("presentation", [], {}),
+    ("presentation", ["--out", "r.json", "--golden-update"], {"out": "r.json", "golden_update": True}),
+    ("hopf", ["--field", "f2", "--max-degree", "1", "--field", "f5"], {"field": "f5", "max_degree": 1}),
+    ("integrate", ["--seed", "-1"], {"seed": -1}),
+]
+
+
+def _joined(flags):
+    out = []
+    for tok in flags:
+        if out and out[-1].startswith("--") and not tok.startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+@pytest.mark.parametrize("form", ["spaced", "joined", "input_last"])
+@pytest.mark.parametrize("command, flags, fields", ARGV_CASES)
+def test_argv_to_manifest(command, flags, fields, form):
+    if form == "joined":
+        argv = [command, "in.json", *_joined(flags)]
+    elif form == "input_last":
+        argv = [command, *flags, "in.json"]
+    else:
+        argv = [command, "in.json", *flags]
+    assert cli.manifest_from_args(argv) == cli.Manifest(command, "in.json", **fields)
+
+
+def test_negative_seed_parses_then_exits_2_with_a_report():
+    code, report, _ = run_cli(["integrate", "corpus/so3_matrix.json", "--seed", "-1"])
+    assert code == 2
+    assert report["error"] == {"path": "", "message": "seed must be non-negative"}
+
+
+MALFORMED_ARGV = {
+    "no_command": [],
+    "unknown_command": ["frobnicate", "corpus/toy_c2.json"],
+    "unknown_flag": ["hopf", "corpus/toy_c2.json", "--bogus", "1"],
+    "flag_of_another_command": ["hopf", "corpus/toy_c2.json", "--complex", "bq"],
+    "missing_value": ["hopf", "corpus/toy_c2.json", "--field"],
+    "flag_as_value": ["hopf", "corpus/toy_c2.json", "--field", "--max-degree", "2"],
+    "failed_int": ["hopf", "corpus/toy_c2.json", "--max-degree", "two"],
+    "failed_float": ["validate", "corpus/toy_c2.json", "--tol=small"],
+    "outside_choices": ["homology", "corpus/toy_c2.json", "--complex", "cq"],
+    "value_on_switch": ["presentation", "corpus/toy_c2.json", "--golden-update=yes"],
+    "zero_inputs": ["presentation"],
+    "two_inputs": ["presentation", "corpus/toy_c2.json", "corpus/trivial_2.json"],
+    "convert_without_to": ["convert", "corpus/toy_c2.json"],
+}
+
+
 def test_malformed_argv_exits_2_and_the_next_command_runs(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.render(["hopf", "corpus/toy_c2.json", "--complex", "bq"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.render(["presentation"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    code, report, _ = run_cli(["presentation", "corpus/trivial_2.json"])
-    assert code == 0
-    assert report["ok"] is True
+    for name, argv in MALFORMED_ARGV.items():
+        with pytest.raises(SystemExit) as exc:
+            cli.render(argv)
+        assert exc.value.code == 2, name
+        out, err = capsys.readouterr()
+        assert out == "", name
+        assert err.startswith("usage: "), name
+        code, report, _ = run_cli(["presentation", "corpus/trivial_2.json"])
+        assert code == 0, name
+        assert report["ok"] is True, name
+
+
+def test_help_names_every_command():
+    proc = subprocess.run(
+        [sys.executable, "-m", "rackgraph.cli", "--help"], capture_output=True, text=True, cwd=ROOT
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    for command in ("validate", "convert", "homology", "hopf", "dgla", "integrate", "presentation"):
+        assert command in proc.stdout
 
 
 def test_parser_built_on_first_command_only():
