@@ -1,10 +1,12 @@
-"""Command line around the library.
+"""Command line around the library: `rackgraph <command> <input> [flags]`.
 
 Subcommands take one structure file (see jsonio for the document kinds) and
 print a canonical JSON report, or with convert the converted structure
-itself.  Exit codes: 0 every check passed, 1 a check failed (the report
-carries the witnesses), 2 the input or invocation is malformed (the report
-carries the offending location).
+itself.  Flags are read from one table, with exact names, as `--flag value`
+or `--flag=value`; their defaults are Manifest's.  Exit codes: 0 every check
+passed, 1 a check failed (the report carries the witnesses), 2 the input or
+a flag's value is malformed (the report carries the offending location) or
+the argv is (a usage line on stderr, and no report).
 
 Reports never embed file paths or floating-point data unless the command is
 inherently numeric (validate on matrix data, integrate), so the exact
@@ -13,8 +15,6 @@ commands produce byte-identical output on any platform.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -375,14 +375,15 @@ def _cmd_presentation(m: Manifest, kind, obj) -> tuple[int, dict]:
     return 0, report
 
 
+# Each command and the flags it takes besides --out and --golden-update.
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "convert": _cmd_convert,
-    "homology": _cmd_homology,
-    "hopf": _cmd_hopf,
-    "dgla": _cmd_dgla,
-    "integrate": _cmd_integrate,
-    "presentation": _cmd_presentation,
+    "validate": (_cmd_validate, ("--tol",)),
+    "convert": (_cmd_convert, ("--to",)),
+    "homology": (_cmd_homology, ("--max-degree", "--complex")),
+    "hopf": (_cmd_hopf, ("--field", "--max-degree")),
+    "dgla": (_cmd_dgla, ("--max-degree", "--convention")),
+    "integrate": (_cmd_integrate, ("--tol", "--seed", "--samples")),
+    "presentation": (_cmd_presentation, ()),
 }
 
 
@@ -391,7 +392,7 @@ def run(m: Manifest) -> tuple[int, dict]:
     try:
         _check_manifest(m)
         kind, obj = jsonio.load_path(m.input_path)
-        return _COMMANDS[m.command](m, kind, obj)
+        return _COMMANDS[m.command][0](m, kind, obj)
     except SchemaError as exc:
         report = {
             "schema": jsonio.SCHEMA_VERSION,
@@ -416,62 +417,75 @@ def run(m: Manifest) -> tuple[int, dict]:
 # argument parsing
 
 
-# Built on the first command, not at import, which is timed on its own;
-# parse_args leaves the parser as it was, so every command shares it.
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rackgraph", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each flag: the Manifest field it sets, the conversion of its value (None for
+# a bare switch) and the values it allows, if only some.
+_FLAGS = {
+    "--field": ("field", str, None),
+    "--max-degree": ("max_degree", int, None),
+    "--complex": ("complex_kind", str, ("bq", "eq")),
+    "--convention": ("convention", str, (liealg.KOSZUL, liealg.PLAIN)),
+    "--to": ("to", str, ("graph", "rack")),
+    "--tol": ("tol", float, None),
+    "--seed": ("seed", int, None),
+    "--samples": ("samples", int, None),
+    "--out": ("out", str, None),
+    "--golden-update": ("golden_update", None, None),
+}
 
-    def add(name: str, **flags):
-        p = sub.add_parser(name)
-        p.add_argument("input", help="structure file (JSON)")
-        if flags.get("field"):
-            p.add_argument("--field", default="q", help="q, f2, f3, or f<p>")
-        if flags.get("degree"):
-            p.add_argument("--max-degree", type=int, default=None)
-        if flags.get("complex"):
-            p.add_argument("--complex", choices=("bq", "eq"), default="bq")
-        if flags.get("convention"):
-            p.add_argument(
-                "--convention", choices=(liealg.KOSZUL, liealg.PLAIN), default=liealg.KOSZUL
-            )
-        if flags.get("to"):
-            p.add_argument("--to", choices=("graph", "rack"), required=True)
-        if flags.get("tol"):
-            p.add_argument("--tol", type=float, default=None)
-        if flags.get("sampling"):
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument(
-            "--golden-update",
-            action="store_true",
-            help="allow --out to overwrite a file whose content differs",
-        )
-        return p
+_USAGE = "usage: rackgraph <command> <input.json> [flags]\n"
 
-    add("validate", tol=True)
-    add("convert", to=True)
-    add("homology", degree=True, complex=True)
-    add("hopf", field=True, degree=True)
-    add("dgla", degree=True, convention=True)
-    add("integrate", tol=True, sampling=True)
-    add("presentation")
-    return parser
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}rackgraph: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help() -> str:
+    lines = [_USAGE, "commands and their flags; --to is required, the rest optional:"]
+    for name, (_, flags) in _COMMANDS.items():
+        shown = [f"{f} {'|'.join(_FLAGS[f][2] or [f[2:].upper()])}" for f in flags]
+        lines.append(f"  {name:13s} {' '.join(shown)}".rstrip())
+    lines.append("every command also takes --out PATH and --golden-update; -h, --help prints this")
+    return "\n".join(lines) + "\n"
 
 
 def manifest_from_args(argv) -> Manifest:
-    ns = _build_parser().parse_args(argv)
-    m = Manifest(command=ns.command, input_path=ns.input)
-    for name in ("field", "complex", "convention", "to", "tol", "seed", "samples", "out"):
-        if hasattr(ns, name):
-            attr = "complex_kind" if name == "complex" else name
-            setattr(m, attr, getattr(ns, name))
-    if hasattr(ns, "max_degree"):
-        m.max_degree = ns.max_degree
-    m.golden_update = ns.golden_update
-    return m
+    """The Manifest of argv, the last repeat of a flag winning; malformed argv exits 2."""
+    argv = list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help())
+        raise SystemExit(0)
+    if not argv or argv[0] not in _COMMANDS:
+        _usage_error(f"the command must be one of {', '.join(_COMMANDS)}")
+    command, rest = argv[0], iter(argv[1:])
+    takes = (*_COMMANDS[command][1], "--out", "--golden-update")
+    inputs, values = [], {}
+    for tok in rest:
+        if not tok.startswith("-"):
+            inputs.append(tok)
+            continue
+        flag, eq, text = tok.partition("=")
+        if flag not in takes:
+            _usage_error(f"{command} takes no flag {flag}")
+        field, convert, choices = _FLAGS[flag]
+        if convert is None:
+            if eq:
+                _usage_error(f"{flag} takes no value")
+            values[field] = True
+            continue
+        if not eq and ((text := next(rest, None)) is None or text.startswith("--")):
+            _usage_error(f"{flag} needs a value")
+        try:
+            values[field] = convert(text)
+        except ValueError:
+            _usage_error(f"{flag}: invalid {convert.__name__} value {text!r}")
+        if choices and text not in choices:
+            _usage_error(f"{flag}: {text!r} is not one of {', '.join(choices)}")
+    if len(inputs) != 1:
+        _usage_error(f"{command} takes one input file, got {len(inputs)}")
+    if command == "convert" and "to" not in values:
+        _usage_error("convert needs --to")
+    return Manifest(command, inputs[0], **values)
 
 
 def render(argv) -> tuple[int, str, Manifest]:

@@ -82,30 +82,40 @@ def _enumerate_tuples(size: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _cube_complex(a: AugmentedRack, max_degree: int, heads: dict) -> ChainComplex:
-    """The complex on basis {head} x X^n with d = sum_i (-1)^i (d_i^0 - d_i^1).
+def _cube_complex(a: AugmentedRack, max_degree: int, heads: list, moved: list) -> ChainComplex:
+    """The complex on basis heads x X^n with d = sum_i (-1)^i (d_i^0 - d_i^1).
 
-    heads maps each head, the leading part of a label, to its products with
-    pi(y), one per letter y.  The source face d_i^0 deletes letter i; the
-    target face d_i^1 multiplies the head by pi(x_i) and sends each earlier
+    heads are the leading parts of the labels, and moved[h][y] is the index
+    of head h times pi(y).  The source face d_i^0 deletes letter i; the
+    target face d_i^1 moves the head by pi(x_i) and sends each earlier
     letter x to x ^ pi(x_i), which is the derived operation x <| x_i.
+    Label (h; x_0..x_{n-1}) has index h m^n + the base-m value of its
+    letters, m = |X|, so each face index is found by arithmetic.
     """
     m = a.x_size
     op = a.derived_rack().op
     tuples = [_enumerate_tuples(m, n) for n in range(max_degree + 1)]
     labels = tuple(tuple(h + t for h in heads for t in ts) for ts in tuples)
+    # conj[i][p][y]: the base-m value of the i letters of value p, each sent to x <| y
+    conj = [[[0] * m]]
+    for _ in range(1, max_degree):
+        conj.append([[c * m + op[x][y] for y, c in enumerate(r)] for r in conj[-1] for x in range(m)])
     boundaries = []
     for n in range(1, max_degree + 1):
-        index = {lab: i for i, lab in enumerate(labels[n - 1])}
+        top = m ** (n - 1)
+        faces = [(conj[i], m ** (n - 1 - i), m ** (n - i)) for i in range(n)]
         cols = []
-        for h, moved in heads.items():
-            for t in tuples[n]:
+        for h, moved_h in enumerate(moved):
+            base, ends = h * top, [k * top for k in moved_h]
+            for t in range(m**n):
                 col: dict[int, int] = {}
                 sign = -1
-                for i, y in enumerate(t):
-                    j = index[h + t[:i] + t[i + 1:]]
+                for conj_i, q, qm in faces:
+                    prefix, rest = divmod(t, qm)
+                    y, suffix = divmod(rest, q)
+                    j = base + prefix * q + suffix
                     col[j] = col.get(j, 0) + sign
-                    j = index[moved[y] + tuple(op[x][y] for x in t[:i]) + t[i + 1:]]
+                    j = ends[y] + conj_i[prefix][y] * q + suffix
                     col[j] = col.get(j, 0) - sign
                     sign = -sign
                 cols.append({k: v for k, v in col.items() if v})
@@ -117,15 +127,15 @@ def bq_chain_complex(a: AugmentedRack, max_degree: int = 4) -> ChainComplex:
     """Reduced complex on basis X^n (C_0 has rank 1): the full complex with
     the leading vertex forgotten, so its one head is the empty one."""
     check_size("bq", a.group.order, a.x_size, max_degree)
-    return _cube_complex(a, max_degree, {(): [()] * a.x_size})
+    return _cube_complex(a, max_degree, [()], [[0] * a.x_size])
 
 
 def eq_chain_complex(a: AugmentedRack, max_degree: int = 4) -> ChainComplex:
     """Full complex on basis G x X^n."""
     check_size("eq", a.group.order, a.x_size, max_degree)
-    mul = a.group.mul
-    heads = {(g,): [(mul[g][p],) for p in a.pi] for g in range(a.group.order)}
-    return _cube_complex(a, max_degree, heads)
+    mul, heads = a.group.mul, range(a.group.order)
+    moved = [[mul[g][p] for p in a.pi] for g in heads]
+    return _cube_complex(a, max_degree, [(g,) for g in heads], moved)
 
 
 def assert_boundary_squares_to_zero(c: ChainComplex) -> None:
@@ -216,15 +226,19 @@ def homology_dimensions_over_field(c: ChainComplex, field: FieldSpec) -> tuple[i
     """dim H_n(field) for n < max_degree by rank-nullity over the field.
 
     The rank of d_n is the number of rows `rref` leaves of its stored
-    sparse columns.  Field elimination shares only the storage with the
-    Smith normal form route, so the two can be played against each other:
+    sparse columns, fed by decreasing least index: an earlier pivot row,
+    whose lead is larger, then seldom has an entry at the incoming lead to
+    clear (the echelon form, so the rank, does not depend on the order).
+    Field elimination shares only the storage with the Smith normal form
+    route, so the two can be played against each other:
     over the rationals the answer is the Betti vector, over F_p it picks
     up the p-torsion from the two adjacent boundary maps (universal
     coefficients).
     """
     ranks_d = [0] * (c.max_degree + 1)
     for n in range(1, c.max_degree + 1):
-        ranks_d[n] = len(rref(field, c.boundaries[n - 1]))
+        cols = sorted(filter(None, c.boundaries[n - 1]), key=min, reverse=True)
+        ranks_d[n] = len(rref(field, cols))
     return tuple(
         (c.ranks[n] - ranks_d[n]) - ranks_d[n + 1] for n in range(c.max_degree)
     )

@@ -398,6 +398,22 @@ def test_rref_over_q_equals_the_fraction_oracle(rows):
     assert rows == before
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from([Q, F2, F3]),
+    rational_rows().flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))),
+)
+def test_rref_is_independent_of_the_row_order(field, case):
+    # the reduced row echelon form of a span is unique, so homology may feed
+    # the rows in whatever order costs least
+    rows, shuffled = case
+    if field.is_prime_field:
+        rows, shuffled = (
+            [{j: Fraction(x).numerator for j, x in row.items()} for row in r] for r in case
+        )
+    assert rref(field, shuffled) == rref(field, rows)
+
+
 def _random_chain(rng, field, n):
     # [full, span(v_0..v_r), span(v_1..v_r), ...] with r < n, run down to
     # zero or stopped at a random depth; the last entry is listed twice
