@@ -5,8 +5,8 @@ print a canonical JSON report, or with convert the converted structure
 itself.  Flags are read from one table, with exact names, as `--flag value`
 or `--flag=value`; their defaults are Manifest's.  Exit codes: 0 every check
 passed, 1 a check failed (the report carries the witnesses), 2 the input or
-a flag's value is malformed (the report carries the offending location) or
-the argv is (a usage line on stderr, and no report).
+a flag's value is malformed (the report carries the offending location);
+malformed argv also exits 2, with a usage line on stderr and no report.
 
 Reports never embed file paths or floating-point data unless the command is
 inherently numeric (validate on matrix data, integrate), so the exact
