@@ -951,7 +951,8 @@ def test_flags_of_one_command_do_not_reach_the_next():
 
 
 # (command, flags after the input, the Manifest fields they set); each case
-# also runs with every value joined as --flag=value and with the input last
+# also runs with every value joined as --flag=value and with the input last.
+# --seed -1 parses; test_bad_bound_refused pins its exit 2 and report.
 ARGV_CASES = [
     ("validate", [], {}),
     ("validate", ["--tol", "1e-6", "--out", "r.json", "--golden-update"],
@@ -999,12 +1000,6 @@ def test_argv_to_manifest(command, flags, fields, form):
     else:
         argv = [command, "in.json", *flags]
     assert cli.manifest_from_args(argv) == cli.Manifest(command, "in.json", **fields)
-
-
-def test_negative_seed_parses_then_exits_2_with_a_report():
-    code, report, _ = run_cli(["integrate", "corpus/so3_matrix.json", "--seed", "-1"])
-    assert code == 2
-    assert report["error"] == {"path": "", "message": "seed must be non-negative"}
 
 
 MALFORMED_ARGV = {
