@@ -23,6 +23,9 @@ directory on sys.path, and the file is not collected.
   normalising copy, which `jsonio.canonical_json` writes in one pass.
 - `rref_fractions`, the reduced echelon form over Q kept in Fraction
   arithmetic, which `linalg.rref` computes on primitive integer rows.
+- `validate_lm_lie_sums` and `verify_e_truncation_sums`, the identity
+  checks of `liealg` with each identity one `sparse_sum` of generated
+  product terms, which the package adds into one dict in place.
 """
 
 from __future__ import annotations
@@ -36,7 +39,15 @@ import numpy as np
 
 from rackgraph.graphs import GroupLikeGraph, graph_to_rack, rack_to_graph
 from rackgraph.hopf import FiltrationLevels, LMBialgebra
-from rackgraph.liealg import _Q, LMLieAlgebra, _products, _vector
+from rackgraph.liealg import (
+    _Q,
+    GradedLieTruncation,
+    LMLieAlgebra,
+    _d_sign,
+    _products,
+    _sigma,
+    _vector,
+)
 from rackgraph.lierack import LinearLieRack, NumericReport, _times, matrix_exp
 from rackgraph.linalg import FilteredSpace, Subspace, nullspace, sparse_sum
 from rackgraph.racks import AugmentedRack, ValidationReport
@@ -417,3 +428,164 @@ def rref_fractions(rows) -> list[dict]:
                         del prow[j]
         pivots[lead] = v
     return [pivots[k] for k in sorted(pivots)]
+
+
+# ---------------------------------------------------------------------------
+# the identity checks of liealg, each identity one sparse_sum
+
+
+def validate_lm_lie_sums(l: LMLieAlgebra) -> ValidationReport:
+    """Antisymmetry and Jacobi for g, the module axiom, and equivariance."""
+    violations: list[str] = []
+    checked = 0
+    ng, nm = l.dim_g, l.dim_m
+    c, rho, f = l.c, l.rho, l.f
+
+    for i in range(ng):
+        for j in range(ng):
+            checked += 1
+            if sparse_sum(_Q, chain(c[i][j].items(), c[j][i].items())):
+                violations.append(f"antisymmetry fails at ({i}, {j})")
+
+    # right[k][t] = [e_t, e_k], so [u, e_k] = sum_t u_t right[k][t]
+    right = [[c[t][k] for t in range(ng)] for k in range(ng)]
+    for i in range(ng):
+        for j in range(ng):
+            for k in range(ng):
+                checked += 1
+                if sparse_sum(_Q, chain(
+                    _products(1, c[i][j], right[k]),
+                    _products(1, c[j][k], right[i]),
+                    _products(1, c[k][i], right[j]),
+                )):
+                    violations.append(f"Jacobi fails at ({i}, {j}, {k})")
+
+    for a in range(ng):
+        for b in range(ng):
+            checked += 1
+            # row i of rho[a] rho[b] - rho[b] rho[a] against sum_k c[a][b][k] rho[k]
+            if any(
+                sparse_sum(_Q, chain(
+                    _products(1, rho[a][i], rho[b]),
+                    _products(-1, rho[b][i], rho[a]),
+                    _products(-1, c[a][b], [rho_k[i] for rho_k in rho]),
+                ))
+                for i in range(nm)
+            ):
+                violations.append(f"module axiom fails at ({a}, {b})")
+
+    for a in range(ng):
+        checked += 1
+        # f(m_i ^ e_a) against [f(m_i), e_a]
+        if any(
+            sparse_sum(_Q, chain(_products(1, rho[a][i], f), _products(-1, f[i], right[a])))
+            for i in range(nm)
+        ):
+            violations.append(f"equivariance fails at action element {a}")
+
+    return ValidationReport.collect(violations, checked)
+
+
+def verify_e_truncation_sums(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationReport:
+    """Degree <= 1 equals the input; antisymmetry, Jacobi, derivation rule,
+    and d.d = 0 hold on all in-range basis tuples.
+
+    The degree <= 1 checks compare table entries as they are.  Each other
+    identity is one `sparse_sum` of the rows of the tables, or of their
+    products, which holds when the sum is empty.  Every basis tuple counts
+    once in `checked`, and the violations come in loop order.
+    """
+    violations: list[str] = []
+    checked = 0
+
+    def record(ok: bool, message: str) -> None:
+        nonlocal checked
+        checked += 1
+        if not ok:
+            violations.append(message)
+
+    record(t.dims[0] == l.dim_g, "degree-0 dimension differs from the input")
+    record(t.dims[1] == l.dim_m, "degree-1 dimension differs from the input")
+    record(t.bracket[(0, 0)] == l.c, "degree (0,0) bracket differs from the input")
+    if t.dims[1] == l.dim_m:
+        for i in range(l.dim_m):
+            for a in range(l.dim_g):
+                record(
+                    t.bracket[(1, 0)][i][a] == l.rho[a][i],
+                    f"degree (1,0) bracket differs from the action at ({i}, {a})",
+                )
+        record(
+            t.differential[1] == l.f,
+            "degree-1 differential differs from the structure map",
+        )
+
+    D = t.max_degree
+    for p in range(D + 1):
+        for q in range(D + 1 - p):
+            if (p, q) == (0, 0):
+                continue
+            s = _sigma(p, q, t.convention)
+            for i in range(t.dims[p]):
+                for j in range(t.dims[q]):
+                    lhs, rhs = t.bracket[(p, q)][i][j], t.bracket[(q, p)][j][i]
+                    record(
+                        not sparse_sum(_Q, chain(
+                            lhs.items(), ((k, s * x) for k, x in rhs.items())
+                        )),
+                        f"antisymmetry fails in degrees ({p}, {q}) at ({i}, {j})",
+                    )
+
+    # cell[(p, q)][i][j] is [e_i, e_j], column[(p, q)][j][i] the same row,
+    # and diff[n][j] is d e_j
+    cell, diff = t.bracket, t.differential
+    column = {
+        (p, q): [[row[j] for row in rows] for j in range(t.dims[q])]
+        for (p, q), rows in cell.items()
+    }
+
+    for p in range(D + 1):
+        for q in range(D + 1 - p):
+            for r in range(D + 1 - p - q):
+                if p + q + r == 0:
+                    continue
+                s = _sigma(p, q, t.convention)
+                outer, inner = cell[(p, q + r)], cell[(q, r)]
+                pq, pq_r = cell[(p, q)], column[(p + q, r)]
+                pr, q_pr = cell[(p, r)], cell[(q, p + r)]
+                for i in range(t.dims[p]):
+                    for j in range(t.dims[q]):
+                        for k in range(t.dims[r]):
+                            # [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - s [e_j, [e_i, e_k]]
+                            total = sparse_sum(_Q, chain(
+                                _products(1, inner[j][k], outer[i]),
+                                _products(-1, pq[i][j], pq_r[k]),
+                                _products(-s, pr[i][k], q_pr[j]),
+                            ))
+                            record(
+                                not total,
+                                f"Jacobi fails in degrees ({p},{q},{r}) at ({i},{j},{k})",
+                            )
+
+    for p in range(D + 1):
+        for q in range(max(1 - p, 0), D + 1 - p):
+            n = p + q
+            sign = _d_sign(p, t.convention)
+            for i in range(t.dims[p]):
+                for j in range(t.dims[q]):
+                    # d[e_i, e_j] - [d e_i, e_j] - sign [e_i, d e_j]
+                    terms = [_products(1, cell[(p, q)][i][j], diff[n])]
+                    if p >= 1:
+                        terms.append(_products(-1, diff[p][i], column[(p - 1, q)][j]))
+                    if q >= 1:
+                        terms.append(_products(-sign, diff[q][j], cell[(p, q - 1)][i]))
+                    record(
+                        not sparse_sum(_Q, chain.from_iterable(terms)),
+                        f"derivation rule fails in degrees ({p},{q}) at ({i},{j})",
+                    )
+
+    for n in range(2, D + 1):
+        for j in range(t.dims[n]):
+            dd = sparse_sum(_Q, _products(1, diff[n][j], diff[n - 1]))
+            record(not dd, f"d.d nonzero in degree {n} at basis element {j}")
+
+    return ValidationReport.collect(violations, checked)

@@ -66,6 +66,41 @@ def test_out_of_range_entry(tmp_path):
     assert report["error"]["path"] == "/op/0/1"
 
 
+def _set_pointer(doc, pointer: str, value) -> None:
+    *parents, last = (int(part) if part.isdigit() else part for part in pointer.split("/")[1:])
+    for part in parents:
+        doc = doc[part]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "name, bad, path, message",
+    [
+        ("dihedral_3", {"/op/2/0": 1, "/op/1/1": 3, "/op/1/2": -1}, "/op/1/1", "value 3 out of range [0, 3)"),
+        ("conj_c3", {"/group/mul/2/0": "x", "/group/mul/2/2": 7}, "/group/mul/2/0", "expected an integer"),
+        ("conj_c3", {"/action/1/2": 3, "/action/2/0": -1}, "/action/1/2", "value 3 out of range [0, 3)"),
+        ("conj_c3", {"/pi/2": 5}, "/pi/2", "out of range"),
+        ("graph_s3_transpositions", {"/arrows/1/1": 6, "/arrows/2/0": -1}, "/arrows/1/1", "value 6 out of range [0, 6)"),
+        ("graph_s3_transpositions", {"/left_act/1/4": True, "/left_act/1/9": 18}, "/left_act/1/4", "expected an integer"),
+        ("sl2_adjoint", {"/c/1/2/0": "1/0", "/c/1/2/2": True}, "/c/1/2/0", "bad rational '1/0'"),
+        ("sl2_adjoint", {"/c/2/1/1": True}, "/c/2/1/1", "expected an integer or 'p/q' string"),
+        ("sl2_adjoint", {"/rho/0/2/1": "a/b", "/rho/1/0/0": True}, "/rho/0/2/1", "bad rational 'a/b'"),
+        ("sl2_adjoint", {"/rho/2/1/2": True}, "/rho/2/1/2", "expected an integer or 'p/q' string"),
+        ("sl2_adjoint", {"/f/1/2": "1/x"}, "/f/1/2", "bad rational '1/x'"),
+        ("sl2_adjoint", {"/f/2/0": True, "/f/2/1": "1/0"}, "/f/2/0", "expected an integer or 'p/q' string"),
+        ("nilpotent_matrix", {"/basis/0/1/0": "0.5"}, "/basis/0/1/0", "expected a number"),
+        ("nilpotent_matrix", {"/basis/0/0/1": float("inf"), "/basis/0/1/1": "x"}, "/basis/0/0/1", "expected a finite number"),
+    ],
+)
+def test_first_bad_entry_names_its_path(name, bad, path, message):
+    doc = json.loads((ROOT / "corpus" / f"{name}.json").read_text(encoding="utf-8"))
+    for pointer, value in bad.items():
+        _set_pointer(doc, pointer, value)
+    with pytest.raises(jsonio.SchemaError) as caught:
+        jsonio.load_document(doc)
+    assert (caught.value.path, caught.value.message) == (path, message)
+
+
 def test_missing_file():
     code, report, _ = run_cli(["validate", "no/such/file.json"])
     assert code == 2

@@ -8,12 +8,20 @@ computed through the Poincare series of the free associative algebra
 """
 
 import dataclasses
+import functools
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import LeibnizAlgebra, leibniz_bracket, verify_leibniz
+from oracles import (
+    LeibnizAlgebra,
+    leibniz_bracket,
+    validate_lm_lie_sums,
+    verify_e_truncation_sums,
+    verify_leibniz,
+)
 from rackgraph.jsonio import dump_lm_lie, load_path
 from rackgraph.liealg import (
     KOSZUL,
@@ -478,3 +486,98 @@ def test_so3_plain_failure_pinned():
         "d.d nonzero in degree 4 at basis element 15",
         "d.d nonzero in degree 4 at basis element 17",
     )
+
+
+# ---------------------------------------------------------------------------
+# the reports against the checks that sum each identity in one sparse_sum
+
+_TAMPER_ALGEBRAS = {
+    "nilpotent_pair": nilpotent_pair,
+    "sl2_adjoint": sl2_adjoint,
+    "sl2_rescaled": _sl2_rescaled,
+    "free_two": lambda: free_generators(2),
+    "so3_adjoint": so3_adjoint,
+}
+
+
+@functools.cache
+def _tamper_algebra(name: str) -> LMLieAlgebra:
+    return _TAMPER_ALGEBRAS[name]()
+
+
+@functools.cache
+def _tamper_truncation(name: str, degree: int, convention: str):
+    return e_functor(_tamper_algebra(name), degree, convention)
+
+
+def _row_paths(rows, depth: int) -> list:
+    """Index paths of the sparse rows nested `depth` deep in `rows`."""
+    if not depth:
+        return [()]
+    return [(i, *at) for i, sub in enumerate(rows) for at in _row_paths(sub, depth - 1)]
+
+
+def _row_at(rows, at):
+    for i in at:
+        rows = rows[i]
+    return rows
+
+
+def _with_row(rows, at, row):
+    if not at:
+        return row
+    i = at[0]
+    return rows[:i] + (_with_row(rows[i], at[1:], row),) + rows[i + 1:]
+
+
+def _tampered(data, tables: dict) -> dict:
+    """tables maps a name to (nested rows, depth, row width).  One to three
+    times, add +-1 or +-1/2 at an index of a drawn row, or delete one of its
+    keys; returns the name -> nested rows after that."""
+    out = {name: rows for name, (rows, _, _) in tables.items()}
+    cells = [
+        (name, at)
+        for name, (rows, depth, width) in tables.items()
+        if width
+        for at in _row_paths(rows, depth)
+    ]
+    if not cells:
+        return out
+    for _ in range(data.draw(st.integers(1, 3))):
+        name, at = data.draw(st.sampled_from(cells))
+        row = dict(_row_at(out[name], at))
+        if row and data.draw(st.booleans()):
+            del row[data.draw(st.sampled_from(sorted(row)))]
+        else:
+            k = data.draw(st.integers(0, tables[name][2] - 1))
+            x = row.get(k, 0) + data.draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2)]))
+            row = {z: y for z, y in {**row, k: x}.items() if y}
+        out[name] = _with_row(out[name], at, row)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_tampered_truncation_reports_equal_the_sums_oracle(data):
+    name = data.draw(st.sampled_from(sorted(_TAMPER_ALGEBRAS)))
+    degree = data.draw(st.integers(2, 4))
+    convention = data.draw(st.sampled_from([KOSZUL, PLAIN]))
+    l, t = _tamper_algebra(name), _tamper_truncation(name, degree, convention)
+    tables = {key: (rows, 2, t.dims[sum(key)]) for key, rows in t.bracket.items()}
+    tables.update({n: (t.differential[n], 1, t.dims[n - 1]) for n in range(1, degree + 1)})
+    out = _tampered(data, tables)
+    bad = dataclasses.replace(
+        t,
+        bracket={key: out[key] for key in t.bracket},
+        differential=((), *(out[n] for n in range(1, degree + 1))),
+    )
+    assert verify_e_truncation(bad, l) == verify_e_truncation_sums(bad, l)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tampered_lm_lie_reports_equal_the_sums_oracle(data):
+    l = _tamper_algebra(data.draw(st.sampled_from(sorted(_TAMPER_ALGEBRAS))))
+    out = _tampered(data, {"c": (l.c, 2, l.dim_g), "rho": (l.rho, 2, l.dim_m), "f": (l.f, 1, l.dim_g)})
+    bad = dataclasses.replace(l, **out)
+    assert validate_lm_lie(bad) == validate_lm_lie_sums(bad)
