@@ -173,7 +173,13 @@ def _matrix(v, path, value_of, rows=None, cols=None):
             width = len(row)
         if len(row) != width:
             raise SchemaError(f"{path}/{i}", f"expected {width} entries, got {len(row)}")
-        out.append([value_of(x, f"{path}/{i}/{j}") for j, x in enumerate(row)])
+        try:
+            out.append([value_of(x, path) for x in row])
+        except SchemaError:
+            # read the row again entry by entry, so the error names the bad one
+            for j, x in enumerate(row):
+                value_of(x, f"{path}/{i}/{j}")
+            raise
     return out
 
 

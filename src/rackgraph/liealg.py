@@ -41,18 +41,22 @@ KOSZUL = "graded_koszul"
 PLAIN = "plain"
 
 
-def _vector(terms) -> dict:
-    """The sparse vector sum of (index, value) terms over Q, with integral
-    values as ints: the one form of every row in this module."""
-    return {
-        k: x.numerator if x.denominator == 1 else x for k, x in sparse_sum(_Q, terms).items()
-    }
+def _vector(items) -> dict:
+    """The sparse row of (index, value) pairs with distinct indices over Q:
+    zeros dropped, integral values as ints, the one form of every row in
+    this module."""
+    return {k: x.numerator if x.denominator == 1 else x for k, x in items if x}
 
 
-def _products(sign: int, v: dict, rows):
-    """sign * sum_m v[m] * rows[m] as (index, value) terms, for sparse v and
-    a sequence of sparse rows."""
-    return ((z, sign * a * x) for m, a in v.items() for z, x in rows[m].items())
+def _add_products(acc: dict, sign: int, v: dict, rows) -> dict:
+    """Add sign * sum_m v[m] * rows[m] into acc in place and return acc, for
+    sparse acc and v and a sequence of sparse rows; acc may keep zeros."""
+    get = acc.get
+    for m, a in v.items():
+        a *= sign
+        for z, x in rows[m].items():
+            acc[z] = get(z, 0) + a * x
+    return acc
 
 
 def _rows(rows) -> tuple:
@@ -91,16 +95,19 @@ class LMLieAlgebra:
 
 
 def validate_lm_lie(l: LMLieAlgebra) -> ValidationReport:
-    """Antisymmetry and Jacobi for g, the module axiom, and equivariance."""
+    """Antisymmetry and Jacobi for g, the module axiom, and equivariance.
+
+    Each identity adds its products of rows into one dict (`_add_products`)
+    and holds when every value there is zero; `checked` counts each basis
+    pair, triple or action element once."""
     violations: list[str] = []
-    checked = 0
     ng, nm = l.dim_g, l.dim_m
     c, rho, f = l.c, l.rho, l.f
 
     for i in range(ng):
         for j in range(ng):
-            checked += 1
-            if sparse_sum(_Q, chain(c[i][j].items(), c[j][i].items())):
+            # [e_i, e_j] + [e_j, e_i], the second as row i of c[j]
+            if any(_add_products(dict(c[i][j]), 1, {i: 1}, c[j]).values()):
                 violations.append(f"antisymmetry fails at ({i}, {j})")
 
     # right[k][t] = [e_t, e_k], so [u, e_k] = sum_t u_t right[k][t]
@@ -108,38 +115,29 @@ def validate_lm_lie(l: LMLieAlgebra) -> ValidationReport:
     for i in range(ng):
         for j in range(ng):
             for k in range(ng):
-                checked += 1
-                if sparse_sum(_Q, chain(
-                    _products(1, c[i][j], right[k]),
-                    _products(1, c[j][k], right[i]),
-                    _products(1, c[k][i], right[j]),
-                )):
+                acc = _add_products({}, 1, c[i][j], right[k])
+                _add_products(acc, 1, c[j][k], right[i])
+                if any(_add_products(acc, 1, c[k][i], right[j]).values()):
                     violations.append(f"Jacobi fails at ({i}, {j}, {k})")
 
     for a in range(ng):
         for b in range(ng):
-            checked += 1
             # row i of rho[a] rho[b] - rho[b] rho[a] against sum_k c[a][b][k] rho[k]
-            if any(
-                sparse_sum(_Q, chain(
-                    _products(1, rho[a][i], rho[b]),
-                    _products(-1, rho[b][i], rho[a]),
-                    _products(-1, c[a][b], [rho_k[i] for rho_k in rho]),
-                ))
-                for i in range(nm)
-            ):
-                violations.append(f"module axiom fails at ({a}, {b})")
+            for i in range(nm):
+                acc = _add_products({}, 1, rho[a][i], rho[b])
+                _add_products(acc, -1, rho[b][i], rho[a])
+                if any(_add_products(acc, -1, c[a][b], [rho_k[i] for rho_k in rho]).values()):
+                    violations.append(f"module axiom fails at ({a}, {b})")
+                    break
 
     for a in range(ng):
-        checked += 1
         # f(m_i ^ e_a) against [f(m_i), e_a]
-        if any(
-            sparse_sum(_Q, chain(_products(1, rho[a][i], f), _products(-1, f[i], right[a])))
-            for i in range(nm)
-        ):
-            violations.append(f"equivariance fails at action element {a}")
+        for i in range(nm):
+            if any(_add_products(_add_products({}, 1, rho[a][i], f), -1, f[i], right[a]).values()):
+                violations.append(f"equivariance fails at action element {a}")
+                break
 
-    return ValidationReport.collect(violations, checked)
+    return ValidationReport.collect(violations, ng**2 + ng**3 + ng**2 + ng)
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +297,13 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
         p = n - 1
         if p == 1:
             # [du, y] with du in degree 0 is -[y, du]
-            first = _products(-1, l.f[u], bracket[(1, 0)][y])
+            acc = _add_products({}, -1, l.f[u], bracket[(1, 0)][y])
         else:
-            first = _products(1, d_word(u, p), [row[y] for row in bracket[(p - 1, 1)]])
+            acc = _add_products({}, 1, d_word(u, p), [row[y] for row in bracket[(p - 1, 1)]])
         s, table = _d_sign(p, convention), bracket[(p, 0)]
-        second = (
-            (z, s * a * b * x)
-            for i, a in coords(p, expansion[u]).items()
-            for k, b in l.f[y].items()
-            for z, x in table[i][k].items()
-        )
-        return _vector(chain(first, second))
+        for i, a in coords(p, expansion[u]).items():
+            _add_products(acc, s * a, l.f[y], table[i])
+        return _vector(acc.items())
 
     differential = [(), l.f]
     for n in range(2, max_degree + 1):
@@ -330,12 +324,14 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
     and d.d = 0 hold on all in-range basis tuples.
 
     The degree <= 1 checks compare table entries as they are.  Each other
-    identity is one `sparse_sum` of the rows of the tables, or of their
-    products, which holds when the sum is empty.  Every basis tuple counts
-    once in `checked`, and the violations come in loop order.
+    identity adds the rows of the tables, or their products, into one dict
+    (`_add_products`) and holds when every value there is zero; its message
+    is made only when it fails.  Every basis tuple counts once in `checked`,
+    and the violations come in loop order.
     """
     violations: list[str] = []
     checked = 0
+    dims = t.dims
 
     def record(ok: bool, message: str) -> None:
         nonlocal checked
@@ -363,16 +359,13 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
         for q in range(D + 1 - p):
             if (p, q) == (0, 0):
                 continue
-            s = _sigma(p, q, t.convention)
-            for i in range(t.dims[p]):
-                for j in range(t.dims[q]):
-                    lhs, rhs = t.bracket[(p, q)][i][j], t.bracket[(q, p)][j][i]
-                    record(
-                        not sparse_sum(_Q, chain(
-                            lhs.items(), ((k, s * x) for k, x in rhs.items())
-                        )),
-                        f"antisymmetry fails in degrees ({p}, {q}) at ({i}, {j})",
-                    )
+            s, pq, qp = _sigma(p, q, t.convention), t.bracket[(p, q)], t.bracket[(q, p)]
+            checked += dims[p] * dims[q]
+            for i in range(dims[p]):
+                for j in range(dims[q]):
+                    # [e_i, e_j] + s [e_j, e_i], the second as row i of qp[j]
+                    if any(_add_products(dict(pq[i][j]), s, {i: 1}, qp[j]).values()):
+                        violations.append(f"antisymmetry fails in degrees ({p}, {q}) at ({i}, {j})")
 
     # cell[(p, q)][i][j] is [e_i, e_j], column[(p, q)][j][i] the same row,
     # and diff[n][j] is d e_j
@@ -391,41 +384,39 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
                 outer, inner = cell[(p, q + r)], cell[(q, r)]
                 pq, pq_r = cell[(p, q)], column[(p + q, r)]
                 pr, q_pr = cell[(p, r)], cell[(q, p + r)]
-                for i in range(t.dims[p]):
-                    for j in range(t.dims[q]):
-                        for k in range(t.dims[r]):
+                checked += dims[p] * dims[q] * dims[r]
+                for i in range(dims[p]):
+                    for j in range(dims[q]):
+                        for k in range(dims[r]):
                             # [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - s [e_j, [e_i, e_k]]
-                            total = sparse_sum(_Q, chain(
-                                _products(1, inner[j][k], outer[i]),
-                                _products(-1, pq[i][j], pq_r[k]),
-                                _products(-s, pr[i][k], q_pr[j]),
-                            ))
-                            record(
-                                not total,
-                                f"Jacobi fails in degrees ({p},{q},{r}) at ({i},{j},{k})",
-                            )
+                            acc = _add_products({}, 1, inner[j][k], outer[i])
+                            _add_products(acc, -1, pq[i][j], pq_r[k])
+                            if any(_add_products(acc, -s, pr[i][k], q_pr[j]).values()):
+                                violations.append(
+                                    f"Jacobi fails in degrees ({p},{q},{r}) at ({i},{j},{k})"
+                                )
 
     for p in range(D + 1):
         for q in range(max(1 - p, 0), D + 1 - p):
             n = p + q
             sign = _d_sign(p, t.convention)
-            for i in range(t.dims[p]):
-                for j in range(t.dims[q]):
+            checked += dims[p] * dims[q]
+            for i in range(dims[p]):
+                for j in range(dims[q]):
                     # d[e_i, e_j] - [d e_i, e_j] - sign [e_i, d e_j]
-                    terms = [_products(1, cell[(p, q)][i][j], diff[n])]
+                    acc = _add_products({}, 1, cell[(p, q)][i][j], diff[n])
                     if p >= 1:
-                        terms.append(_products(-1, diff[p][i], column[(p - 1, q)][j]))
+                        _add_products(acc, -1, diff[p][i], column[(p - 1, q)][j])
                     if q >= 1:
-                        terms.append(_products(-sign, diff[q][j], cell[(p, q - 1)][i]))
-                    record(
-                        not sparse_sum(_Q, chain.from_iterable(terms)),
-                        f"derivation rule fails in degrees ({p},{q}) at ({i},{j})",
-                    )
+                        _add_products(acc, -sign, diff[q][j], cell[(p, q - 1)][i])
+                    if any(acc.values()):
+                        violations.append(f"derivation rule fails in degrees ({p},{q}) at ({i},{j})")
 
     for n in range(2, D + 1):
-        for j in range(t.dims[n]):
-            dd = sparse_sum(_Q, _products(1, diff[n][j], diff[n - 1]))
-            record(not dd, f"d.d nonzero in degree {n} at basis element {j}")
+        checked += dims[n]
+        for j in range(dims[n]):
+            if any(_add_products({}, 1, diff[n][j], diff[n - 1]).values()):
+                violations.append(f"d.d nonzero in degree {n} at basis element {j}")
 
     return ValidationReport.collect(violations, checked)
 

@@ -9,8 +9,8 @@ F_p its values in [0, p) and over Q ints unless a division made them
 Fractions: subspace basis rows, the columns of the Hopf structure maps,
 tensors, and coefficients in a filtration's adapted basis.  `sparse_sum`
 builds such vectors from (index, value) terms, reducing mod p once and
-dropping zeros; an identity is one `sparse_sum` of its terms, which holds
-when the sum is empty.
+dropping zeros; each side of a `hopf` identity is one `sparse_sum` of its
+terms, whose indices the maps move.
 
 A filtration and its quotients have one type, `FilteredSpace`: its adapted
 rows of degree d represent V_d / V_(d+1), and the coefficients of a vector

@@ -44,7 +44,6 @@ from rackgraph.liealg import (
     GradedLieTruncation,
     LMLieAlgebra,
     _d_sign,
-    _products,
     _sigma,
     _vector,
 )
@@ -279,6 +278,12 @@ def pi_star(a: AugmentedRack, field, levels_x, levels_g) -> tuple:
 # the derived Leibniz bracket
 
 
+def _products(sign: int, v: dict, rows):
+    """sign * sum_m v[m] * rows[m] as (index, value) terms, for sparse v and
+    a sequence of sparse rows."""
+    return ((z, sign * a * x) for m, a in v.items() for z, x in rows[m].items())
+
+
 @dataclass(frozen=True)
 class LeibnizAlgebra:
     """A bracket on a basis: bracket[i][j] is [e_i, e_j] as a sparse row."""
@@ -311,7 +316,10 @@ def leibniz_bracket(l: LMLieAlgebra) -> LeibnizAlgebra:
     """[m, n] := m ^ f(n), which is a (generally non-Lie) Leibniz bracket."""
     nm = l.dim_m
     table = tuple(
-        tuple(_vector(_products(1, l.f[j], [rho_k[i] for rho_k in l.rho])) for j in range(nm))
+        tuple(
+            _vector(sparse_sum(_Q, _products(1, l.f[j], [rho_k[i] for rho_k in l.rho])).items())
+            for j in range(nm)
+        )
         for i in range(nm)
     )
     out = LeibnizAlgebra(nm, table)
