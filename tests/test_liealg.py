@@ -523,13 +523,6 @@ def _row_at(rows, at):
     return rows
 
 
-def _with_row(rows, at, row):
-    if not at:
-        return row
-    i = at[0]
-    return rows[:i] + (_with_row(rows[i], at[1:], row),) + rows[i + 1:]
-
-
 def _tampered(data, tables: dict) -> dict:
     """tables maps a name to (nested rows, depth, row width).  One to three
     times, add +-1 or +-1/2 at an index of a drawn row, or delete one of its
@@ -545,14 +538,14 @@ def _tampered(data, tables: dict) -> dict:
         return out
     for _ in range(data.draw(st.integers(1, 3))):
         name, at = data.draw(st.sampled_from(cells))
-        row = dict(_row_at(out[name], at))
+        row = _row_at(out[name], at)
         if row and data.draw(st.booleans()):
-            del row[data.draw(st.sampled_from(sorted(row)))]
+            k = data.draw(st.sampled_from(sorted(row)))
+            delta = -row[k]
         else:
             k = data.draw(st.integers(0, tables[name][2] - 1))
-            x = row.get(k, 0) + data.draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2)]))
-            row = {z: y for z, y in {**row, k: x}.items() if y}
-        out[name] = _with_row(out[name], at, row)
+            delta = data.draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2)]))
+        out[name] = _bumped(out[name], at, k, delta)
     return out
 
 
