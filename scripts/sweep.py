@@ -14,9 +14,9 @@ The sweep runs every command in one process through `cli.render`, over the
 corpus files in name order: `validate`, `convert` both ways and
 `presentation` on each; on each rack-like file `hopf` over q, f2, f3 and
 f5, and `homology` bq to degrees 1-3 and eq to degrees 1-2 (eq at 3 runs
-for minutes on the 8-element racks); `dgla` at degrees 1-4 in both
+for minutes on the 8-element racks); `dgla` at degrees 1-5 in both
 conventions on each exact Lie algebra; `integrate` with its defaults on
-each matrix Lie algebra: 374 commands, about 5 s on a 2-core x86 host.
+each matrix Lie algebra: 384 commands, about 5 s on a 2-core x86 host.
 """
 
 import hashlib
@@ -46,7 +46,7 @@ def commands(paths):
                            "--max-degree", str(degree)]
         elif kind == "lm_lie":
             for convention in (liealg.KOSZUL, liealg.PLAIN):
-                for degree in range(1, 5):
+                for degree in range(1, 6):
                     yield ["dgla", path, "--max-degree", str(degree),
                            "--convention", convention]
         else:

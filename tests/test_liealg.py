@@ -9,6 +9,7 @@ computed through the Poincare series of the free associative algebra
 
 import dataclasses
 import functools
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from rackgraph.liealg import (
     KOSZUL,
     PLAIN,
     LMLieAlgebra,
+    _sigma,
     e_functor,
     free_generators,
     nilpotent_pair,
@@ -523,10 +525,12 @@ def _row_at(rows, at):
     return rows
 
 
-def _tampered(data, tables: dict) -> dict:
+def _tampered(data, tables: dict, partner=None) -> dict:
     """tables maps a name to (nested rows, depth, row width).  One to three
     times, add +-1 or +-1/2 at an index of a drawn row, or delete one of its
-    keys; returns the name -> nested rows after that."""
+    keys; returns the name -> nested rows after that.  partner(name, at), when
+    given, names the row (name, at, factor) that antisymmetry ties to a row,
+    or None; a draw may then add factor times the same change there too."""
     out = {name: rows for name, (rows, _, _) in tables.items()}
     cells = [
         (name, at)
@@ -546,6 +550,10 @@ def _tampered(data, tables: dict) -> dict:
             k = data.draw(st.integers(0, tables[name][2] - 1))
             delta = data.draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2)]))
         out[name] = _bumped(out[name], at, k, delta)
+        tied = partner and partner(name, at)
+        if tied and data.draw(st.booleans()):
+            name, at, factor = tied
+            out[name] = _bumped(out[name], at, k, factor * delta)
     return out
 
 
@@ -558,13 +566,30 @@ def test_tampered_truncation_reports_equal_the_sums_oracle(data):
     l, t = _tamper_algebra(name), _tamper_truncation(name, degree, convention)
     tables = {key: (rows, 2, t.dims[sum(key)]) for key, rows in t.bracket.items()}
     tables.update({n: (t.differential[n], 1, t.dims[n - 1]) for n in range(1, degree + 1)})
-    out = _tampered(data, tables)
+    # (p, q)[i][j] + delta and (q, p)[j][i] - sigma(p, q) delta keep
+    # antisymmetry, so only Jacobi and the derivation rule can see the pair
+    out = _tampered(data, tables, lambda key, at: isinstance(key, tuple) and (
+        key[::-1], at[::-1], -_sigma(*key, convention)
+    ))
     bad = dataclasses.replace(
         t,
         bracket={key: out[key] for key in t.bracket},
         differential=((), *(out[n] for n in range(1, degree + 1))),
     )
     assert verify_e_truncation(bad, l) == verify_e_truncation_sums(bad, l)
+
+
+@pytest.mark.parametrize("convention", [KOSZUL, PLAIN])
+@pytest.mark.parametrize("name", ["sl2_adjoint", "so3_adjoint"])
+def test_degree_zero_table_not_antisymmetric_reports_equal_the_sums_oracle(name, convention):
+    # every counted check before Jacobi passes, since the truncation is built
+    # from the tampered algebra itself, but [e_i, e_j] + [e_j, e_i] != 0 in
+    # degree 0, which the check leaves to validate_lm_lie and does not count
+    l = _tamper_algebra(name)
+    for i, j, k in itertools.product(range(l.dim_g), repeat=3):
+        bad = dataclasses.replace(l, c=_bumped(l.c, (i, j), k, 1))
+        t = e_functor(bad, 2, convention)
+        assert verify_e_truncation(t, bad) == verify_e_truncation_sums(t, bad), (i, j, k)
 
 
 @settings(max_examples=150, deadline=None)
