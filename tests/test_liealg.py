@@ -23,6 +23,7 @@ from oracles import (
     verify_e_truncation_sums,
     verify_leibniz,
 )
+from rackgraph import liealg
 from rackgraph.jsonio import dump_lm_lie, load_path
 from rackgraph.liealg import (
     KOSZUL,
@@ -398,6 +399,20 @@ def test_tampered_differential_breaks_d_squared():
         "derivation rule fails in degrees (3,0) at (1,0)",
         "d.d nonzero in degree 3 at basis element 0",
     )
+
+
+def test_jacobi_is_evaluated_once_per_unordered_triple(monkeypatch):
+    # dims (3, 3, 6, 8): 891 ordered basis triples of degree sum 1..3, of
+    # which 184 have (p, i) <= (q, j) <= (r, k); each evaluation adds three
+    # products, next to 147 for antisymmetry, 339 for the derivation rule
+    # and 14 for d.d
+    l = sl2_adjoint()
+    t = e_functor(l, 3, KOSZUL)
+    add, calls = liealg._add_products, []
+    monkeypatch.setattr(liealg, "_add_products", lambda *args: calls.append(1) or add(*args))
+    report = verify_e_truncation(t, l)
+    assert report.ok and report.checked == 1212
+    assert len(calls) == 147 + 3 * 184 + 339 + 14
 
 
 def _sl2_rescaled() -> LMLieAlgebra:
