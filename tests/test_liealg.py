@@ -583,8 +583,8 @@ def test_tampered_truncation_reports_equal_the_sums_oracle(data):
     tables.update({n: (t.differential[n], 1, t.dims[n - 1]) for n in range(1, degree + 1)})
     # (p, q)[i][j] + delta and (q, p)[j][i] - sigma(p, q) delta keep
     # antisymmetry, so only Jacobi and the derivation rule can see the pair
-    out = _tampered(data, tables, lambda key, at: isinstance(key, tuple) and (
-        key[::-1], at[::-1], -_sigma(*key, convention)
+    out = _tampered(data, tables, lambda key, at: (
+        (key[::-1], at[::-1], -_sigma(*key, convention)) if isinstance(key, tuple) else None
     ))
     bad = dataclasses.replace(
         t,
