@@ -49,7 +49,6 @@ from .racks import (
     associated_group_presentation,
     inner_group,
     validate_augmented,
-    validate_group,
     validate_rack,
 )
 
@@ -131,32 +130,27 @@ class CheckFailed(Exception):
         self.violations = list(violations)
 
 
-def _check_rack(r) -> None:
-    """Refuse a bare rack that fails validate, with validate's violations."""
-    rep = _rack_report(r)
+def _refuse_failed(rep) -> None:
+    """Refuse the input when its kind's check fails, with the violations
+    that validate prints for it."""
     if not rep.ok:
         raise CheckFailed(rep.violations)
 
 
 def _as_augmented(kind, obj):
-    """Any rack-like document as an augmented rack whose group table is
-    associative and whose action is an action, which the hopf filtrations
-    need to step by a generating set of the group."""
+    """Any rack-like document that passes its kind's check, as an augmented
+    rack: the hopf filtrations step by a generating set of its group."""
     if kind == "augmented_rack":
-        bad = [*validate_group(obj.group).violations, *validate_augmented(obj).violations]
-        if bad:
-            raise CheckFailed(bad)
+        _refuse_failed(validate_augmented(obj))
         return obj
     if kind == "rack":
-        _check_rack(obj)
+        _refuse_failed(_rack_report(obj))
         try:
             return inner_group(obj)[1]
         except GroupTooLarge as exc:
             raise SchemaError("", str(exc)) from None
     if kind == "graph":
-        rep = validate_group_like(obj)
-        if not rep.ok:
-            raise CheckFailed(rep.violations)
+        _refuse_failed(validate_group_like(obj))
         return graph_to_rack(obj)
     raise SchemaError("/kind", f"expected a rack-like document, got {kind!r}")
 
@@ -167,18 +161,16 @@ def _as_augmented(kind, obj):
 
 def _cmd_validate(m: Manifest, kind, obj) -> tuple[int, dict]:
     report: dict = {"schema": jsonio.SCHEMA_VERSION, "command": "validate", "kind": kind}
-    if kind == "rack":
-        rep = validate_rack(obj)
-        report.update(_report_from(rep))
-    elif kind == "augmented_rack":
-        rep = validate_augmented(obj)
-        report.update(_report_from(rep))
-    elif kind == "graph":
-        rep = validate_group_like(obj)
-        report.update(_report_from(rep))
-    elif kind == "lm_lie":
-        rep = liealg.validate_lm_lie(obj)
-        report.update(_report_from(rep))
+    # each exact kind's check, which every command refuses on; built at each
+    # call, so that it reads the names after the benchmark's tracer wraps them
+    checks = {
+        "rack": validate_rack,
+        "augmented_rack": validate_augmented,
+        "graph": validate_group_like,
+        "lm_lie": liealg.validate_lm_lie,
+    }
+    if kind in checks:
+        report.update(_report_from(checks[kind](obj)))
     else:  # matrix_lm_lie
         rep = lierack.validate_matrix_lm_lie(obj, tol=m.tol if m.tol is not None else 1e-10)
         report.update(
@@ -358,7 +350,7 @@ def _cmd_integrate(m: Manifest, kind, obj) -> tuple[int, dict]:
 
 def _cmd_presentation(m: Manifest, kind, obj) -> tuple[int, dict]:
     if kind == "rack":
-        _check_rack(obj)  # the presentation needs no inner group
+        _refuse_failed(_rack_report(obj))  # the presentation needs no inner group
         r = obj
     else:
         r = _as_augmented(kind, obj).derived_rack()

@@ -3,8 +3,9 @@
 Every document carries "schema": 1 and a "kind" tag.  Loading validates
 shapes manually and reports the offending location as a JSON-pointer-like
 path; structural axioms (rack identities, group associativity, ...) are NOT
-checked here, that is the job of the validate command, so a well-shaped but
-wrong table loads fine and fails its checks downstream.
+checked here, that is the job of each kind's check, which the validate
+command prints and every command refuses on, so a well-shaped but wrong
+table loads fine and fails its check downstream.
 
 Canonical output: sorted keys, two-space indent, ASCII only with json's
 escapes, trailing newline, floats rounded to 12 significant digits and

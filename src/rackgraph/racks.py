@@ -260,8 +260,14 @@ class AugmentedRack:
 
 
 def validate_augmented(a: AugmentedRack) -> ValidationReport:
-    violations: list[str] = []
+    """The group axioms first: a table that fails them gets validate_group's
+    report as is, as the later checks read every product through it.  Then
+    the action and the equivariance of pi, the only checks in `checked`."""
     g = a.group
+    group_rep = validate_group(g)
+    if not group_rep.ok:
+        return group_rep
+    violations: list[str] = []
     checked = 0
     for x in range(a.x_size):
         checked += 1

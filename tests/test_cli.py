@@ -295,11 +295,12 @@ def _refuse(*args):
 
 
 def test_hopf_size_budget_before_the_checks(tmp_path, monkeypatch):
-    # S5 on itself by conjugation: 120^3 = 1.7e6 table entries; validate_group
-    # alone would spend 120^3 steps before the budget refused them
+    # S5 on itself by conjugation: 120^3 = 1.7e6 table entries; its check
+    # alone would spend 120^3 steps on the group axioms before the budget
+    # refused them
     group, _ = racks.group_from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
     path = write_doc(tmp_path, jsonio.dump_augmented(racks.conjugation_rack(group)))
-    monkeypatch.setattr(cli, "validate_group", _refuse)
+    monkeypatch.setattr(cli, "validate_augmented", _refuse)
     code, report, _ = run_cli(["hopf", path])
     assert code == 2
     assert report["error"] == {
@@ -322,10 +323,11 @@ def test_hopf_size_budget_of_a_graph_before_the_checks(monkeypatch):
 
 def test_homology_size_budget_before_the_checks(tmp_path, monkeypatch):
     # S5 on itself by conjugation: the bq top chain group at degree 4 holds
-    # 120^4 cells, refused before validate_group spends 120^3 steps
+    # 120^4 cells, refused before its check spends 120^3 steps on the group
+    # axioms
     group, _ = racks.group_from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
     path = write_doc(tmp_path, jsonio.dump_augmented(racks.conjugation_rack(group)))
-    monkeypatch.setattr(cli, "validate_group", _refuse)
+    monkeypatch.setattr(cli, "validate_augmented", _refuse)
     code, report, _ = run_cli(["homology", path, "--max-degree", "3"])
     assert code == 2
     assert report["error"] == {
@@ -676,9 +678,12 @@ def test_augmented_rack_action_not_an_action_reported(tmp_path, argv):
     }
 
 
-def test_augmented_rack_group_not_associative_reported(tmp_path):
-    # every element has an inverse and the one-point action passes validate,
-    # but (1*1)*2 = 2 while 1*(1*2) = 1
+@pytest.mark.parametrize(
+    "argv", [["homology"], ["hopf"], ["presentation"], ["convert", "--to", "graph"]]
+)
+def test_augmented_rack_group_not_associative_reported(tmp_path, argv):
+    # every element has an inverse and the one-point action would pass its
+    # checks, but (1*1)*2 = 2 while 1*(1*2) = 1
     doc = {
         "schema": 1,
         "kind": "augmented_rack",
@@ -687,9 +692,20 @@ def test_augmented_rack_group_not_associative_reported(tmp_path):
         "pi": [0],
     }
     path = write_doc(tmp_path, doc)
-    code, report, _ = run_cli(["hopf", path])
+    code, validated, _ = run_cli(["validate", path])
     assert code == 1
-    assert "associativity fails at (1,1,2)" in report["violations"]
+    assert validated["checked"] == 2 * 3 + 3**3
+    assert validated["violations"] == [
+        f"associativity fails at {t}" for t in ("(1,1,2)", "(1,2,2)", "(2,1,1)", "(2,2,1)")
+    ]
+    code, report, _ = run_cli([argv[0], path, *argv[1:]])
+    assert code == 1
+    assert report == {
+        "schema": 1,
+        "command": argv[0],
+        "ok": False,
+        "violations": validated["violations"],
+    }
 
 
 def test_non_group_table_reported(tmp_path):
@@ -1216,6 +1232,7 @@ def mutated_documents(draw):
 def test_mutated_documents_keep_the_input_contract(tmp_path, doc):
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
+    results = {}
     for argv in FUZZ_COMMANDS:
         code, text, _ = cli.render([argv[0], str(path), *argv[1:]])
         report = json.loads(text)
@@ -1223,3 +1240,14 @@ def test_mutated_documents_keep_the_input_contract(tmp_path, doc):
         assert isinstance(report, dict), argv
         if code == 2:
             assert isinstance(report["error"]["path"], str), argv
+        results[tuple(argv)] = code, report
+    # the gate: a command refuses a well-formed input only on the check that
+    # validate prints, and runs on no rack-like input that validate rejects
+    validate_code, validated = results[("validate",)]
+    for argv, (code, report) in results.items():
+        if code == 1 and "violations" in report:
+            assert validate_code == 1, argv
+            assert validated["violations"] == report["violations"], argv
+    if validate_code != 0 and doc.get("kind") in ("rack", "augmented_rack", "graph"):
+        assert results[("homology", "--max-degree", "1")][0] in (1, 2)
+        assert results[("hopf", "--max-degree", "1")][0] in (1, 2)

@@ -10,6 +10,7 @@ import random
 
 from rackgraph.racks import (
     AugmentedRack,
+    FiniteGroup,
     FiniteRack,
     abelianization,
     associated_group_presentation,
@@ -104,6 +105,15 @@ def test_augmented_validate():
     assert validate_augmented(toy_rack_c2()).ok
     for g in ALL_GROUPS.values():
         assert validate_augmented(conjugation_rack(g)).ok
+
+
+def test_augmented_validate_reports_a_table_that_is_not_a_group():
+    # every element has an inverse and the one-point action would pass its
+    # checks, but (1*1)*2 = 2 while 1*(1*2) = 1
+    group = FiniteGroup.make([[0, 1, 2], [1, 0, 0], [2, 0, 0]], 0)
+    a = AugmentedRack.make(group, [[0, 0, 0]], [0])
+    assert not validate_group(group).ok
+    assert validate_augmented(a) == validate_group(group)
 
 
 def test_transposition_class_is_dihedral_quandle_3():
