@@ -139,7 +139,7 @@ def _refuse_failed(rep) -> None:
 
 def _as_augmented(kind, obj):
     """Any rack-like document that passes its kind's check, as an augmented
-    rack: the hopf filtrations step by a generating set of its group."""
+    rack; one that fails it raises CheckFailed with the check's violations."""
     if kind == "augmented_rack":
         _refuse_failed(validate_augmented(obj))
         return obj
