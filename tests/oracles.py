@@ -26,6 +26,8 @@ directory on sys.path, and the file is not collected.
 - `validate_lm_lie_sums` and `verify_e_truncation_sums`, the identity
   checks of `liealg` with each identity one `sparse_sum` of generated
   product terms, which the package adds into one dict in place.
+- `verify_hopf_sums`, the structure identity check of the arrow bialgebra
+  with each side of an identity one `sparse_sum` of its terms.
 """
 
 from __future__ import annotations
@@ -595,5 +597,125 @@ def verify_e_truncation_sums(t: GradedLieTruncation, l: LMLieAlgebra) -> Validat
         for j in range(t.dims[n]):
             dd = sparse_sum(_Q, _products(1, diff[n][j], diff[n - 1]))
             record(not dd, f"d.d nonzero in degree {n} at basis element {j}")
+
+    return ValidationReport.collect(violations, checked)
+
+
+# ---------------------------------------------------------------------------
+# the identity checks of hopf, each side of an identity one sparse_sum
+
+
+def verify_hopf_sums(b: LMBialgebra) -> ValidationReport:
+    """Exhaustive basis-level check of every structure identity.
+
+    Works entirely from the stored maps, so a corrupted entry in any of
+    them is caught and reported with the witness basis element.  Each side
+    of an identity is one `sparse_sum` of its (index, value) terms.
+    """
+    f = b.field
+    grp = b.group
+    h, na = b.h_dim, b.a_dim
+    mul = grp.mul
+    la, ra = b.graph.left_act, b.graph.right_act
+    off = na * h
+    d0, d1, s0, s1, phi = b.delta0, b.delta1, b.s0, b.s1, b.phi
+    eps = [col.get(0, 0) for col in b.counit]
+    e = grp.identity
+
+    def total(terms) -> dict:
+        return sparse_sum(f, terms)
+
+    # the coproducts split into tensor factors: (i, j, c) for g, and
+    # (arrow, vertex, c) for each block of an arrow, A(x)H then H(x)A
+    pairs0 = [[(k // h, k % h, c) for k, c in col.items()] for col in d0]
+    first = [[(k // h, k % h, c) for k, c in col.items() if k < off] for col in d1]
+    second = [[((k - off) % na, (k - off) // na, c) for k, c in col.items() if k >= off]
+              for col in d1]
+
+    violations: list[str] = []
+    checked = 0
+
+    def record(ok: bool, message: str) -> None:
+        nonlocal checked
+        checked += 1
+        if not ok:
+            violations.append(message)
+
+    for g in range(h):
+        # coassociativity of the vertex coproduct
+        lhs = total((pq * h + j, c * c2) for i, j, c in pairs0[g] for pq, c2 in d0[i].items())
+        rhs = total((i * h * h + pq, c * c2) for i, j, c in pairs0[g] for pq, c2 in d0[j].items())
+        record(lhs == rhs, f"coassociativity fails at vertex {g}")
+
+        # counit on the vertex coproduct, both sides
+        want = {g: 1}
+        record(total((j, eps[i] * c) for i, j, c in pairs0[g]) == want,
+               f"left counit fails at vertex {g}")
+        record(total((i, eps[j] * c) for i, j, c in pairs0[g]) == want,
+               f"right counit fails at vertex {g}")
+
+        # antipode cancellation on the vertex algebra, both sides
+        want = total([(e, eps[g])])
+        acc_l = total((mul[i2][j], c * c2) for i, j, c in pairs0[g] for i2, c2 in s0[i].items())
+        acc_r = total((mul[i][j2], c * c2) for i, j, c in pairs0[g] for j2, c2 in s0[j].items())
+        record(acc_l == want, f"vertex antipode (left) fails at {g}")
+        record(acc_r == want, f"vertex antipode (right) fails at {g}")
+
+    for a in range(na):
+        # counit on the arrow coproduct: both blocks return the arrow
+        want = {a: 1}
+        record(total((b2, c * eps[g2]) for b2, g2, c in first[a]) == want,
+               f"arrow counit (first block) fails at arrow {a}")
+        record(total((b2, c * eps[g2]) for b2, g2, c in second[a]) == want,
+               f"arrow counit (second block) fails at arrow {a}")
+
+        # compatibility of phi with the two coproducts
+        lhs = total((pq, c * c2) for g2, c in phi[a].items() for pq, c2 in d0[g2].items())
+        rhs = total(
+            [(t2 * h + g2, c * c2) for b2, g2, c in first[a] for t2, c2 in phi[b2].items()]
+            + [(g2 * h + t2, c * c2) for b2, g2, c in second[a] for t2, c2 in phi[b2].items()]
+        )
+        record(lhs == rhs, f"phi does not intertwine coproducts at arrow {a}")
+
+        # antipode cancellation on arrows, both variants
+        acc1 = total(
+            [(ra[g2][b3], c * c2) for b2, g2, c in first[a] for b3, c2 in s1[b2].items()]
+            + [(la[g3][b2], c * c2) for b2, g2, c in second[a] for g3, c2 in s0[g2].items()]
+        )
+        acc2 = total(
+            [(ra[g3][b2], c * c2) for b2, g2, c in first[a] for g3, c2 in s0[g2].items()]
+            + [(la[g2][b3], c * c2) for b2, g2, c in second[a] for b3, c2 in s1[b2].items()]
+        )
+        record(not acc1, f"arrow antipode cancellation (S first) fails at arrow {a}")
+        record(not acc2, f"arrow antipode cancellation (S second) fails at arrow {a}")
+
+        # phi commutes with the antipodes
+        lhs = total((g2, c * c2) for b2, c in s1[a].items() for g2, c2 in phi[b2].items())
+        rhs = total((g3, c * c2) for g2, c in phi[a].items() for g3, c2 in s0[g2].items())
+        record(lhs == rhs, f"phi/antipode square fails at arrow {a}")
+
+        # counit kills phi
+        record(not total((0, eps[g2] * c) for g2, c in phi[a].items()),
+               f"counit of phi nonzero at arrow {a}")
+
+    for a in range(na):
+        for g in range(h):
+            # right module map: coproduct of a.g versus coproduct acted by g(x)g
+            rhs = total(
+                [(ra[p][b2] * h + mul[g2][q2], c * c2)
+                 for b2, g2, c in first[a] for p, q2, c2 in pairs0[g]]
+                + [(off + mul[g2][p] * na + ra[q2][b2], c * c2)
+                   for b2, g2, c in second[a] for p, q2, c2 in pairs0[g]]
+            )
+            record(d1[ra[g][a]] == rhs, f"right module coproduct fails at arrow {a}, vertex {g}")
+
+            # left module map
+            rhs = total(
+                [(la[p][b2] * h + mul[q2][g2], c * c2)
+                 for b2, g2, c in first[a] for p, q2, c2 in pairs0[g]]
+                + [(off + mul[p][g2] * na + la[q2][b2], c * c2)
+                   for b2, g2, c in second[a] for p, q2, c2 in pairs0[g]]
+            )
+            record(d1[la[g][a]] == rhs, f"left module coproduct fails at arrow {a}, vertex {g}")
 
     return ValidationReport.collect(violations, checked)

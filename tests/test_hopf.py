@@ -1,12 +1,14 @@
 """Arrow bialgebra, filtration, coinvariants, graded checks."""
 
 import dataclasses
+import functools
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import graded_primitive_subspace, pi_star
+from oracles import graded_primitive_subspace, pi_star, verify_hopf_sums
 from rackgraph.graphs import graph_to_rack, rack_to_graph, unit_component
 from rackgraph.hopf import (
     augmentation_filtration,
@@ -248,6 +250,47 @@ def test_corrupted_structure_map_is_detected(rack, checked, name, field):
     report = verify_hopf(bad)
     assert report.checked == checked
     assert list(report.violations) == CORRUPTED_MAP_VIOLATIONS[(rack, name)]
+
+
+TAMPER_FIELDS = {"q": Q, "f2": F2, "f3": F3}
+
+
+@functools.cache
+def tamper_bialgebra(name: str, field_label: str):
+    """The bialgebra of toy_c2, s3_transpositions or the disconnected corpus
+    file class_q8_i over the named field."""
+    if name == "class_q8_i":
+        _, rack = load_path(str(ROOT / "corpus" / "class_q8_i.json"))
+    else:
+        rack = sample_racks()[name]
+    return hopf_of(rack, TAMPER_FIELDS[field_label])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tampered_structure_maps_report_equal_the_sums_oracle(data):
+    # one to three times, add +-1 at a row of a drawn column of one of the six
+    # structure maps, or delete one of its keys; the columns stay reduced
+    b = tamper_bialgebra(
+        data.draw(st.sampled_from(["toy_c2", "s3_transpositions", "class_q8_i"])),
+        data.draw(st.sampled_from(sorted(TAMPER_FIELDS))),
+    )
+    h, na = b.h_dim, b.a_dim
+    rows = {"phi": h, "s0": h, "s1": na, "delta0": h * h, "delta1": 2 * na * h, "counit": 1}
+    maps = {name: list(getattr(b, name)) for name in rows}
+    for _ in range(data.draw(st.integers(1, 3))):
+        name = data.draw(st.sampled_from(sorted(rows)))
+        j = data.draw(st.integers(0, len(maps[name]) - 1))
+        col = maps[name][j]
+        if col and data.draw(st.booleans()):
+            k = data.draw(st.sampled_from(sorted(col)))
+            maps[name][j] = {i: x for i, x in col.items() if i != k}
+        else:
+            k = data.draw(st.integers(0, rows[name] - 1))
+            term = (k, data.draw(st.sampled_from([1, -1])))
+            maps[name][j] = sparse_sum(b.field, [*col.items(), term])
+    bad = dataclasses.replace(b, **{name: tuple(cols) for name, cols in maps.items()})
+    assert verify_hopf(bad) == verify_hopf_sums(bad)
 
 
 def test_filtration_dims_two_element_example_mod_two():
