@@ -86,7 +86,10 @@ def verify_hopf(b: LMBialgebra) -> ValidationReport:
 
     Works entirely from the stored maps, so a corrupted entry in any of
     them is caught and reported with the witness basis element.  Each side
-    of an identity is one `sparse_sum` of its (index, value) terms.
+    of a vertex or arrow identity is one `sparse_sum` of its (index, value)
+    terms.  The right and left module-map identities, 2 |A| |G| of them,
+    each add both sides into one dict in place (`module_map_holds`).  A
+    violation message is made only for an identity that fails.
     """
     f = b.field
     grp = b.group
@@ -97,6 +100,7 @@ def verify_hopf(b: LMBialgebra) -> ValidationReport:
     d0, d1, s0, s1, phi = b.delta0, b.delta1, b.s0, b.s1, b.phi
     eps = [col.get(0, 0) for col in b.counit]
     e = grp.identity
+    mod = f.p
 
     def total(terms) -> dict:
         return sparse_sum(f, terms)
@@ -111,39 +115,39 @@ def verify_hopf(b: LMBialgebra) -> ValidationReport:
     violations: list[str] = []
     checked = 0
 
-    def record(ok: bool, message: str) -> None:
+    def record(ok: bool, message: str, *args) -> None:
         nonlocal checked
         checked += 1
         if not ok:
-            violations.append(message)
+            violations.append(message.format(*args))
 
     for g in range(h):
         # coassociativity of the vertex coproduct
         lhs = total((pq * h + j, c * c2) for i, j, c in pairs0[g] for pq, c2 in d0[i].items())
         rhs = total((i * h * h + pq, c * c2) for i, j, c in pairs0[g] for pq, c2 in d0[j].items())
-        record(lhs == rhs, f"coassociativity fails at vertex {g}")
+        record(lhs == rhs, "coassociativity fails at vertex {}", g)
 
         # counit on the vertex coproduct, both sides
         want = {g: 1}
         record(total((j, eps[i] * c) for i, j, c in pairs0[g]) == want,
-               f"left counit fails at vertex {g}")
+               "left counit fails at vertex {}", g)
         record(total((i, eps[j] * c) for i, j, c in pairs0[g]) == want,
-               f"right counit fails at vertex {g}")
+               "right counit fails at vertex {}", g)
 
         # antipode cancellation on the vertex algebra, both sides
         want = total([(e, eps[g])])
         acc_l = total((mul[i2][j], c * c2) for i, j, c in pairs0[g] for i2, c2 in s0[i].items())
         acc_r = total((mul[i][j2], c * c2) for i, j, c in pairs0[g] for j2, c2 in s0[j].items())
-        record(acc_l == want, f"vertex antipode (left) fails at {g}")
-        record(acc_r == want, f"vertex antipode (right) fails at {g}")
+        record(acc_l == want, "vertex antipode (left) fails at {}", g)
+        record(acc_r == want, "vertex antipode (right) fails at {}", g)
 
     for a in range(na):
         # counit on the arrow coproduct: both blocks return the arrow
         want = {a: 1}
         record(total((b2, c * eps[g2]) for b2, g2, c in first[a]) == want,
-               f"arrow counit (first block) fails at arrow {a}")
+               "arrow counit (first block) fails at arrow {}", a)
         record(total((b2, c * eps[g2]) for b2, g2, c in second[a]) == want,
-               f"arrow counit (second block) fails at arrow {a}")
+               "arrow counit (second block) fails at arrow {}", a)
 
         # compatibility of phi with the two coproducts
         lhs = total((pq, c * c2) for g2, c in phi[a].items() for pq, c2 in d0[g2].items())
@@ -151,7 +155,7 @@ def verify_hopf(b: LMBialgebra) -> ValidationReport:
             [(t2 * h + g2, c * c2) for b2, g2, c in first[a] for t2, c2 in phi[b2].items()]
             + [(g2 * h + t2, c * c2) for b2, g2, c in second[a] for t2, c2 in phi[b2].items()]
         )
-        record(lhs == rhs, f"phi does not intertwine coproducts at arrow {a}")
+        record(lhs == rhs, "phi does not intertwine coproducts at arrow {}", a)
 
         # antipode cancellation on arrows, both variants
         acc1 = total(
@@ -162,37 +166,42 @@ def verify_hopf(b: LMBialgebra) -> ValidationReport:
             [(ra[g3][b2], c * c2) for b2, g2, c in first[a] for g3, c2 in s0[g2].items()]
             + [(la[g2][b3], c * c2) for b2, g2, c in second[a] for b3, c2 in s1[b2].items()]
         )
-        record(not acc1, f"arrow antipode cancellation (S first) fails at arrow {a}")
-        record(not acc2, f"arrow antipode cancellation (S second) fails at arrow {a}")
+        record(not acc1, "arrow antipode cancellation (S first) fails at arrow {}", a)
+        record(not acc2, "arrow antipode cancellation (S second) fails at arrow {}", a)
 
         # phi commutes with the antipodes
         lhs = total((g2, c * c2) for b2, c in s1[a].items() for g2, c2 in phi[b2].items())
         rhs = total((g3, c * c2) for g2, c in phi[a].items() for g3, c2 in s0[g2].items())
-        record(lhs == rhs, f"phi/antipode square fails at arrow {a}")
+        record(lhs == rhs, "phi/antipode square fails at arrow {}", a)
 
         # counit kills phi
         record(not total((0, eps[g2] * c) for g2, c in phi[a].items()),
-               f"counit of phi nonzero at arrow {a}")
+               "counit of phi nonzero at arrow {}", a)
 
+    def module_map_holds(act, prod, a: int, g: int) -> bool:
+        """The coproduct of act[g][a] minus the coproduct of a acted on by
+        g (x) g, in one dict: act is one side's action on arrows, and
+        prod[x][y] is x * y for the right side, y * x for the left."""
+        acc = dict(d1[act[g][a]])
+        get = acc.get
+        for p, q2, c2 in pairs0[g]:
+            for b2, g2, c in first[a]:
+                k = act[p][b2] * h + prod[g2][q2]
+                acc[k] = get(k, 0) - c * c2
+            for b2, g2, c in second[a]:
+                k = off + prod[g2][p] * na + act[q2][b2]
+                acc[k] = get(k, 0) - c * c2
+        if mod:
+            return not any(x % mod for x in acc.values())
+        return not any(acc.values())
+
+    mul_left = tuple(zip(*mul))  # mul_left[x][y] = y * x
     for a in range(na):
         for g in range(h):
-            # right module map: coproduct of a.g versus coproduct acted by g(x)g
-            rhs = total(
-                [(ra[p][b2] * h + mul[g2][q2], c * c2)
-                 for b2, g2, c in first[a] for p, q2, c2 in pairs0[g]]
-                + [(off + mul[g2][p] * na + ra[q2][b2], c * c2)
-                   for b2, g2, c in second[a] for p, q2, c2 in pairs0[g]]
-            )
-            record(d1[ra[g][a]] == rhs, f"right module coproduct fails at arrow {a}, vertex {g}")
-
-            # left module map
-            rhs = total(
-                [(la[p][b2] * h + mul[q2][g2], c * c2)
-                 for b2, g2, c in first[a] for p, q2, c2 in pairs0[g]]
-                + [(off + mul[p][g2] * na + la[q2][b2], c * c2)
-                   for b2, g2, c in second[a] for p, q2, c2 in pairs0[g]]
-            )
-            record(d1[la[g][a]] == rhs, f"left module coproduct fails at arrow {a}, vertex {g}")
+            record(module_map_holds(ra, mul, a, g),
+                   "right module coproduct fails at arrow {}, vertex {}", a, g)
+            record(module_map_holds(la, mul_left, a, g),
+                   "left module coproduct fails at arrow {}, vertex {}", a, g)
 
     return ValidationReport.collect(violations, checked)
 
@@ -248,15 +257,21 @@ def _difference_span(field: FieldSpec, dim: int, tables):
     since gh.v - v = g.(h.v) - h.v + h.v - v with h.v in L, and the step of
     such a level is again one.  Every chain starts from the whole space, so
     all its levels are.  This needs the tables to form an action of the
-    group, and two actions to commute when a caller passes both sides."""
+    group, and two actions to commute when a caller passes both sides.
+
+    Each sigma(v) - v is built in one dict, as sigma(v) with v taken off in
+    place; it may keep zeros, and over F_p values in (-p, p), which `rref`
+    reduces as each row comes in."""
 
     def step(level: Subspace) -> Subspace:
-        vecs = [
-            sparse_sum(field, [(table[i], v) for i, v in row.items()]
-                       + [(i, -v) for i, v in row.items()])
-            for table in tables
-            for row in level.basis
-        ]
+        vecs = []
+        for table in tables:
+            for row in level.basis:
+                w = {table[i]: v for i, v in row.items()}
+                get = w.get
+                for i, v in row.items():
+                    w[i] = get(i, 0) - v
+                vecs.append(w)
         return Subspace.from_vectors(field, dim, vecs)
 
     return step

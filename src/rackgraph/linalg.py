@@ -9,8 +9,10 @@ F_p its values in [0, p) and over Q ints unless a division made them
 Fractions: subspace basis rows, the columns of the Hopf structure maps,
 tensors, and coefficients in a filtration's adapted basis.  `sparse_sum`
 builds such vectors from (index, value) terms, reducing mod p once and
-dropping zeros; each side of a `hopf` identity is one `sparse_sum` of its
-terms, whose indices the maps move.
+dropping zeros; each side of a `hopf` vertex or arrow identity is one
+`sparse_sum` of its terms, whose indices the maps move.  Rows on their way
+into `rref` may keep zeros, and over F_p any ints: it reduces each one as
+it comes in.
 
 A filtration and its quotients have one type, `FilteredSpace`: its adapted
 rows of degree d represent V_d / V_(d+1), and the coefficients of a vector
@@ -114,7 +116,8 @@ def rref(field: FieldSpec, rows) -> list[dict]:
     Returns the nonzero rows of the reduced echelon form, sorted by leading
     index, each with lead 1 and zero at every other row's lead.  Pivot rows
     stay zero at each other's leads: an incoming row is cleared in one pass,
-    then cleared out of the pivot rows.  Over F_p values are reduced mod p.
+    then cleared out of the pivot rows.  Rows may keep zero values.  Over
+    F_p each incoming row is reduced mod p in one pass, zeros dropped.
     Over Q every step is on integers (after Bareiss 1968): rows come in
     scaled by the lcm of their denominators, and u is cleared at the lead a
     of w by u <- (a / g) u - (c / g) w, c = u's entry there, g = gcd(a, c).
@@ -130,7 +133,7 @@ def rref(field: FieldSpec, rows) -> list[dict]:
         return {k: y for k, x in v.items() if (y := x % p)}
 
     for row in rows:
-        v = clean({k: int(x) for k, x in row.items()})
+        v = {k: y for k, x in row.items() if (y := int(x) % p)}
         for k, c in [(k, c) for k, c in v.items() if k in pivots]:
             for j, x in pivots[k].items():
                 v[j] = v.get(j, 0) - c * x

@@ -73,12 +73,26 @@ class FiniteGroup:
 
     def generators(self, elements) -> tuple[int, ...]:
         """A generating set of the subgroup that `elements` generate: each
-        element, in the given order, that the ones kept before it do not
-        already generate.  Each kept element at least doubles the subgroup
-        generated so far, so at most log2 of its order are kept."""
+        element, by decreasing element order and then in the given order,
+        that the ones kept before it do not already generate.
+
+        Visiting large cyclic subgroups first makes the set small whatever
+        the numbering of the elements: 1 element for a cyclic group, 2 for
+        Q8 and for the dihedral groups of order 6 and more.  Each kept
+        element at least doubles the subgroup generated so far, so at most
+        log2 of its order are kept; the element orders cost at most |G|^2
+        products in all."""
+        mul, e = self.mul, self.identity
+
+        def order(g: int) -> int:
+            n, x = 1, g
+            while x != e:
+                n, x = n + 1, mul[x][g]
+            return n
+
         kept: list[int] = []
-        closure = {self.identity}
-        for g in elements:
+        closure = {e}
+        for g in sorted(elements, key=order, reverse=True):
             if g not in closure:
                 kept.append(g)
                 closure = set(self.subgroup_closure(kept))

@@ -10,7 +10,8 @@ directory on sys.path, and the file is not collected.
   products in the graph of the rack that those faces come from.
 - The canonical round-trip isomorphism of a group-like graph
   (`GraphIsomorphism`, `verify_graph_iso`, `roundtrip_graph_iso`) and
-  `relabel_arrows`, which transports a graph along an arrow relabelling.
+  `relabel_arrows`, which transports a graph along an arrow relabelling,
+  and `relabel_group`, which renames the elements of a group.
 - `graded_primitive_subspace`, the graded primitives of the arrow
   bialgebra's filtration, and `pi_star`, the map x -> pi(x) - 1 that the
   rack's projection induces on graded pieces, both read in the adapted
@@ -51,7 +52,7 @@ from rackgraph.liealg import (
 )
 from rackgraph.lierack import LinearLieRack, NumericReport, _times, matrix_exp
 from rackgraph.linalg import FilteredSpace, Subspace, nullspace, sparse_sum
-from rackgraph.racks import AugmentedRack, ValidationReport
+from rackgraph.racks import AugmentedRack, FiniteGroup, ValidationReport
 
 # ---------------------------------------------------------------------------
 # the graph product on normal forms
@@ -185,6 +186,15 @@ def roundtrip_graph_iso(q: GroupLikeGraph) -> tuple[GroupLikeGraph, GraphIsomorp
     if not verify_graph_iso(q, std, iso):
         raise ValueError("canonical roundtrip map is not an isomorphism")
     return std, iso
+
+
+def relabel_group(g: FiniteGroup, perm) -> FiniteGroup:
+    """The group g with element i renamed perm[i]."""
+    mul = [[0] * g.order for _ in range(g.order)]
+    for a in range(g.order):
+        for b in range(g.order):
+            mul[perm[a]][perm[b]] = perm[g.mul[a][b]]
+    return FiniteGroup.make(mul, perm[g.identity])
 
 
 def relabel_arrows(q: GroupLikeGraph, perm) -> GroupLikeGraph:

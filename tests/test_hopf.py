@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import graded_primitive_subspace, pi_star, verify_hopf_sums
+from oracles import graded_primitive_subspace, pi_star, relabel_group, verify_hopf_sums
 from rackgraph.graphs import graph_to_rack, rack_to_graph, unit_component
 from rackgraph.hopf import (
     augmentation_filtration,
@@ -250,6 +250,22 @@ def test_corrupted_structure_map_is_detected(rack, checked, name, field):
     report = verify_hopf(bad)
     assert report.checked == checked
     assert list(report.violations) == CORRUPTED_MAP_VIOLATIONS[(rack, name)]
+
+
+def test_module_map_sides_are_compared_mod_p():
+    # over F3, with delta0(g) = 2 g(x)g and both entries of delta1(a) 2, the
+    # coproduct of a acted on by g(x)g has entries 4 = 1, as delta1(a.g) has
+    b = hopf_of(toy_rack_c2(), F3)
+    g, a = 1, 0
+    assert b.graph.right_act[g][a] != a
+    d0, d1 = list(b.delta0), list(b.delta1)
+    d0[g] = {k: 2 for k in d0[g]}
+    d1[a] = {k: 2 for k in d1[a]}
+    bad = dataclasses.replace(b, delta0=tuple(d0), delta1=tuple(d1))
+    report = verify_hopf(bad)
+    assert report == verify_hopf_sums(bad)
+    assert not report.ok
+    assert f"right module coproduct fails at arrow {a}, vertex {g}" not in report.violations
 
 
 TAMPER_FIELDS = {"q": Q, "f2": F2, "f3": F3}
@@ -586,10 +602,13 @@ def repeat_last(levels):
 
 def oracle_cases():
     """(name, augmented rack, group-like graph): the conjugation racks of
-    the cyclic groups of order 1 to 8, S3, D4 and Q8, and every rack-like
-    corpus file."""
+    the cyclic groups of order 1 to 8, S3, D4, Q8 and Q8 relabelled, and
+    every rack-like corpus file.  The relabelled Q8 has identity 5, and
+    visited in index order, the elements that the ones before do not
+    generate would make a generating set of 3 where 2 suffice."""
     groups = {f"c{n}": cyclic_group(n) for n in range(1, 9)}
     groups.update(s3=symmetric_group_3(), d4=dihedral_group_4(), q8=quaternion_group_8())
+    groups["q8_relabelled"] = relabel_group(quaternion_group_8(), [5, 0, 6, 4, 1, 7, 2, 3])
     cases = [(name, conjugation_rack(g)) for name, g in groups.items()]
     graphs = []
     for path in sorted((ROOT / "corpus").glob("*.json")):

@@ -26,6 +26,7 @@ from rackgraph.linalg import (
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
+F5 = FieldSpec.prime(5)
 
 
 def sparse(v):
@@ -309,7 +310,7 @@ def _integer_rows(rows):
 
 @settings(deadline=None)
 @given(
-    st.sampled_from([Q, F2, F3]),
+    st.sampled_from([Q, F2, F3, F5]),
     st.integers(0, 6).flatmap(
         lambda n: st.lists(
             st.lists(
@@ -400,7 +401,7 @@ def test_rref_over_q_equals_the_fraction_oracle(rows):
 
 @settings(deadline=None, max_examples=200)
 @given(
-    st.sampled_from([Q, F2, F3]),
+    st.sampled_from([Q, F2, F3, F5]),
     rational_rows().flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))),
 )
 def test_rref_is_independent_of_the_row_order(field, case):

@@ -7,7 +7,12 @@ quandle in disguise; translations of that quandle generate a group of order 6.
 
 import itertools
 import random
+from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
+from oracles import relabel_group
+from rackgraph.jsonio import load_path
 from rackgraph.racks import (
     AugmentedRack,
     FiniteGroup,
@@ -76,6 +81,61 @@ def test_generators_keep_each_element_not_yet_generated():
     assert cyclic_group(1).generators(range(1)) == ()
     assert cyclic_group(8).generators(range(8)) == (1,)
     assert cyclic_group(6).generators([0, 2, 3, 4]) == (2, 3)
+
+
+def corpus_groups() -> dict:
+    """name -> the group of each rack-like corpus file; a rack's is its
+    inner group."""
+    groups = {}
+    for path in sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.json")):
+        kind, obj = load_path(str(path))
+        if kind == "rack":
+            groups[path.stem] = inner_group(obj)[0]
+        elif kind == "augmented_rack":
+            groups[path.stem] = obj.group
+        elif kind == "graph":
+            groups[path.stem] = obj.vertex_group
+    return groups
+
+
+def fewest_generators(g: FiniteGroup) -> int:
+    """The least size of a generating set, by search over subsets of size
+    at most 2 (every group here has one)."""
+    whole = tuple(range(g.order))
+    for k in range(3):
+        if any(g.subgroup_closure(s) == whole for s in itertools.combinations(whole, k)):
+            return k
+    raise AssertionError("no generating set of size at most 2")
+
+
+RELABEL_GROUPS = dict(
+    corpus_groups(),
+    q8=quaternion_group_8(),
+    d4=dihedral_group_4(),
+    s3=symmetric_group_3(),
+    d5=inner_group(dihedral_quandle(5))[0],
+)
+
+
+def test_q8_d4_s3_and_d5_need_two_generators():
+    assert RELABEL_GROUPS["d5"].order == 10
+    for name in ("q8", "d4", "s3", "d5"):
+        assert fewest_generators(RELABEL_GROUPS[name]) == 2, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_generating_sets_do_not_depend_on_the_numbering(data):
+    # a relabelled corpus group, or Q8, D4, S3 or D5, gets a generating set
+    # of the least size, each element not generated by those before it
+    name = data.draw(st.sampled_from(sorted(RELABEL_GROUPS)))
+    g = RELABEL_GROUPS[name]
+    g = relabel_group(g, data.draw(st.permutations(range(g.order))))
+    gens = g.generators(range(g.order))
+    assert len(gens) == fewest_generators(g), (name, gens)
+    for i, x in enumerate(gens):
+        assert x not in g.subgroup_closure(gens[:i]), (name, gens)
+    assert g.subgroup_closure(gens) == tuple(range(g.order))
 
 
 def test_conjugacy_classes_s3():
