@@ -24,6 +24,8 @@ directory on sys.path, and the file is not collected.
   normalising copy, which `jsonio.canonical_json` writes in one pass.
 - `rref_fractions`, the reduced echelon form over Q kept in Fraction
   arithmetic, which `linalg.rref` computes on primitive integer rows.
+- `rref_scan`, `linalg.rref` as it was before it kept a column index: each
+  new lead is cleared out of the pivot rows by a scan of all of them.
 - `validate_lm_lie_sums` and `verify_e_truncation_sums`, the identity
   checks of `liealg` with each identity one `sparse_sum` of generated
   product terms, which the package adds into one dict in place.
@@ -34,6 +36,7 @@ directory on sys.path, and the file is not collected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -51,7 +54,7 @@ from rackgraph.liealg import (
     _vector,
 )
 from rackgraph.lierack import LinearLieRack, NumericReport, _times, matrix_exp
-from rackgraph.linalg import FilteredSpace, Subspace, nullspace, sparse_sum
+from rackgraph.linalg import FieldSpec, FilteredSpace, Subspace, nullspace, sparse_sum
 from rackgraph.racks import AugmentedRack, FiniteGroup, ValidationReport
 
 # ---------------------------------------------------------------------------
@@ -448,6 +451,103 @@ def rref_fractions(rows) -> list[dict]:
                         del prow[j]
         pivots[lead] = v
     return [pivots[k] for k in sorted(pivots)]
+
+
+# ---------------------------------------------------------------------------
+# the reduced echelon form with a scan of every pivot row per new lead
+
+
+def rref_scan(field: FieldSpec, rows) -> list[dict]:
+    """Reduced row echelon basis of the span of sparse rows {index: value}.
+
+    Returns the nonzero rows of the reduced echelon form, sorted by leading
+    index, each with lead 1 and zero at every other row's lead.  Pivot rows
+    stay zero at each other's leads: an incoming row is cleared in one pass,
+    then cleared out of the pivot rows.  Rows may keep zero values.  Over
+    F_p each incoming row is reduced mod p in one pass, zeros dropped.
+    Over Q every step is on integers (after Bareiss 1968): rows come in
+    scaled by the lcm of their denominators, and u is cleared at the lead a
+    of w by u <- (a / g) u - (c / g) w, c = u's entry there, g = gcd(a, c).
+    A pivot row is kept primitive (content 1) with a positive lead, and is
+    divided by its lead only on the way out, to ints where that is exact.
+    """
+    if not field.is_prime_field:
+        return _rref_scan_rational(rows)
+    p = field.p
+    pivots: dict[int, dict] = {}
+
+    def clean(v):
+        return {k: y for k, x in v.items() if (y := x % p)}
+
+    for row in rows:
+        v = {k: y for k, x in row.items() if (y := int(x) % p)}
+        for k, c in [(k, c) for k, c in v.items() if k in pivots]:
+            for j, x in pivots[k].items():
+                v[j] = v.get(j, 0) - c * x
+        v = clean(v)
+        if not v:
+            continue
+        lead = min(v)
+        a = v[lead]
+        if a != 1:
+            inv = pow(a, p - 2, p)
+            v = clean({k: x * inv for k, x in v.items()})
+        # keep the other pivot rows zero at the new lead
+        for prow in pivots.values():
+            c = prow.get(lead)
+            if c:
+                for j, x in v.items():
+                    w = (prow.get(j, 0) - c * x) % p
+                    if w:
+                        prow[j] = w
+                    else:
+                        del prow[j]
+        pivots[lead] = v
+    return [pivots[k] for k in sorted(pivots)]
+
+
+def _rref_scan_rational(rows) -> list[dict]:
+    """`rref_scan` over Q: integer pivot rows, one division on the way out."""
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        m = math.lcm(*[x.denominator for x in row.values()])
+        v = {k: x.numerator * (m // x.denominator) for k, x in row.items() if x}
+        for k in [k for k in v if k in pivots]:
+            prow, c = pivots[k], v[k]
+            if (a := prow[k]) != 1:
+                a, c = a // (g := math.gcd(a, c)), c // g
+                if a != 1:
+                    v = {j: a * x for j, x in v.items()}
+            for j, x in prow.items():
+                v[j] = v.get(j, 0) - c * x
+        v = {j: x for j, x in v.items() if x}
+        if not v:
+            continue
+        g = math.gcd(*v.values()) * (1 if v[lead := min(v)] > 0 else -1)
+        v = {j: x // g for j, x in v.items()} if g != 1 else v
+        a = v[lead]
+        for k, prow in pivots.items():
+            if not (c := prow.get(lead)):
+                continue
+            if a != 1:
+                c //= (g := math.gcd(a, c))
+                if (s := a // g) != 1:
+                    for j in prow:
+                        prow[j] *= s
+            for j, x in v.items():
+                if w := prow.get(j, 0) - c * x:
+                    prow[j] = w
+                else:
+                    del prow[j]
+            # the content divides the lead, so beside a lead 1 it stays 1
+            if prow[k] != 1 and (g := math.gcd(*prow.values())) != 1:
+                for j in prow:
+                    prow[j] //= g
+        pivots[lead] = v
+    return [
+        v if (a := v[k]) == 1 else {j: x // a if x % a == 0 else Fraction(x, a) for j, x in v.items()}
+        for k, v in sorted(pivots.items())
+    ]
 
 
 # ---------------------------------------------------------------------------

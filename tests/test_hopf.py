@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,8 @@ from rackgraph.hopf import (
     verify_graded_structure,
     verify_hopf,
 )
-from rackgraph.jsonio import load_path
+from rackgraph import cli
+from rackgraph.jsonio import canonical_json, dump_augmented, load_path
 from rackgraph.linalg import FieldSpec, FilteredSpace, Subspace, sparse_sum
 from rackgraph.racks import (
     conjugacy_class_rack,
@@ -307,6 +309,67 @@ def test_tampered_structure_maps_report_equal_the_sums_oracle(data):
             maps[name][j] = sparse_sum(b.field, [*col.items(), term])
     bad = dataclasses.replace(b, **{name: tuple(cols) for name, cols in maps.items()})
     assert verify_hopf(bad) == verify_hopf_sums(bad)
+
+
+def tamper_outside_the_generators(b, how: str):
+    """b with one structure map changed at the first vertex g outside the
+    generating set S and the identity, which the module-map identities at e
+    and S do not evaluate: the coproduct of the arrow 0.g gets 1 more at row
+    0, the coproduct of g gets 1 more at row 0, or, for every vertex at
+    once, the coproduct becomes the multiplicative but wrong g -> g (x) e."""
+    grp = b.group
+    skipped = set(grp.generators(range(grp.order))) | {grp.identity}
+    g = next(v for v in range(grp.order) if v not in skipped)
+    if how == "delta1_of_a_g":
+        cols = list(b.delta1)
+        a_g = b.graph.right_act[g][0]
+        cols[a_g] = sparse_sum(b.field, [*cols[a_g].items(), (0, 1)])
+        return dataclasses.replace(b, delta1=tuple(cols))
+    if how == "delta0_of_g":
+        cols = list(b.delta0)
+        cols[g] = sparse_sum(b.field, [*cols[g].items(), (0, 1)])
+        return dataclasses.replace(b, delta0=tuple(cols))
+    h, e = b.h_dim, grp.identity
+    return dataclasses.replace(b, delta0=tuple({v * h + e: 1} for v in range(h)))
+
+
+@pytest.mark.parametrize("how", ["delta1_of_a_g", "delta0_of_g", "delta0_g_tensor_e"])
+@pytest.mark.parametrize("field_label", sorted(TAMPER_FIELDS))
+@pytest.mark.parametrize("name", ["s3_transpositions", "class_q8_i"])
+def test_tampered_outside_the_generators_reports_equal_the_sums_oracle(name, field_label, how):
+    bad = tamper_outside_the_generators(tamper_bialgebra(name, field_label), how)
+    report = verify_hopf(bad)
+    assert not report.ok
+    assert report == verify_hopf_sums(bad)
+
+
+@pytest.mark.parametrize("field_label", ["f2", "f3", "q"])
+def test_cyclic_conjugation_rack_follows_the_closed_form(tmp_path, field_label):
+    # |G| = 24 = p^k m with p not dividing m: F_p[C_24] = F_p[x]/(x^m - 1)^(p^k)
+    # and x - 1 divides x^m - 1 once, so I^n has codimension min(n, p^k);
+    # over Q, I^2 = I.  G is abelian, so it acts trivially on X = G and A is
+    # |X| copies of H, level by level.  One generator steps every chain, and
+    # over F2 the chain of H runs through 9 distinct levels.
+    rack = conjugation_rack(cyclic_group(24))
+    assert len(rack.group.generators(range(24))) == 1
+    path = tmp_path / "conj_c24.json"
+    path.write_text(canonical_json(dump_augmented(rack)), encoding="utf-8")
+    code, text, _ = cli.render(["hopf", str(path), "--field", field_label])
+    report = json.loads(text)
+    assert code == 0 and report["ok"]
+    field = FieldSpec.parse(field_label)
+    top = 1  # p^k, and 1 over Q
+    while field.p and 24 % (top * field.p) == 0:
+        top *= field.p
+
+    def h_dim(n):
+        return 24 - min(n, top)
+
+    assert len(report["filtration_h"]) > top + 1
+    assert report["filtration_h"] == [h_dim(n) for n in range(len(report["filtration_h"]))]
+    assert report["filtration_a"] == [24 * h_dim(n) for n in range(len(report["filtration_a"]))]
+    b = hopf_of(rack, field)
+    assert verify_hopf(b) == verify_hopf_sums(b)
 
 
 def test_filtration_dims_two_element_example_mod_two():

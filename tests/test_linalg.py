@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import rref_fractions
+from oracles import rref_fractions, rref_scan
 
 from rackgraph.linalg import (
     FieldSpec,
@@ -413,6 +413,68 @@ def test_rref_is_independent_of_the_row_order(field, case):
             [{j: Fraction(x).numerator for j, x in row.items()} for row in r] for r in case
         )
     assert rref(field, shuffled) == rref(field, rows)
+
+
+@st.composite
+def fed_rows(draw):
+    """A field and sparse rows for it, fed by increasing lead, by decreasing
+    lead or in a random order.  New rows put entries right of their lead,
+    which the back-substitution spreads into the pivot rows above (fill-in);
+    combinations of earlier rows, which keep the zeros where their terms
+    cancel, vanish once reduced; and empty rows and rows of zeros come in as
+    they are."""
+    field = draw(st.sampled_from([Q, F2, F3, F5]))
+    n = draw(st.integers(1, 8))
+    if field.is_prime_field:
+        scalar = st.integers(-6, 6)
+    else:
+        scalar = st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        shape = draw(st.sampled_from(["new", "new", "new", "combination", "zero"]))
+        if shape == "zero":
+            rows.append({j: 0 for j in draw(st.sets(st.integers(0, n - 1), max_size=2))})
+        elif shape == "combination" and rows:
+            acc: dict = {}
+            for _ in range(draw(st.integers(1, 3))):
+                c = draw(scalar)
+                for j, x in draw(st.sampled_from(rows)).items():
+                    acc[j] = acc.get(j, 0) + c * x
+            rows.append(acc)
+        else:
+            lead = draw(st.integers(0, n - 1))
+            row = {lead: draw(scalar.filter(lambda x: x % field.p if field.p else x))}
+            row.update({j: x for j in range(lead + 1, n) if (x := draw(scalar))})
+            rows.append(row)
+
+    def lead(row):
+        return min((j for j, x in row.items() if (x % field.p if field.p else x)), default=-1)
+
+    order = draw(st.sampled_from(["increasing", "decreasing", "random"]))
+    if order == "random":
+        rows = draw(st.permutations(rows))
+    else:
+        rows.sort(key=lead, reverse=order == "decreasing")
+    return field, rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(fed_rows())
+# the second row's lead 1 meets the first pivot row, which then gains the
+# entry at 2; the third row is the sum of the first two and vanishes
+@example((F3, [{0: 1, 1: 1}, {1: 1, 2: 2}, {0: 1, 1: 2, 2: 2}]))
+@example((Q, [{0: 1, 1: 1}, {1: 2, 2: 1}, {0: 1, 1: 3, 2: 1}, {1: 0}]))
+def test_rref_equals_the_scanning_oracle(case):
+    field, rows = case
+    before = [dict(row) for row in rows]
+    reduced = rref(field, rows)
+    expected = rref_scan(field, [dict(row) for row in rows])
+    assert reduced == expected
+    # the same value types too: ints wherever the division was exact
+    assert [{j: type(x) for j, x in row.items()} for row in reduced] == [
+        {j: type(x) for j, x in row.items()} for row in expected
+    ]
+    assert rows == before
 
 
 def _random_chain(rng, field, n):
