@@ -72,8 +72,9 @@ MAX_SAMPLE_COST = 2 * 10**6
 
 # Largest |G| |arrows| = |G|^2 |X| that hopf accepts, the size of the
 # group's action tables on the arrows, capped like cubical.SIZE_CAP.  The
-# corpus peaks at 512 and S5 on its transpositions (1.4e5) takes 1.6 s;
-# S6 on its transpositions (7.8e6) takes 110 s and 785 MB over F2.
+# corpus peaks at 512, S5 on its transpositions (1.4e5) takes 0.3 s, and the
+# conjugation rack of C_100, at the limit, takes 2.3 s and 140 MB over F2
+# on a 2-core Xeon; S6 on its transpositions would be 7.8e6.
 MAX_HOPF_SIZE = 10**6
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import GroupLikeGraph, unit_component
-from .linalg import FieldSpec, FilteredSpace, Subspace, sparse_sum
+from .linalg import FieldSpec, FilteredSpace, Subspace, drop_zeros, sparse_sum
 from .racks import AugmentedRack, FiniteGroup, ValidationReport, orbits
 
 
@@ -82,16 +82,33 @@ def build_lm_hopf(q: GroupLikeGraph, field: FieldSpec) -> LMBialgebra:
 
 
 def verify_hopf(b: LMBialgebra) -> ValidationReport:
-    """Exhaustive basis-level check of every structure identity.
+    """Basis-level check of every structure identity.
 
     Works entirely from the stored maps, so a corrupted entry in any of
-    them is caught and reported with the witness basis element.  Each side
-    of a vertex or arrow identity is one `sparse_sum` of its (index, value)
-    terms.  The right and left module-map identities, 2 |A| |G| of them,
-    each add both sides into one dict in place (`module_map_holds`).  A
-    violation message is made only for an identity that fails.
+    them is caught and reported with the witness basis element.  Each
+    identity adds both of its sides into one dict in place, one minus the
+    other, and holds when every value there is 0 in the field; a violation
+    message is made only for an identity that fails.  There are 5 |G|
+    vertex identities, 7 |A| arrow identities and 2 |A| |G| module-map
+    identities, all counted in `checked`.
+
+    The module-map identities, D1(a.g) = D1(a).D0(g) on the right and
+    D1(g.a) = D0(g).D1(a) on the left, are evaluated only at e and at the
+    generating set S of G (`FiniteGroup.generating_set`), after uncounted
+    guards D0(gs) = D0(g)D0(s) and D0(sg) = D0(s)D0(g) for g in G and s in
+    S.  When they all hold, so does every module-map identity, by induction
+    on the length of g as a word in S (G is finite, so every element but e
+    is a nonempty word in S), for every arrow a at once: on the right side,
+      D1(a.gs) = D1((a.g).s) = D1(a.g).D0(s) = (D1(a).D0(g)).D0(s)
+               = D1(a).(D0(g)D0(s)) = D1(a).D0(gs),
+    by the identity at s for the arrow a.g, the one at g for a, and the
+    guard; the left side is its mirror, with sg.  The first and fourth
+    steps need `b.graph` to be group-like: the actions are actions and the
+    vertex product is associative, so A(x)H + H(x)A is a left and a right
+    H(x)H-module.  Every command checks that before this runs.  When a
+    guard or an identity at e or S fails, every module-map identity is
+    evaluated, so `checked` and the violations are those of the full check.
     """
-    f = b.field
     grp = b.group
     h, na = b.h_dim, b.a_dim
     mul = grp.mul
@@ -100,10 +117,7 @@ def verify_hopf(b: LMBialgebra) -> ValidationReport:
     d0, d1, s0, s1, phi = b.delta0, b.delta1, b.s0, b.s1, b.phi
     eps = [col.get(0, 0) for col in b.counit]
     e = grp.identity
-    mod = f.p
-
-    def total(terms) -> dict:
-        return sparse_sum(f, terms)
+    mod = b.field.p
 
     # the coproducts split into tensor factors: (i, j, c) for g, and
     # (arrow, vertex, c) for each block of an arrow, A(x)H then H(x)A
@@ -115,70 +129,109 @@ def verify_hopf(b: LMBialgebra) -> ValidationReport:
     violations: list[str] = []
     checked = 0
 
-    def record(ok: bool, message: str, *args) -> None:
+    def zero(acc: dict) -> bool:
+        if mod:
+            return not any(x % mod for x in acc.values())
+        return not any(acc.values())
+
+    def record(acc: dict, message: str, *args) -> None:
+        """Count one identity, one side minus the other in acc."""
         nonlocal checked
         checked += 1
-        if not ok:
+        if not zero(acc):
             violations.append(message.format(*args))
 
     for g in range(h):
         # coassociativity of the vertex coproduct
-        lhs = total((pq * h + j, c * c2) for i, j, c in pairs0[g] for pq, c2 in d0[i].items())
-        rhs = total((i * h * h + pq, c * c2) for i, j, c in pairs0[g] for pq, c2 in d0[j].items())
-        record(lhs == rhs, "coassociativity fails at vertex {}", g)
+        acc: dict = {}
+        for i, j, c in pairs0[g]:
+            for pq, c2 in d0[i].items():
+                k = pq * h + j
+                acc[k] = acc.get(k, 0) + c * c2
+            for pq, c2 in d0[j].items():
+                k = i * h * h + pq
+                acc[k] = acc.get(k, 0) - c * c2
+        record(acc, "coassociativity fails at vertex {}", g)
 
         # counit on the vertex coproduct, both sides
-        want = {g: 1}
-        record(total((j, eps[i] * c) for i, j, c in pairs0[g]) == want,
-               "left counit fails at vertex {}", g)
-        record(total((i, eps[j] * c) for i, j, c in pairs0[g]) == want,
-               "right counit fails at vertex {}", g)
+        left, right = {g: -1}, {g: -1}
+        for i, j, c in pairs0[g]:
+            left[j] = left.get(j, 0) + eps[i] * c
+            right[i] = right.get(i, 0) + eps[j] * c
+        record(left, "left counit fails at vertex {}", g)
+        record(right, "right counit fails at vertex {}", g)
 
         # antipode cancellation on the vertex algebra, both sides
-        want = total([(e, eps[g])])
-        acc_l = total((mul[i2][j], c * c2) for i, j, c in pairs0[g] for i2, c2 in s0[i].items())
-        acc_r = total((mul[i][j2], c * c2) for i, j, c in pairs0[g] for j2, c2 in s0[j].items())
-        record(acc_l == want, "vertex antipode (left) fails at {}", g)
-        record(acc_r == want, "vertex antipode (right) fails at {}", g)
+        left, right = {e: -eps[g]}, {e: -eps[g]}
+        for i, j, c in pairs0[g]:
+            for i2, c2 in s0[i].items():
+                k = mul[i2][j]
+                left[k] = left.get(k, 0) + c * c2
+            for j2, c2 in s0[j].items():
+                k = mul[i][j2]
+                right[k] = right.get(k, 0) + c * c2
+        record(left, "vertex antipode (left) fails at {}", g)
+        record(right, "vertex antipode (right) fails at {}", g)
 
     for a in range(na):
         # counit on the arrow coproduct: both blocks return the arrow
-        want = {a: 1}
-        record(total((b2, c * eps[g2]) for b2, g2, c in first[a]) == want,
-               "arrow counit (first block) fails at arrow {}", a)
-        record(total((b2, c * eps[g2]) for b2, g2, c in second[a]) == want,
-               "arrow counit (second block) fails at arrow {}", a)
+        acc1, acc2 = {a: -1}, {a: -1}
+        for b2, g2, c in first[a]:
+            acc1[b2] = acc1.get(b2, 0) + c * eps[g2]
+        for b2, g2, c in second[a]:
+            acc2[b2] = acc2.get(b2, 0) + c * eps[g2]
+        record(acc1, "arrow counit (first block) fails at arrow {}", a)
+        record(acc2, "arrow counit (second block) fails at arrow {}", a)
 
         # compatibility of phi with the two coproducts
-        lhs = total((pq, c * c2) for g2, c in phi[a].items() for pq, c2 in d0[g2].items())
-        rhs = total(
-            [(t2 * h + g2, c * c2) for b2, g2, c in first[a] for t2, c2 in phi[b2].items()]
-            + [(g2 * h + t2, c * c2) for b2, g2, c in second[a] for t2, c2 in phi[b2].items()]
-        )
-        record(lhs == rhs, "phi does not intertwine coproducts at arrow {}", a)
+        acc = {}
+        for g2, c in phi[a].items():
+            for pq, c2 in d0[g2].items():
+                acc[pq] = acc.get(pq, 0) + c * c2
+        for b2, g2, c in first[a]:
+            for t2, c2 in phi[b2].items():
+                k = t2 * h + g2
+                acc[k] = acc.get(k, 0) - c * c2
+        for b2, g2, c in second[a]:
+            for t2, c2 in phi[b2].items():
+                k = g2 * h + t2
+                acc[k] = acc.get(k, 0) - c * c2
+        record(acc, "phi does not intertwine coproducts at arrow {}", a)
 
         # antipode cancellation on arrows, both variants
-        acc1 = total(
-            [(ra[g2][b3], c * c2) for b2, g2, c in first[a] for b3, c2 in s1[b2].items()]
-            + [(la[g3][b2], c * c2) for b2, g2, c in second[a] for g3, c2 in s0[g2].items()]
-        )
-        acc2 = total(
-            [(ra[g3][b2], c * c2) for b2, g2, c in first[a] for g3, c2 in s0[g2].items()]
-            + [(la[g2][b3], c * c2) for b2, g2, c in second[a] for b3, c2 in s1[b2].items()]
-        )
-        record(not acc1, "arrow antipode cancellation (S first) fails at arrow {}", a)
-        record(not acc2, "arrow antipode cancellation (S second) fails at arrow {}", a)
+        acc1, acc2 = {}, {}
+        for b2, g2, c in first[a]:
+            for b3, c2 in s1[b2].items():
+                k = ra[g2][b3]
+                acc1[k] = acc1.get(k, 0) + c * c2
+            for g3, c2 in s0[g2].items():
+                k = ra[g3][b2]
+                acc2[k] = acc2.get(k, 0) + c * c2
+        for b2, g2, c in second[a]:
+            for g3, c2 in s0[g2].items():
+                k = la[g3][b2]
+                acc1[k] = acc1.get(k, 0) + c * c2
+            for b3, c2 in s1[b2].items():
+                k = la[g2][b3]
+                acc2[k] = acc2.get(k, 0) + c * c2
+        record(acc1, "arrow antipode cancellation (S first) fails at arrow {}", a)
+        record(acc2, "arrow antipode cancellation (S second) fails at arrow {}", a)
 
         # phi commutes with the antipodes
-        lhs = total((g2, c * c2) for b2, c in s1[a].items() for g2, c2 in phi[b2].items())
-        rhs = total((g3, c * c2) for g2, c in phi[a].items() for g3, c2 in s0[g2].items())
-        record(lhs == rhs, "phi/antipode square fails at arrow {}", a)
+        acc = {}
+        for b2, c in s1[a].items():
+            for g2, c2 in phi[b2].items():
+                acc[g2] = acc.get(g2, 0) + c * c2
+        for g2, c in phi[a].items():
+            for g3, c2 in s0[g2].items():
+                acc[g3] = acc.get(g3, 0) - c * c2
+        record(acc, "phi/antipode square fails at arrow {}", a)
 
         # counit kills phi
-        record(not total((0, eps[g2] * c) for g2, c in phi[a].items()),
+        record({0: sum(eps[g2] * c for g2, c in phi[a].items())},
                "counit of phi nonzero at arrow {}", a)
 
-    def module_map_holds(act, prod, a: int, g: int) -> bool:
+    def module_map(act, prod, a: int, g: int) -> dict:
         """The coproduct of act[g][a] minus the coproduct of a acted on by
         g (x) g, in one dict: act is one side's action on arrows, and
         prod[x][y] is x * y for the right side, y * x for the left."""
@@ -191,17 +244,32 @@ def verify_hopf(b: LMBialgebra) -> ValidationReport:
             for b2, g2, c in second[a]:
                 k = off + prod[g2][p] * na + act[q2][b2]
                 acc[k] = get(k, 0) - c * c2
-        if mod:
-            return not any(x % mod for x in acc.values())
-        return not any(acc.values())
+        return acc
+
+    def multiplicative(x: int, y: int) -> bool:
+        """D0(xy) = D0(x)D0(y) in H(x)H."""
+        acc = dict(d0[mul[x][y]])
+        for i, j, c in pairs0[x]:
+            for i2, j2, c2 in pairs0[y]:
+                k = mul[i][i2] * h + mul[j][j2]
+                acc[k] = acc.get(k, 0) - c * c2
+        return zero(acc)
 
     mul_left = tuple(zip(*mul))  # mul_left[x][y] = y * x
-    for a in range(na):
-        for g in range(h):
-            record(module_map_holds(ra, mul, a, g),
-                   "right module coproduct fails at arrow {}, vertex {}", a, g)
-            record(module_map_holds(la, mul_left, a, g),
-                   "left module coproduct fails at arrow {}, vertex {}", a, g)
+    gens = grp.generating_set
+    if all(multiplicative(g, s) and multiplicative(s, g) for s in gens for g in range(h)) and all(
+        zero(module_map(ra, mul, a, g)) and zero(module_map(la, mul_left, a, g))
+        for g in (e, *gens)
+        for a in range(na)
+    ):
+        checked += 2 * na * h
+    else:
+        for a in range(na):
+            for g in range(h):
+                record(module_map(ra, mul, a, g),
+                       "right module coproduct fails at arrow {}, vertex {}", a, g)
+                record(module_map(la, mul_left, a, g),
+                       "left module coproduct fails at arrow {}, vertex {}", a, g)
 
     return ValidationReport.collect(violations, checked)
 
@@ -252,7 +320,8 @@ def _difference_span(field: FieldSpec, dim: int, tables):
     every basis row v of the level.
 
     Callers pass the tables of a generating set S of the acting group
-    (FiniteGroup.generators), not of every element.  On a level L that the
+    (FiniteGroup.generating_set or FiniteGroup.generators), not of every
+    element.  On a level L that the
     action maps into itself, S gives the same span as the whole group,
     since gh.v - v = g.(h.v) - h.v + h.v - v with h.v in L, and the step of
     such a level is again one.  Every chain starts from the whole space, so
@@ -284,7 +353,7 @@ def _right_mul_table(group: FiniteGroup, g: int) -> list[int]:
 def group_ideal_levels(group: FiniteGroup, field: FieldSpec) -> list[Subspace]:
     """[H, I, I^2, ...] up to the first repeat; I^(n+1) = I.I^n is the span
     of (s-1).v over a generating set S of the group."""
-    tables = [group.mul[g] for g in group.generators(range(group.order))]
+    tables = [group.mul[g] for g in group.generating_set]
     return _chain(Subspace.full(field, group.order), _difference_span(field, group.order, tables))
 
 
@@ -299,7 +368,7 @@ def augmentation_filtration(b: LMBialgebra, depth: int | None = None) -> Filtrat
     the two actions commute (see _difference_span)."""
     grp = b.group
     la, ra = b.graph.left_act, b.graph.right_act
-    tables = [t for g in grp.generators(range(grp.order)) for t in (la[g], ra[g])]
+    tables = [t for g in grp.generating_set for t in (la[g], ra[g])]
     levels_a = _chain(Subspace.full(b.field, b.a_dim), _difference_span(b.field, b.a_dim, tables))
     levels_g = group_ideal_levels(grp, b.field)
     if depth is None:
@@ -312,7 +381,12 @@ def augmentation_filtration(b: LMBialgebra, depth: int | None = None) -> Filtrat
 
 
 def _apply_phi(b: LMBialgebra, v: dict) -> dict:
-    return sparse_sum(b.field, ((g, c * x) for a, c in v.items() for g, x in b.phi[a].items()))
+    acc: dict = {}
+    get = acc.get
+    for a, c in v.items():
+        for g, x in b.phi[a].items():
+            acc[g] = get(g, 0) + c * x
+    return drop_zeros(b.field, acc)
 
 
 def _phi_image(b: LMBialgebra, level: Subspace) -> Subspace:
@@ -334,7 +408,7 @@ def relative_ideal_levels(b: LMBialgebra, component: tuple[int, ...]) -> list[Su
     n = grp.order
     full = Subspace.full(f, n)
     first = _difference_span(f, n, [_right_mul_table(grp, t) for t in grp.generators(component)])
-    gens = grp.generators(range(n))
+    gens = grp.generating_set
     both_sides = [grp.mul[g] for g in gens] + [_right_mul_table(grp, g) for g in gens]
     return [full] + _chain(first(full), _difference_span(f, n, both_sides))
 
@@ -396,8 +470,7 @@ def coinvariant_module(
     f = field
     m = a.x_size
 
-    gens = a.group.generators(range(a.group.order))
-    tables = [[a.action[x][g] for x in range(m)] for g in gens]
+    tables = [[a.action[x][g] for x in range(m)] for g in a.group.generating_set]
     levels_x = _chain(Subspace.full(f, m), _difference_span(f, m, tables))
     if depth is None:
         depth = len(levels_x)
@@ -422,9 +495,12 @@ def coinvariant_module(
 def _delta1_prime_vector(b: LMBialgebra, v: dict) -> dict:
     """a (x) phi(a), extended linearly, as a vector in A(x)H."""
     h = b.h_dim
-    return sparse_sum(
-        b.field, ((a * h + g, c * x) for a, c in v.items() for g, x in b.phi[a].items())
-    )
+    acc: dict = {}
+    get = acc.get
+    for a, c in v.items():
+        for g, x in b.phi[a].items():
+            acc[a * h + g] = get(a * h + g, 0) + c * x
+    return drop_zeros(b.field, acc)
 
 
 def _raises_at(fa: FilteredSpace, image_degrees: list, n: int) -> bool:

@@ -8,11 +8,11 @@ Every vector is a sparse dict {index: value} with no zero values, over
 F_p its values in [0, p) and over Q ints unless a division made them
 Fractions: subspace basis rows, the columns of the Hopf structure maps,
 tensors, and coefficients in a filtration's adapted basis.  `sparse_sum`
-builds such vectors from (index, value) terms, reducing mod p once and
-dropping zeros; each side of a `hopf` vertex or arrow identity is one
-`sparse_sum` of its terms, whose indices the maps move.  Rows on their way
-into `rref` may keep zeros, and over F_p any ints: it reduces each one as
-it comes in.
+builds such vectors from (index, value) terms; `Subspace.reduce`, the
+coefficients of a `FilteredSpace` and the images under `hopf`'s phi add
+their products into one dict in place instead.  Both end in `drop_zeros`,
+which reduces mod p once and drops zeros.  Rows on their way into `rref`
+may keep zeros, and over F_p any ints: it reduces each one as it comes in.
 
 A filtration and its quotients have one type, `FilteredSpace`: its adapted
 rows of degree d represent V_d / V_(d+1), and the coefficients of a vector
@@ -30,10 +30,10 @@ pivots, so that only a small core is left for the Smith normal form, and
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain
 
 # input budget of the trial-division primality test in FieldSpec.prime:
 # at most sqrt(2^31), about 46000, divisions
@@ -100,8 +100,13 @@ def sparse_sum(field: FieldSpec, terms) -> dict:
     get = acc.get
     for k, x in terms:
         acc[k] = get(k, 0) + x
-    p = field.p
-    if p:
+    return drop_zeros(field, acc)
+
+
+def drop_zeros(field: FieldSpec, acc: dict) -> dict:
+    """The sparse vector of a dict of sums: over F_p each value reduced mod
+    p, and every zero dropped.  Sums added into one dict in place end here."""
+    if p := field.p:
         return {k: y for k, x in acc.items() if (y := x % p)}
     return {k: x for k, x in acc.items() if x}
 
@@ -116,8 +121,13 @@ def rref(field: FieldSpec, rows) -> list[dict]:
     Returns the nonzero rows of the reduced echelon form, sorted by leading
     index, each with lead 1 and zero at every other row's lead.  Pivot rows
     stay zero at each other's leads: an incoming row is cleared in one pass,
-    then cleared out of the pivot rows.  Rows may keep zero values.  Over
-    F_p each incoming row is reduced mod p in one pass, zeros dropped.
+    then cleared out of the pivot rows that hold an entry at its lead.  A
+    column index finds those rows: for each column, the leads of the pivot
+    rows that gained an entry there.  An index entry goes stale when its
+    row's entry is cleared, and is skipped when the entry reads 0.  No row
+    gains an entry at a column that has become a lead, so its list is
+    popped for good.  Rows may keep zero values.  Over F_p each incoming
+    row is reduced mod p in one pass, zeros dropped.
     Over Q every step is on integers (after Bareiss 1968): rows come in
     scaled by the lcm of their denominators, and u is cleared at the lead a
     of w by u <- (a / g) u - (c / g) w, c = u's entry there, g = gcd(a, c).
@@ -128,33 +138,37 @@ def rref(field: FieldSpec, rows) -> list[dict]:
         return _rref_rational(rows)
     p = field.p
     pivots: dict[int, dict] = {}
-
-    def clean(v):
-        return {k: y for k, x in v.items() if (y := x % p)}
-
+    holders = defaultdict(list)  # column -> leads of pivot rows with an entry there
     for row in rows:
         v = {k: y for k, x in row.items() if (y := int(x) % p)}
         for k, c in [(k, c) for k, c in v.items() if k in pivots]:
             for j, x in pivots[k].items():
                 v[j] = v.get(j, 0) - c * x
-        v = clean(v)
+        v = drop_zeros(field, v)
         if not v:
             continue
         lead = min(v)
         a = v[lead]
         if a != 1:
             inv = pow(a, p - 2, p)
-            v = clean({k: x * inv for k, x in v.items()})
+            v = drop_zeros(field, {k: x * inv for k, x in v.items()})
         # keep the other pivot rows zero at the new lead
-        for prow in pivots.values():
+        for k in holders.pop(lead, ()):
+            prow = pivots[k]
             c = prow.get(lead)
             if c:
                 for j, x in v.items():
-                    w = (prow.get(j, 0) - c * x) % p
-                    if w:
-                        prow[j] = w
+                    if j in prow:
+                        if w := (prow[j] - c * x) % p:
+                            prow[j] = w
+                        else:
+                            del prow[j]
                     else:
-                        del prow[j]
+                        prow[j] = -c * x % p
+                        holders[j].append(k)
+        for j in v:
+            if j != lead:
+                holders[j].append(lead)
         pivots[lead] = v
     return [pivots[k] for k in sorted(pivots)]
 
@@ -162,9 +176,12 @@ def rref(field: FieldSpec, rows) -> list[dict]:
 def _rref_rational(rows) -> list[dict]:
     """`rref` over Q: integer pivot rows, one division on the way out."""
     pivots: dict[int, dict] = {}
+    holders = defaultdict(list)  # column -> leads of pivot rows with an entry there
     for row in rows:
-        m = math.lcm(*[x.denominator for x in row.values()])
-        v = {k: x.numerator * (m // x.denominator) for k, x in row.items() if x}
+        if (m := math.lcm(*[x.denominator for x in row.values()])) == 1:
+            v = {k: x.numerator for k, x in row.items() if x}
+        else:
+            v = {k: x.numerator * (m // x.denominator) for k, x in row.items() if x}
         for k in [k for k in v if k in pivots]:
             prow, c = pivots[k], v[k]
             if (a := prow[k]) != 1:
@@ -179,7 +196,8 @@ def _rref_rational(rows) -> list[dict]:
         g = math.gcd(*v.values()) * (1 if v[lead := min(v)] > 0 else -1)
         v = {j: x // g for j, x in v.items()} if g != 1 else v
         a = v[lead]
-        for k, prow in pivots.items():
+        for k in holders.pop(lead, ()):
+            prow = pivots[k]
             if not (c := prow.get(lead)):
                 continue
             if a != 1:
@@ -188,14 +206,21 @@ def _rref_rational(rows) -> list[dict]:
                     for j in prow:
                         prow[j] *= s
             for j, x in v.items():
-                if w := prow.get(j, 0) - c * x:
-                    prow[j] = w
+                if j in prow:
+                    if w := prow[j] - c * x:
+                        prow[j] = w
+                    else:
+                        del prow[j]
                 else:
-                    del prow[j]
+                    prow[j] = -c * x
+                    holders[j].append(k)
             # the content divides the lead, so beside a lead 1 it stays 1
             if prow[k] != 1 and (g := math.gcd(*prow.values())) != 1:
                 for j in prow:
                     prow[j] //= g
+        for j in v:
+            if j != lead:
+                holders[j].append(lead)
         pivots[lead] = v
     return [
         v if (a := v[k]) == 1 else {j: x // a if x % a == 0 else Fraction(x, a) for j, x in v.items()}
@@ -218,10 +243,9 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field: FieldSpec, ambient_dim: int, vectors) -> "Subspace":
-        rows = list(vectors)
-        for v in rows:
-            if v and (min(v) < 0 or max(v) >= ambient_dim):
-                raise ValueError("vector index outside the ambient dimension")
+        rows = [v for v in vectors if v]
+        if rows and (min(map(min, rows)) < 0 or max(map(max, rows)) >= ambient_dim):
+            raise ValueError("vector index outside the ambient dimension")
         return Subspace(field, ambient_dim, tuple(rref(field, rows)))
 
     @staticmethod
@@ -242,9 +266,13 @@ class Subspace:
         fully reduced, so this clears every pivot of v in one pass; the
         result depends only on the coset."""
         rows = self.pivot_rows
-        return sparse_sum(self.field, chain(vector.items(), (
-            (j, -c * x) for k, c in vector.items() if k in rows for j, x in rows[k].items()
-        )))
+        acc = dict(vector)
+        get = acc.get
+        for k, c in vector.items():
+            if k in rows:
+                for j, x in rows[k].items():
+                    acc[j] = get(j, 0) - c * x
+        return drop_zeros(self.field, acc)
 
     def contains(self, vector: dict) -> bool:
         # the whole space: reducing would clear every entry one by one
@@ -488,9 +516,12 @@ class FilteredSpace:
     def coefficients(self, vector: dict) -> dict:
         """c with sum c_i rows[i] = vector, as a sparse vector."""
         inv = self.inverse
-        return sparse_sum(self.field, (
-            (i, c * x) for k, c in vector.items() for i, x in inv[k].items()
-        ))
+        acc: dict = {}
+        get = acc.get
+        for k, c in vector.items():
+            for i, x in inv[k].items():
+                acc[i] = get(i, 0) + c * x
+        return drop_zeros(self.field, acc)
 
     def degree(self, vector: dict):
         """Deepest level containing `vector`; inf inside the stable last level."""
@@ -499,17 +530,20 @@ class FilteredSpace:
     def tensor_coefficients(self, other: "FilteredSpace", tensor: dict) -> dict:
         """C with tensor = sum C_ij rows_i (x) other.rows_j, both indexed
         i * other.dim + j; C = E^-T W F^-1, applied one side at a time."""
-        m, f = other.dim, self.field
-        half = sparse_sum(f, (
-            (k - k % m + s, c * x)
-            for k, c in tensor.items()
-            for s, x in other.inverse[k % m].items()
-        ))
-        return sparse_sum(f, (
-            (r * m + k % m, c * x)
-            for k, c in half.items()
-            for r, x in self.inverse[k // m].items()
-        ))
+        m = other.dim
+        half: dict = {}
+        get = half.get
+        for k, c in tensor.items():
+            base = k - k % m
+            for s, x in other.inverse[k % m].items():
+                half[base + s] = get(base + s, 0) + c * x
+        acc: dict = {}
+        get = acc.get
+        for k, c in drop_zeros(self.field, half).items():
+            col = k % m
+            for r, x in self.inverse[k // m].items():
+                acc[r * m + col] = get(r * m + col, 0) + c * x
+        return drop_zeros(self.field, acc)
 
     def tensor_degree(self, other: "FilteredSpace", tensor: dict):
         """Smallest deg e_i + deg f_j over the nonzero C_ij (inf for zero)."""

@@ -11,6 +11,7 @@ Conventions, used consistently across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import smith_normal_form
 
@@ -97,6 +98,14 @@ class FiniteGroup:
                 kept.append(g)
                 closure = set(self.subgroup_closure(kept))
         return tuple(kept)
+
+    @cached_property
+    def generating_set(self) -> tuple[int, ...]:
+        """generators(range(order)), the generating set S of the whole group,
+        found once per group: the filtration chains of `hopf` step by it,
+        and `hopf.verify_hopf` checks its module-map identities at it.  Not
+        found in `make`, which every command pays for."""
+        return self.generators(range(self.order))
 
     def is_normal(self, subgroup) -> bool:
         sub = set(subgroup)
