@@ -10,16 +10,19 @@ malformed argv also exits 2, with a usage line on stderr and no report.
 
 Reports never embed file paths or floating-point data unless the command is
 inherently numeric (validate on matrix data, integrate), so the exact
-commands produce byte-identical output on any platform.
+commands produce byte-identical output on any platform.  Only those two
+load `lierack`, and with it numpy, inside the command: importing this module
+loads neither.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from dataclasses import dataclass
 
-from . import jsonio, liealg, lierack
+from . import jsonio, liealg
 from .cubical import (
     ComplexTooLarge,
     assert_boundary_squares_to_zero,
@@ -43,14 +46,24 @@ from .hopf import (
 from .jsonio import SchemaError, TableNotGroup, canonical_json
 from .linalg import FieldSpec
 from .racks import (
+    CoreLeft,
     GroupTooLarge,
     _rack_report,
     abelianization,
     associated_group_presentation,
     inner_group,
+    rack_orbits,
     validate_augmented,
     validate_rack,
 )
+
+# Everything allocated so far lives as long as the process: keep it out of
+# every later collection.  Without numpy, whose long import used to push the
+# start-up objects into the oldest generation, the first generation-1
+# collection of a command walks them all: it landed inside `dgla
+# sl2_adjoint` (2.40 -> 3.04 ms) and `homology dihedral_4` (4.36 -> 4.98
+# ms) of a benchmark pass, and none happened in any pass once frozen.
+gc.freeze()
 
 
 # Largest --max-degree that homology and hopf accept.  The longest hopf
@@ -173,6 +186,8 @@ def _cmd_validate(m: Manifest, kind, obj) -> tuple[int, dict]:
     if kind in checks:
         report.update(_report_from(checks[kind](obj)))
     else:  # matrix_lm_lie
+        from . import lierack
+
         rep = lierack.validate_matrix_lm_lie(obj, tol=m.tol if m.tol is not None else 1e-10)
         report.update(
             {"ok": rep.ok, "violations": list(rep.violations), "residuals": dict(rep.residuals)}
@@ -316,6 +331,8 @@ def _cmd_dgla(m: Manifest, kind, obj) -> tuple[int, dict]:
 def _cmd_integrate(m: Manifest, kind, obj) -> tuple[int, dict]:
     if kind != "matrix_lm_lie":
         raise SchemaError("/kind", f"expected matrix_lm_lie, got {kind!r}")
+    from . import lierack
+
     cost = m.samples * (obj.m**2 + obj.dim_x**2)
     if cost > MAX_SAMPLE_COST:
         raise SchemaError(
@@ -356,16 +373,27 @@ def _cmd_presentation(m: Manifest, kind, obj) -> tuple[int, dict]:
     else:
         r = _as_augmented(kind, obj).derived_rack()
     p = associated_group_presentation(r)
-    rank, divisors = abelianization(p)
+    try:
+        rank, divisors = abelianization(p)
+    except CoreLeft as exc:
+        raise CheckFailed([str(exc)]) from None
+    # the closed form (Fenn and Rourke 1992): free abelian on the orbits
+    orbit_count = len(rack_orbits(r))
+    ok = rank == orbit_count and not divisors
     report = {
         "schema": jsonio.SCHEMA_VERSION,
         "command": "presentation",
         "generators": list(p.generator_names),
         "relations": p.words_as_strings(),
         "abelianization": {"rank": rank, "torsion": list(divisors)},
-        "ok": True,
+        "ok": ok,
     }
-    return 0, report
+    if not ok:
+        report["violations"] = [
+            f"abelianization rank {rank} with torsion {list(divisors)} is not the closed"
+            f" form: rank {orbit_count}, the number of orbits, and no torsion"
+        ]
+    return (0 if ok else 1), report
 
 
 # Each command and the flags it takes besides --out and --golden-update.

@@ -5,7 +5,8 @@ shapes manually and reports the offending location as a JSON-pointer-like
 path; structural axioms (rack identities, group associativity, ...) are NOT
 checked here, that is the job of each kind's check, which the validate
 command prints and every command refuses on, so a well-shaped but wrong
-table loads fine and fails its check downstream.
+table loads fine and fails its check downstream.  Only a matrix_lm_lie
+document imports `lierack`, and with it numpy, when it is loaded.
 
 Canonical output: sorted keys, two-space indent, ASCII only with json's
 escapes, trailing newline, floats rounded to 12 significant digits and
@@ -23,7 +24,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 
 from .liealg import LMLieAlgebra
-from .lierack import MatrixLMLie
 from .racks import AugmentedRack, FiniteGroup, FiniteRack
 from .graphs import GroupLikeGraph
 
@@ -57,7 +57,51 @@ def canonical_json(data) -> str:
 
 def _write(value, out: list, nl: str) -> None:
     """Append the text of `value` to `out`; `nl` is a newline followed by
-    the indent of the line `value` starts on."""
+    the indent of the line `value` starts on.  Lists, ints, strings and
+    dicts, nearly every node of a report, are found by their exact type;
+    everything else, bools and subclasses included, takes `_write_other`."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, value)) == _INT_ONLY:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is str:
+        out.append(_string(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        # keys become strings first: 1 and "1" are one key, the later value wins
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        sep = "{" + inner
+        for key, item in items:
+            out.append(sep + _string(key) + ": ")
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        _write_other(value, out, nl)
+
+
+_INT_ONLY = {int}
+
+
+def _write_other(value, out: list, nl: str) -> None:
+    """`_write` for None, bool, float, Fraction and subclasses of the types
+    that `_write` finds by their exact type."""
     if isinstance(value, str):
         out.append(_string(value))
     elif value is None:
@@ -78,32 +122,9 @@ def _write(value, out: list, nl: str) -> None:
             else f'"{value.numerator}/{value.denominator}"'
         )
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        # keys become strings first: 1 and "1" are one key, the later value wins
-        items = sorted({str(k): v for k, v in value.items()}.items())
-        sep = "{" + inner
-        for key, item in items:
-            out.append(sep + _string(key) + ": ")
-            _write(item, out, inner)
-            sep = "," + inner
-        out.append(nl + "}")
+        _write(dict(value), out, nl)
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        if all(type(v) is int for v in value):
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + nl + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write(item, out, inner)
-            sep = "," + inner
-        out.append(nl + "]")
+        _write(list(value), out, nl)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -321,7 +342,7 @@ def load_lm_lie(doc) -> LMLieAlgebra:
         raise SchemaError("", str(exc)) from None
 
 
-def dump_matrix_lm_lie(l: MatrixLMLie) -> dict:
+def dump_matrix_lm_lie(l) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "kind": "matrix_lm_lie",
@@ -331,7 +352,10 @@ def dump_matrix_lm_lie(l: MatrixLMLie) -> dict:
     }
 
 
-def load_matrix_lm_lie(doc) -> MatrixLMLie:
+def load_matrix_lm_lie(doc):
+    """A `lierack.MatrixLMLie`; the only loader that imports numpy."""
+    from .lierack import MatrixLMLie
+
     basis_raw = _need(doc, "basis", "")
     if not isinstance(basis_raw, list) or not basis_raw:
         raise SchemaError("/basis", "expected a nonempty list of matrices")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import smith_normal_form
+from .linalg import eliminate_unit_pivots
 
 
 @dataclass(frozen=True)
@@ -159,23 +159,27 @@ def group_from_permutations(
     ident = tuple(range(deg))
     elems = [ident]
     index = {ident: 0}
-    queue = [ident]
-    while queue:
-        p = queue.pop(0)
-        for gen in generators:
-            q = tuple(gen[p[i]] for i in range(deg))  # p then gen
+    # right[s][i] is the index of elems[i] * generators[s]; each element
+    # after the identity is its BFS parent times one generator
+    right: list[list[int]] = [[] for _ in generators]
+    parent, step = [0], [0]
+    for i, p in enumerate(elems):  # grows as the closure finds elements
+        for s, gen in enumerate(generators):
+            q = tuple(gen[p[x]] for x in range(deg))  # p then gen
             if q not in index:
                 if len(elems) == max_order:
                     raise GroupTooLarge(f"group order exceeds bound {max_order}")
                 index[q] = len(elems)
                 elems.append(q)
-                queue.append(q)
-    n = len(elems)
-    mul = [[0] * n for _ in range(n)]
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            r = tuple(q[p[x]] for x in range(deg))
-            mul[i][j] = index[r]
+                parent.append(i)
+                step.append(s)
+            right[s].append(index[q])
+    # column j of the table: elems[i] * elems[j] = (elems[i] * elems[parent j]) * gen,
+    # one lookup per entry, the parent's column already built
+    cols = [list(range(len(elems)))]
+    for j in range(1, len(elems)):
+        cols.append(list(map(right[step[j]].__getitem__, cols[parent[j]])))
+    mul = list(zip(*cols))
     return FiniteGroup.make(mul, 0), elems
 
 
@@ -419,17 +423,30 @@ def associated_group_presentation(r: FiniteRack) -> Presentation:
     return Presentation(names, tuple(rels))
 
 
+class CoreLeft(ValueError):
+    """Unit pivots left part of a relation matrix, whose divisors they
+    cannot give."""
+
+
 def abelianization(p: Presentation) -> tuple[int, list[int]]:
-    """(free rank, torsion divisors > 1) of the presented group's abelianization."""
-    n = len(p.generator_names)
+    """(free rank, torsion divisors > 1) of the presented group's abelianization.
+
+    The relations abelianize to integer rows, whose unit pivots
+    `eliminate_unit_pivots` takes; each is a divisor 1.  A rack's relation
+    t_x t_y = t_y t_(x^y) gives the incidence row t_x - t_(x^y), and unit
+    pivots finish such rows, since a Schur complement of an incidence matrix
+    is again one: the divisors are all 1.  A presentation whose rows leave a
+    core raises CoreLeft."""
     rows = []
     for word in p.relations:
-        v = [0] * n
+        row: dict[int, int] = {}
         for s in word:
-            v[abs(s) - 1] += 1 if s > 0 else -1
-        rows.append(v)
-    if not rows:
-        return n, []
-    rk, divisors = smith_normal_form(rows)
-    return n - rk, [d for d in divisors if d > 1]
-
+            row[abs(s) - 1] = row.get(abs(s) - 1, 0) + (1 if s > 0 else -1)
+        rows.append({i: v for i, v in row.items() if v})
+    pivots, core = eliminate_unit_pivots(rows)
+    if core:
+        left = {i for col in core.values() for i in col}
+        raise CoreLeft(
+            f"unit pivots leave a {len(core)} x {len(left)} core of the relation matrix"
+        )
+    return len(p.generator_names) - len(pivots), []

@@ -31,6 +31,9 @@ directory on sys.path, and the file is not collected.
   product terms, which the package adds into one dict in place.
 - `verify_hopf_sums`, the structure identity check of the arrow bialgebra
   with each side of an identity one `sparse_sum` of its terms.
+- `permutation_group_composing`, the closure of permutation generators with
+  its table found by composing each pair of elements, which
+  `racks.group_from_permutations` builds from the BFS tree instead.
 """
 
 from __future__ import annotations
@@ -829,3 +832,28 @@ def verify_hopf_sums(b: LMBialgebra) -> ValidationReport:
             record(d1[la[g][a]] == rhs, f"left module coproduct fails at arrow {a}, vertex {g}")
 
     return ValidationReport.collect(violations, checked)
+
+
+# ---------------------------------------------------------------------------
+# permutation groups
+
+
+def permutation_group_composing(generators) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """(table, elements) of the group that the permutations generate: the
+    elements in BFS order from the identity, each product p*q (p then q)
+    found by composing the two tuples."""
+    deg = len(generators[0])
+    ident = tuple(range(deg))
+    elems = [ident]
+    index = {ident: 0}
+    queue = [ident]
+    while queue:
+        p = queue.pop(0)
+        for gen in generators:
+            q = tuple(gen[p[i]] for i in range(deg))
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+                queue.append(q)
+    mul = [[index[tuple(q[p[x]] for x in range(deg))] for q in elems] for p in elems]
+    return mul, elems

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -1112,6 +1113,68 @@ def test_commands_load_no_argparse_gettext_or_locale():
     assert proc.stdout == "[]\n"
 
 
+def test_exact_commands_leave_numpy_unimported():
+    # only validate and integrate on a matrix_lm_lie document load lierack,
+    # and numpy with it
+    script = (
+        "import sys\n"
+        "import rackgraph.cli as cli\n"
+        "for argv in (\n"
+        "    ['validate', 'corpus/conj_s3.json'],\n"
+        "    ['convert', 'corpus/class_s3_transpositions.json', '--to', 'graph'],\n"
+        "    ['presentation', 'corpus/dihedral_3.json'],\n"
+        "    ['homology', 'corpus/dihedral_3.json', '--max-degree', '2'],\n"
+        "    ['hopf', 'corpus/toy_c2.json', '--field', 'f2'],\n"
+        "    ['dgla', 'corpus/sl2_adjoint.json', '--max-degree', '3'],\n"
+        "):\n"
+        "    assert cli.render(argv)[0] == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+        "print(cli.render(['validate', 'corpus/so3_matrix.json'])[0])\n"
+        "print(cli.render(['integrate', 'corpus/so3_matrix.json'])[0])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n0\n0\n"
+
+
+def test_presentation_reports_a_rank_off_the_closed_form(monkeypatch):
+    real = racks.eliminate_unit_pivots
+
+    def drop_one_pivot(columns):
+        pivots, core = real(columns)
+        return pivots[:-1], core
+
+    monkeypatch.setattr(racks, "eliminate_unit_pivots", drop_one_pivot)
+    code, report, _ = run_cli(["presentation", "corpus/dihedral_3.json"])
+    assert code == 1
+    assert report["ok"] is False
+    assert report["abelianization"] == {"rank": 2, "torsion": []}
+    assert report["violations"] == [
+        "abelianization rank 2 with torsion [] is not the closed form:"
+        " rank 1, the number of orbits, and no torsion"
+    ]
+
+
+def test_presentation_reports_a_core_the_unit_pivots_leave(monkeypatch):
+    real = racks.eliminate_unit_pivots
+
+    def leave_a_core(columns):
+        pivots, core = real(columns)
+        return pivots[:-1], {0: {0: 2, 1: 2}}
+
+    monkeypatch.setattr(racks, "eliminate_unit_pivots", leave_a_core)
+    code, report, _ = run_cli(["presentation", "corpus/dihedral_3.json"])
+    assert code == 1
+    assert report == {
+        "schema": 1,
+        "command": "presentation",
+        "ok": False,
+        "violations": ["unit pivots leave a 1 x 2 core of the relation matrix"],
+    }
+
+
 def test_corpus_files_are_canonical():
     # the checked-in inputs are exactly what the writers produce
     for name, doc in corpus.corpus_documents().items():
@@ -1148,6 +1211,27 @@ DOCUMENTS = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(DOCUMENTS)
 def test_canonical_json_matches_json_dumps(doc):
+    assert jsonio.canonical_json(doc) == json_dumps_canonical(doc)
+
+
+def test_canonical_json_writes_subclasses_as_their_base_types():
+    # the writer finds list, tuple, int, str and dict by exact type; a bool
+    # among ints, numpy's float64 and the subclasses take the general path
+    class Name(str):
+        pass
+
+    class Count(int):
+        pass
+
+    class Row(tuple):
+        pass
+
+    doc = {
+        "bools": [1, True, 2, False],
+        "float64": [np.float64(1 / 3), np.float64("nan")],
+        "subclasses": OrderedDict([(2, Name("x")), ("1", [Count(7), Count(8)])]),
+        "nested": Row((Count(1), (2, 3))),
+    }
     assert jsonio.canonical_json(doc) == json_dumps_canonical(doc)
 
 

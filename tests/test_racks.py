@@ -9,14 +9,19 @@ import itertools
 import random
 from pathlib import Path
 
+import pytest
+
 from hypothesis import given, settings, strategies as st
 
-from oracles import relabel_group
+from oracles import permutation_group_composing, relabel_group
+from rackgraph.graphs import graph_to_rack
 from rackgraph.jsonio import load_path
 from rackgraph.racks import (
     AugmentedRack,
+    CoreLeft,
     FiniteGroup,
     FiniteRack,
+    Presentation,
     abelianization,
     associated_group_presentation,
     conjugacy_class_rack,
@@ -24,6 +29,7 @@ from rackgraph.racks import (
     cyclic_group,
     dihedral_group_4,
     dihedral_quandle,
+    group_from_permutations,
     inner_group,
     orbits,
     quaternion_group_8,
@@ -232,6 +238,16 @@ def test_abelianization_rank_counts_inner_orbits():
         assert free_rank == len(rack_orbits(r))
 
 
+def test_abelianization_of_a_presentation_with_a_core_raises():
+    # a^2 b^-1 and b^2: the rows (2, -1) and (0, 2) keep the unit pivot -1,
+    # whose Schur complement (4) is a core; no divisor 4 is made up
+    pres = Presentation(("a", "b"), ((1, 1, -2), (2, 2)))
+    with pytest.raises(CoreLeft, match="a 1 x 1 core"):
+        abelianization(pres)
+    # one unit relation and one trivial one: no core
+    assert abelianization(Presentation(("a", "b"), ((1,), (2, -2)))) == (1, [])
+
+
 def test_single_entry_rack_corruption_detected():
     rng = random.Random(3)
     r = dihedral_quandle(5)
@@ -256,3 +272,32 @@ def test_single_entry_action_corruption_detected():
         assert not validate_augmented(
             AugmentedRack.make(a.group, action, list(a.pi))
         ).ok
+
+
+def _permutation_generator_sets():
+    """The generators of every permutation group a command or the corpus
+    builds: S3 and D4 as the corpus builds them, the translations of each
+    rack-like corpus document's derived rack (its inner group), and S5."""
+    sets = {"s3": [(1, 0, 2), (0, 2, 1)], "d4": [(1, 2, 3, 0), (0, 3, 2, 1)]}
+    for path in sorted(Path(__file__).resolve().parent.parent.glob("corpus/*.json")):
+        kind, obj = load_path(str(path))
+        if kind == "rack":
+            r = obj
+        elif kind == "augmented_rack":
+            r = obj.derived_rack()
+        elif kind == "graph":
+            r = graph_to_rack(obj).derived_rack()
+        else:
+            continue
+        sets[path.stem] = [tuple(r.op[x][y] for x in range(r.size)) for y in range(r.size)]
+    sets["s5"] = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
+    return sets
+
+
+def test_group_table_from_the_bfs_tree_equals_composition():
+    for name, gens in _permutation_generator_sets().items():
+        group, elems = group_from_permutations(gens)
+        mul, expected = permutation_group_composing(gens)
+        assert elems == expected, name
+        assert group.mul == tuple(map(tuple, mul)), name
+    assert group.order == 120
