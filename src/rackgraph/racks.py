@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import eliminate_unit_pivots
+from .linalg import smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -423,30 +423,17 @@ def associated_group_presentation(r: FiniteRack) -> Presentation:
     return Presentation(names, tuple(rels))
 
 
-class CoreLeft(ValueError):
-    """Unit pivots left part of a relation matrix, whose divisors they
-    cannot give."""
-
-
 def abelianization(p: Presentation) -> tuple[int, list[int]]:
-    """(free rank, torsion divisors > 1) of the presented group's abelianization.
-
-    The relations abelianize to integer rows, whose unit pivots
-    `eliminate_unit_pivots` takes; each is a divisor 1.  A rack's relation
-    t_x t_y = t_y t_(x^y) gives the incidence row t_x - t_(x^y), and unit
-    pivots finish such rows, since a Schur complement of an incidence matrix
-    is again one: the divisors are all 1.  A presentation whose rows leave a
-    core raises CoreLeft."""
+    """(free rank, torsion divisors > 1) of the presented group's abelianization."""
+    n = len(p.generator_names)
     rows = []
     for word in p.relations:
-        row: dict[int, int] = {}
+        v = [0] * n
         for s in word:
-            row[abs(s) - 1] = row.get(abs(s) - 1, 0) + (1 if s > 0 else -1)
-        rows.append({i: v for i, v in row.items() if v})
-    pivots, core = eliminate_unit_pivots(rows)
-    if core:
-        left = {i for col in core.values() for i in col}
-        raise CoreLeft(
-            f"unit pivots leave a {len(core)} x {len(left)} core of the relation matrix"
-        )
-    return len(p.generator_names) - len(pivots), []
+            v[abs(s) - 1] += 1 if s > 0 else -1
+        rows.append(v)
+    if not rows:
+        return n, []
+    rk, divisors = smith_normal_form(rows)
+    return n - rk, [d for d in divisors if d > 1]
+

@@ -1139,42 +1139,6 @@ def test_exact_commands_leave_numpy_unimported():
     assert proc.stdout == "False\n0\n0\n"
 
 
-def test_presentation_reports_a_rank_off_the_closed_form(monkeypatch):
-    real = racks.eliminate_unit_pivots
-
-    def drop_one_pivot(columns):
-        pivots, core = real(columns)
-        return pivots[:-1], core
-
-    monkeypatch.setattr(racks, "eliminate_unit_pivots", drop_one_pivot)
-    code, report, _ = run_cli(["presentation", "corpus/dihedral_3.json"])
-    assert code == 1
-    assert report["ok"] is False
-    assert report["abelianization"] == {"rank": 2, "torsion": []}
-    assert report["violations"] == [
-        "abelianization rank 2 with torsion [] is not the closed form:"
-        " rank 1, the number of orbits, and no torsion"
-    ]
-
-
-def test_presentation_reports_a_core_the_unit_pivots_leave(monkeypatch):
-    real = racks.eliminate_unit_pivots
-
-    def leave_a_core(columns):
-        pivots, core = real(columns)
-        return pivots[:-1], {0: {0: 2, 1: 2}}
-
-    monkeypatch.setattr(racks, "eliminate_unit_pivots", leave_a_core)
-    code, report, _ = run_cli(["presentation", "corpus/dihedral_3.json"])
-    assert code == 1
-    assert report == {
-        "schema": 1,
-        "command": "presentation",
-        "ok": False,
-        "violations": ["unit pivots leave a 1 x 2 core of the relation matrix"],
-    }
-
-
 def test_corpus_files_are_canonical():
     # the checked-in inputs are exactly what the writers produce
     for name, doc in corpus.corpus_documents().items():

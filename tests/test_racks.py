@@ -9,8 +9,6 @@ import itertools
 import random
 from pathlib import Path
 
-import pytest
-
 from hypothesis import given, settings, strategies as st
 
 from oracles import permutation_group_composing, relabel_group
@@ -18,10 +16,8 @@ from rackgraph.graphs import graph_to_rack
 from rackgraph.jsonio import load_path
 from rackgraph.racks import (
     AugmentedRack,
-    CoreLeft,
     FiniteGroup,
     FiniteRack,
-    Presentation,
     abelianization,
     associated_group_presentation,
     conjugacy_class_rack,
@@ -236,16 +232,6 @@ def test_abelianization_rank_counts_inner_orbits():
         free_rank, torsion = abelianization(associated_group_presentation(r))
         assert torsion == []
         assert free_rank == len(rack_orbits(r))
-
-
-def test_abelianization_of_a_presentation_with_a_core_raises():
-    # a^2 b^-1 and b^2: the rows (2, -1) and (0, 2) keep the unit pivot -1,
-    # whose Schur complement (4) is a core; no divisor 4 is made up
-    pres = Presentation(("a", "b"), ((1, 1, -2), (2, 2)))
-    with pytest.raises(CoreLeft, match="a 1 x 1 core"):
-        abelianization(pres)
-    # one unit relation and one trivial one: no core
-    assert abelianization(Presentation(("a", "b"), ((1,), (2, -2)))) == (1, [])
 
 
 def test_single_entry_rack_corruption_detected():
