@@ -22,7 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import FieldSpec, eliminate_unit_pivots, rref, smith_normal_form
+from .linalg import (
+    FieldSpec,
+    add_products,
+    dense_rows,
+    eliminate_unit_pivots,
+    rref,
+    smith_normal_form,
+)
 from .racks import AugmentedRack
 
 
@@ -40,22 +47,12 @@ class ChainComplex:
     labels: tuple  # labels[n] = tuple of basis labels for C_n
 
     def boundary_matrix(self, n: int) -> list[list[int]]:
-        """Dense integer rows of the nonzero rows and columns of d_n.
-
-        Zero rows and columns change neither the rank nor the Smith
-        divisors, and the reduced complex keeps its cycles as zero columns,
-        so they are never made dense."""
+        """Dense integer rows of the nonzero rows and columns of d_n
+        (`dense_rows`); the reduced complex keeps its cycles as zero
+        columns, which are left out."""
         if not 1 <= n <= self.max_degree:
             raise ValueError("degree out of range")
-        cols = [col for col in self.boundaries[n - 1] if any(col.values())]
-        rows = sorted({i for col in cols for i, v in col.items() if v})
-        index = {i: k for k, i in enumerate(rows)}
-        dense = [[0] * len(cols) for _ in index]
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                if v:
-                    dense[index[i]][j] = v
-        return dense
+        return dense_rows(self.boundaries[n - 1])
 
 
 SIZE_CAP = 10**6
@@ -144,11 +141,7 @@ def assert_boundary_squares_to_zero(c: ChainComplex) -> None:
         upper = c.boundaries[n - 1]
         lower = c.boundaries[n - 2]
         for j, col in enumerate(upper):
-            acc: dict[int, int] = {}
-            for i, v in col.items():
-                for k, w in lower[i].items():
-                    acc[k] = acc.get(k, 0) + v * w
-            if any(acc.values()):
+            if any(add_products({}, 1, col, lower).values()):
                 raise AssertionError(f"d^2 != 0 at degree {n}, column {j}")
 
 

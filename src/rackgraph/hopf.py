@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import GroupLikeGraph, unit_component
-from .linalg import FieldSpec, FilteredSpace, Subspace, drop_zeros, sparse_sum
+from .linalg import FieldSpec, FilteredSpace, Subspace, add_products, drop_zeros, sparse_sum
 from .racks import AugmentedRack, FiniteGroup, ValidationReport, orbits
 
 
@@ -184,10 +184,7 @@ def verify_hopf(b: LMBialgebra) -> ValidationReport:
         record(acc2, "arrow counit (second block) fails at arrow {}", a)
 
         # compatibility of phi with the two coproducts
-        acc = {}
-        for g2, c in phi[a].items():
-            for pq, c2 in d0[g2].items():
-                acc[pq] = acc.get(pq, 0) + c * c2
+        acc = add_products({}, 1, phi[a], d0)
         for b2, g2, c in first[a]:
             for t2, c2 in phi[b2].items():
                 k = t2 * h + g2
@@ -218,13 +215,7 @@ def verify_hopf(b: LMBialgebra) -> ValidationReport:
         record(acc2, "arrow antipode cancellation (S second) fails at arrow {}", a)
 
         # phi commutes with the antipodes
-        acc = {}
-        for b2, c in s1[a].items():
-            for g2, c2 in phi[b2].items():
-                acc[g2] = acc.get(g2, 0) + c * c2
-        for g2, c in phi[a].items():
-            for g3, c2 in s0[g2].items():
-                acc[g3] = acc.get(g3, 0) - c * c2
+        acc = add_products(add_products({}, 1, s1[a], phi), -1, phi[a], s0)
         record(acc, "phi/antipode square fails at arrow {}", a)
 
         # counit kills phi
@@ -381,12 +372,7 @@ def augmentation_filtration(b: LMBialgebra, depth: int | None = None) -> Filtrat
 
 
 def _apply_phi(b: LMBialgebra, v: dict) -> dict:
-    acc: dict = {}
-    get = acc.get
-    for a, c in v.items():
-        for g, x in b.phi[a].items():
-            acc[g] = get(g, 0) + c * x
-    return drop_zeros(b.field, acc)
+    return drop_zeros(b.field, add_products({}, 1, v, b.phi))
 
 
 def _phi_image(b: LMBialgebra, level: Subspace) -> Subspace:

@@ -58,8 +58,8 @@ def canonical_json(data) -> str:
 def _write(value, out: list, nl: str) -> None:
     """Append the text of `value` to `out`; `nl` is a newline followed by
     the indent of the line `value` starts on.  Lists, ints, strings and
-    dicts, nearly every node of a report, are found by their exact type;
-    everything else, bools and subclasses included, takes `_write_other`."""
+    dicts, nearly every node of a report, are found first by their exact
+    type; None, bools, floats, Fractions and subclasses come after them."""
     kind = type(value)
     if kind is list or kind is tuple:
         if not value:
@@ -92,24 +92,14 @@ def _write(value, out: list, nl: str) -> None:
             _write(item, out, inner)
             sep = "," + inner
         out.append(nl + "}")
-    else:
-        _write_other(value, out, nl)
-
-
-_INT_ONLY = {int}
-
-
-def _write_other(value, out: list, nl: str) -> None:
-    """`_write` for None, bool, float, Fraction and subclasses of the types
-    that `_write` finds by their exact type."""
-    if isinstance(value, str):
-        out.append(_string(value))
     elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
     elif value is False:
         out.append("false")
+    elif isinstance(value, str):
+        out.append(_string(value))
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, float):
@@ -127,6 +117,9 @@ def _write_other(value, out: list, nl: str) -> None:
         _write(list(value), out, nl)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+_INT_ONLY = {int}
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 
-from .linalg import FieldSpec, Subspace, nullspace, sparse_sum
+from .linalg import FieldSpec, Subspace, add_products, nullspace, sparse_sum
 from .racks import ValidationReport
 
 _Q = FieldSpec.rationals()
@@ -46,17 +46,6 @@ def _vector(items) -> dict:
     zeros dropped, integral values as ints, the one form of every row in
     this module."""
     return {k: x.numerator if x.denominator == 1 else x for k, x in items if x}
-
-
-def _add_products(acc: dict, sign: int, v: dict, rows) -> dict:
-    """Add sign * sum_m v[m] * rows[m] into acc in place and return acc, for
-    sparse acc and v and a sequence of sparse rows; acc may keep zeros."""
-    get = acc.get
-    for m, a in v.items():
-        a *= sign
-        for z, x in rows[m].items():
-            acc[z] = get(z, 0) + a * x
-    return acc
 
 
 def _rows(rows) -> tuple:
@@ -97,7 +86,7 @@ class LMLieAlgebra:
 def validate_lm_lie(l: LMLieAlgebra) -> ValidationReport:
     """Antisymmetry and Jacobi for g, the module axiom, and equivariance.
 
-    Each identity adds its products of rows into one dict (`_add_products`)
+    Each identity adds its products of rows into one dict (`add_products`)
     and holds when every value there is zero; `checked` counts each basis
     pair, triple or action element once."""
     violations: list[str] = []
@@ -107,7 +96,7 @@ def validate_lm_lie(l: LMLieAlgebra) -> ValidationReport:
     for i in range(ng):
         for j in range(ng):
             # [e_i, e_j] + [e_j, e_i], the second as row i of c[j]
-            if any(_add_products(dict(c[i][j]), 1, {i: 1}, c[j]).values()):
+            if any(add_products(dict(c[i][j]), 1, {i: 1}, c[j]).values()):
                 violations.append(f"antisymmetry fails at ({i}, {j})")
 
     # right[k][t] = [e_t, e_k], so [u, e_k] = sum_t u_t right[k][t]
@@ -115,25 +104,25 @@ def validate_lm_lie(l: LMLieAlgebra) -> ValidationReport:
     for i in range(ng):
         for j in range(ng):
             for k in range(ng):
-                acc = _add_products({}, 1, c[i][j], right[k])
-                _add_products(acc, 1, c[j][k], right[i])
-                if any(_add_products(acc, 1, c[k][i], right[j]).values()):
+                acc = add_products({}, 1, c[i][j], right[k])
+                add_products(acc, 1, c[j][k], right[i])
+                if any(add_products(acc, 1, c[k][i], right[j]).values()):
                     violations.append(f"Jacobi fails at ({i}, {j}, {k})")
 
     for a in range(ng):
         for b in range(ng):
             # row i of rho[a] rho[b] - rho[b] rho[a] against sum_k c[a][b][k] rho[k]
             for i in range(nm):
-                acc = _add_products({}, 1, rho[a][i], rho[b])
-                _add_products(acc, -1, rho[b][i], rho[a])
-                if any(_add_products(acc, -1, c[a][b], [rho_k[i] for rho_k in rho]).values()):
+                acc = add_products({}, 1, rho[a][i], rho[b])
+                add_products(acc, -1, rho[b][i], rho[a])
+                if any(add_products(acc, -1, c[a][b], [rho_k[i] for rho_k in rho]).values()):
                     violations.append(f"module axiom fails at ({a}, {b})")
                     break
 
     for a in range(ng):
         # f(m_i ^ e_a) against [f(m_i), e_a]
         for i in range(nm):
-            if any(_add_products(_add_products({}, 1, rho[a][i], f), -1, f[i], right[a]).values()):
+            if any(add_products(add_products({}, 1, rho[a][i], f), -1, f[i], right[a]).values()):
                 violations.append(f"equivariance fails at action element {a}")
                 break
 
@@ -297,12 +286,12 @@ def e_functor(l: LMLieAlgebra, max_degree: int, convention: str = KOSZUL) -> Gra
         p = n - 1
         if p == 1:
             # [du, y] with du in degree 0 is -[y, du]
-            acc = _add_products({}, -1, l.f[u], bracket[(1, 0)][y])
+            acc = add_products({}, -1, l.f[u], bracket[(1, 0)][y])
         else:
-            acc = _add_products({}, 1, d_word(u, p), [row[y] for row in bracket[(p - 1, 1)]])
+            acc = add_products({}, 1, d_word(u, p), [row[y] for row in bracket[(p - 1, 1)]])
         s, table = _d_sign(p, convention), bracket[(p, 0)]
         for i, a in coords(p, expansion[u]).items():
-            _add_products(acc, s * a, l.f[y], table[i])
+            add_products(acc, s * a, l.f[y], table[i])
         return _vector(acc.items())
 
     differential = [(), l.f]
@@ -325,7 +314,7 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
 
     The degree <= 1 checks compare table entries as they are.  Each other
     identity adds the rows of the tables, or their products, into one dict
-    (`_add_products`) and holds when every value there is zero; its message
+    (`add_products`) and holds when every value there is zero; its message
     is made only when it fails.  Every basis tuple counts once in `checked`,
     and the violations come in loop order.
 
@@ -371,7 +360,7 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
             for i in range(dims[p]):
                 for j in range(dims[q]):
                     # [e_i, e_j] + s [e_j, e_i], the second as row i of qp[j]
-                    if any(_add_products(dict(pq[i][j]), s, {i: 1}, qp[j]).values()):
+                    if any(add_products(dict(pq[i][j]), s, {i: 1}, qp[j]).values()):
                         violations.append(f"antisymmetry fails in degrees ({p}, {q}) at ({i}, {j})")
 
     # cell[(p, q)][i][j] is [e_i, e_j], column[(p, q)][j][i] the same row,
@@ -400,9 +389,9 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
                 for j in range(i if canonical and p == q else 0, dims[q]):
                     for k in range(j if canonical and q == r else 0, dims[r]):
                         # [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - s [e_j, [e_i, e_k]]
-                        acc = _add_products({}, 1, inner[j][k], outer[i])
-                        _add_products(acc, -1, pq[i][j], pq_r[k])
-                        if any(_add_products(acc, -s, pr[i][k], q_pr[j]).values()):
+                        acc = add_products({}, 1, inner[j][k], outer[i])
+                        add_products(acc, -1, pq[i][j], pq_r[k])
+                        if any(add_products(acc, -s, pr[i][k], q_pr[j]).values()):
                             found.append(f"Jacobi fails in degrees ({p},{q},{r}) at ({i},{j},{k})")
         return found
 
@@ -419,18 +408,18 @@ def verify_e_truncation(t: GradedLieTruncation, l: LMLieAlgebra) -> ValidationRe
             for i in range(dims[p]):
                 for j in range(dims[q]):
                     # d[e_i, e_j] - [d e_i, e_j] - sign [e_i, d e_j]
-                    acc = _add_products({}, 1, cell[(p, q)][i][j], diff[n])
+                    acc = add_products({}, 1, cell[(p, q)][i][j], diff[n])
                     if p >= 1:
-                        _add_products(acc, -1, diff[p][i], column[(p - 1, q)][j])
+                        add_products(acc, -1, diff[p][i], column[(p - 1, q)][j])
                     if q >= 1:
-                        _add_products(acc, -sign, diff[q][j], cell[(p, q - 1)][i])
+                        add_products(acc, -sign, diff[q][j], cell[(p, q - 1)][i])
                     if any(acc.values()):
                         violations.append(f"derivation rule fails in degrees ({p},{q}) at ({i},{j})")
 
     for n in range(2, D + 1):
         checked += dims[n]
         for j in range(dims[n]):
-            if any(_add_products({}, 1, diff[n][j], diff[n - 1]).values()):
+            if any(add_products({}, 1, diff[n][j], diff[n - 1]).values()):
                 violations.append(f"d.d nonzero in degree {n} at basis element {j}")
 
     return ValidationReport.collect(violations, checked)

@@ -7,12 +7,14 @@ membership canonical; over Q `rref` reaches it on integer pivot rows.
 Every vector is a sparse dict {index: value} with no zero values, over
 F_p its values in [0, p) and over Q ints unless a division made them
 Fractions: subspace basis rows, the columns of the Hopf structure maps,
-tensors, and coefficients in a filtration's adapted basis.  `sparse_sum`
-builds such vectors from (index, value) terms; `Subspace.reduce`, the
-coefficients of a `FilteredSpace` and the images under `hopf`'s phi add
-their products into one dict in place instead.  Both end in `drop_zeros`,
-which reduces mod p once and drops zeros.  Rows on their way into `rref`
-may keep zeros, and over F_p any ints: it reduces each one as it comes in.
+tensors, and coefficients in a filtration's adapted basis.  Three kernels
+make them, and no other module repeats their loops: `sparse_sum` adds up
+(index, value) terms, `add_products` adds products of rows into one dict
+in place (`Subspace.reduce`, the coefficients of a `FilteredSpace`, and
+the identity checks and images of `liealg`, `hopf` and `cubical`), and
+`drop_zeros` ends both, reducing mod p once and dropping zeros.  Rows on
+their way into `rref` may keep zeros, and over F_p any ints: it reduces
+each one as it comes in.
 
 A filtration and its quotients have one type, `FilteredSpace`: its adapted
 rows of degree d represent V_d / V_(d+1), and the coefficients of a vector
@@ -23,8 +25,10 @@ and `Subspace` keeps its output rows as they are.  Boundary matrices are
 sparse, with entries mostly +-1, and are never made dense whole.  They
 are held as one dict {row: coeff} per column and go through two
 independent eliminations: `eliminate_unit_pivots` strips the unit
-pivots, so that only a small core is left for the Smith normal form, and
-`rref` over a field gives the ranks for the cross-check.
+pivots, so that only a small core, made dense by `dense_rows`, is left for
+the Smith normal form, and `rref` over a field gives the ranks for the
+cross-check.  The relation rows of a presentation take the same integer
+route.
 """
 
 from __future__ import annotations
@@ -109,6 +113,18 @@ def drop_zeros(field: FieldSpec, acc: dict) -> dict:
     if p := field.p:
         return {k: y for k, x in acc.items() if (y := x % p)}
     return {k: x for k, x in acc.items() if x}
+
+
+def add_products(acc: dict, sign: int, v: dict, rows) -> dict:
+    """Add sign * sum_m v[m] * rows[m] into acc in place and return acc, for
+    sparse acc and v and sparse rows indexed by v's indices; acc may keep
+    zeros."""
+    get = acc.get
+    for m, a in v.items():
+        a *= sign
+        for z, x in rows[m].items():
+            acc[z] = get(z, 0) + a * x
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +282,8 @@ class Subspace:
         fully reduced, so this clears every pivot of v in one pass; the
         result depends only on the coset."""
         rows = self.pivot_rows
-        acc = dict(vector)
-        get = acc.get
-        for k, c in vector.items():
-            if k in rows:
-                for j, x in rows[k].items():
-                    acc[j] = get(j, 0) - c * x
-        return drop_zeros(self.field, acc)
+        at_pivots = {k: c for k, c in vector.items() if k in rows}
+        return drop_zeros(self.field, add_products(dict(vector), -1, at_pivots, rows))
 
     def contains(self, vector: dict) -> bool:
         # the whole space: reducing would clear every entry one by one
@@ -332,6 +343,22 @@ def nullspace(field: FieldSpec, ncols: int, rows) -> Subspace:
 
 # ---------------------------------------------------------------------------
 # integer Smith normal form
+
+
+def dense_rows(columns) -> list[list[int]]:
+    """Dense integer rows of the nonzero rows and columns of the matrix
+    given by sparse columns {row: coeff}, in increasing row order.
+
+    Zero rows and columns change neither the rank nor the Smith divisors,
+    so they are never made dense."""
+    cols = [col for col in columns if any(col.values())]
+    index = {i: k for k, i in enumerate(sorted({i for col in cols for i, v in col.items() if v}))}
+    dense = [[0] * len(cols) for _ in index]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            if v:
+                dense[index[i]][j] = v
+    return dense
 
 
 def smith_normal_form(rows) -> tuple[int, list[int]]:
@@ -515,13 +542,7 @@ class FilteredSpace:
 
     def coefficients(self, vector: dict) -> dict:
         """c with sum c_i rows[i] = vector, as a sparse vector."""
-        inv = self.inverse
-        acc: dict = {}
-        get = acc.get
-        for k, c in vector.items():
-            for i, x in inv[k].items():
-                acc[i] = get(i, 0) + c * x
-        return drop_zeros(self.field, acc)
+        return drop_zeros(self.field, add_products({}, 1, vector, self.inverse))
 
     def degree(self, vector: dict):
         """Deepest level containing `vector`; inf inside the stable last level."""

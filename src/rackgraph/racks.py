@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import smith_normal_form
+from .linalg import FieldSpec, dense_rows, eliminate_unit_pivots, smith_normal_form, sparse_sum
+
+# exponent sums are integers; sparse_sum over Q only adds them and drops zeros
+_Z = FieldSpec.rationals()
 
 
 @dataclass(frozen=True)
@@ -43,14 +46,12 @@ class FiniteGroup:
     def make(mul, identity: int) -> "FiniteGroup":
         mul = tuple(tuple(row) for row in mul)
         order = len(mul)
-        inv = [None] * order
-        for g in range(order):
-            for h in range(order):
-                if mul[g][h] == identity:
-                    inv[g] = h
-        if any(v is None for v in inv):
-            raise ValueError("element without inverse")
-        return FiniteGroup(order, mul, identity, tuple(inv))
+        # the last h with g * h = identity, found from the end of row g
+        try:
+            inv = tuple(order - 1 - row[::-1].index(identity) for row in mul)
+        except ValueError:
+            raise ValueError("element without inverse") from None
+        return FiniteGroup(order, mul, identity, inv)
 
     def conjugate(self, x: int, g: int) -> int:
         """g^-1 x g"""
@@ -424,16 +425,17 @@ def associated_group_presentation(r: FiniteRack) -> Presentation:
 
 
 def abelianization(p: Presentation) -> tuple[int, list[int]]:
-    """(free rank, torsion divisors > 1) of the presented group's abelianization."""
+    """(free rank, torsion divisors > 1) of the presented group's abelianization.
+
+    Each relation is a sparse row of exponent sums.  A matrix and its
+    transpose have the same Smith form, so the rows stand in for columns
+    and take the route of `cubical.homology`: `eliminate_unit_pivots`
+    strips the unit pivots, and only the core it leaves goes through
+    `smith_normal_form`.  The associated group of a rack has incidence
+    rows t_x - t_(x^y), whose core is empty."""
     n = len(p.generator_names)
-    rows = []
-    for word in p.relations:
-        v = [0] * n
-        for s in word:
-            v[abs(s) - 1] += 1 if s > 0 else -1
-        rows.append(v)
-    if not rows:
-        return n, []
-    rk, divisors = smith_normal_form(rows)
-    return n - rk, [d for d in divisors if d > 1]
+    rows = [sparse_sum(_Z, ((abs(s) - 1, 1 if s > 0 else -1) for s in word)) for word in p.relations]
+    pivots, core = eliminate_unit_pivots(rows)
+    rank, divisors = smith_normal_form(dense_rows(core.values()))
+    return n - len(pivots) - rank, [d for d in divisors if d > 1]
 

@@ -34,6 +34,12 @@ directory on sys.path, and the file is not collected.
 - `permutation_group_composing`, the closure of permutation generators with
   its table found by composing each pair of elements, which
   `racks.group_from_permutations` builds from the BFS tree instead.
+- `inverses_by_double_loop`, the inverses of a group table found by a scan
+  of every table entry, which `racks.FiniteGroup.make` finds by one scan
+  from the end of each row.
+- `abelianization_dense`, the Smith normal form of the whole dense
+  relation matrix of a presentation, which `racks.abelianization` cuts down
+  by unit pivots first.
 """
 
 from __future__ import annotations
@@ -57,8 +63,15 @@ from rackgraph.liealg import (
     _vector,
 )
 from rackgraph.lierack import LinearLieRack, NumericReport, _times, matrix_exp
-from rackgraph.linalg import FieldSpec, FilteredSpace, Subspace, nullspace, sparse_sum
-from rackgraph.racks import AugmentedRack, FiniteGroup, ValidationReport
+from rackgraph.linalg import (
+    FieldSpec,
+    FilteredSpace,
+    Subspace,
+    nullspace,
+    smith_normal_form,
+    sparse_sum,
+)
+from rackgraph.racks import AugmentedRack, FiniteGroup, Presentation, ValidationReport
 
 # ---------------------------------------------------------------------------
 # the graph product on normal forms
@@ -857,3 +870,34 @@ def permutation_group_composing(generators) -> tuple[list[list[int]], list[tuple
                 queue.append(q)
     mul = [[index[tuple(q[p[x]] for x in range(deg))] for q in elems] for p in elems]
     return mul, elems
+
+
+def inverses_by_double_loop(mul, identity: int) -> list:
+    """inv[g] = the last h with g * h = identity, None where there is none."""
+    order = len(mul)
+    inv = [None] * order
+    for g in range(order):
+        for h in range(order):
+            if mul[g][h] == identity:
+                inv[g] = h
+    return inv
+
+
+# ---------------------------------------------------------------------------
+# presentations
+
+
+def abelianization_dense(p: Presentation) -> tuple[int, list[int]]:
+    """(free rank, torsion divisors > 1) from the Smith normal form of the
+    whole dense matrix of exponent sums, one row per relation."""
+    n = len(p.generator_names)
+    rows = []
+    for word in p.relations:
+        v = [0] * n
+        for s in word:
+            v[abs(s) - 1] += 1 if s > 0 else -1
+        rows.append(v)
+    if not rows:
+        return n, []
+    rk, divisors = smith_normal_form(rows)
+    return n - rk, [d for d in divisors if d > 1]

@@ -408,8 +408,8 @@ def test_jacobi_is_evaluated_once_per_unordered_triple(monkeypatch):
     # and 14 for d.d
     l = sl2_adjoint()
     t = e_functor(l, 3, KOSZUL)
-    add, calls = liealg._add_products, []
-    monkeypatch.setattr(liealg, "_add_products", lambda *args: calls.append(1) or add(*args))
+    add, calls = liealg.add_products, []
+    monkeypatch.setattr(liealg, "add_products", lambda *args: calls.append(1) or add(*args))
     report = verify_e_truncation(t, l)
     assert report.ok and report.checked == 1212
     assert len(calls) == 147 + 3 * 184 + 339 + 14

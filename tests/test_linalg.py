@@ -16,6 +16,8 @@ from rackgraph.linalg import (
     FieldSpec,
     FilteredSpace,
     Subspace,
+    add_products,
+    drop_zeros,
     eliminate_unit_pivots,
     nullspace,
     rref,
@@ -253,6 +255,36 @@ def test_prime_field_arithmetic():
     # the zero
     assert sparse_sum(F3, [(0, 2), (1, 4), (0, 2), (1, 2)]) == {0: 1}
     assert sparse_sum(Q, [(0, Fraction(1, 2)), (0, Fraction(1, 2)), (1, 0)]) == {0: 1}
+
+
+def _sparse_draw(values, size=4):
+    # zero values kept, so that the kernel sees them in every argument
+    return st.dictionaries(st.integers(0, size - 1), values, max_size=size)
+
+
+@settings(deadline=None)
+@given(st.data(), st.sampled_from([Q, F2, F3]), st.sampled_from([1, -1, 2]))
+def test_add_products_equals_sparse_sum_of_the_terms(data, field, sign):
+    values = (
+        st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+        if field == Q
+        else st.integers(-4, 4)
+    )
+    acc = data.draw(_sparse_draw(values))
+    v = data.draw(_sparse_draw(values))
+    rows = data.draw(st.lists(_sparse_draw(values), min_size=4, max_size=4))
+    terms = [*acc.items(), *((z, sign * a * x) for m, a in v.items() for z, x in rows[m].items())]
+    start = dict(acc)
+    out = add_products(start, sign, v, rows)
+    assert out is start
+    assert drop_zeros(field, out) == sparse_sum(field, terms)
+
+
+def test_add_products_cancels_and_keeps_zeros():
+    # 1 * (1, 1) - 1 * (1, 0) cancels at index 0, and acc's 0 at index 2 stays
+    out = add_products({2: 0}, 1, {0: 1, 1: -1}, [{0: 1, 1: 1}, {0: 1}])
+    assert out == {2: 0, 0: 0, 1: 1}
+    assert drop_zeros(F2, out) == {1: 1}
 
 
 def test_largest_prime_field_reduces_exactly():

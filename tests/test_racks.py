@@ -9,15 +9,23 @@ import itertools
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import permutation_group_composing, relabel_group
+from oracles import (
+    abelianization_dense,
+    inverses_by_double_loop,
+    permutation_group_composing,
+    relabel_group,
+)
+from rackgraph import racks
 from rackgraph.graphs import graph_to_rack
 from rackgraph.jsonio import load_path
 from rackgraph.racks import (
     AugmentedRack,
     FiniteGroup,
     FiniteRack,
+    Presentation,
     abelianization,
     associated_group_presentation,
     conjugacy_class_rack,
@@ -287,3 +295,85 @@ def test_group_table_from_the_bfs_tree_equals_composition():
         assert elems == expected, name
         assert group.mul == tuple(map(tuple, mul)), name
     assert group.order == 120
+
+
+def test_inverses_equal_the_double_loop():
+    # the groups of the corpus documents, their inner groups and S5, and a
+    # table that is not a group, whose rows 1 and 2 hold the identity twice
+    groups = dict(ALL_GROUPS)
+    for name, gens in _permutation_generator_sets().items():
+        groups[f"inner {name}"] = group_from_permutations(gens)[0]
+    for path in sorted(Path(__file__).resolve().parent.parent.glob("corpus/*.json")):
+        kind, obj = load_path(str(path))
+        if kind in ("augmented_rack", "graph"):
+            groups[path.stem] = obj.group if kind == "augmented_rack" else obj.vertex_group
+    assert groups["inner s5"].order == 120
+    tables = {name: (g.mul, g.identity) for name, g in groups.items()}
+    tables["not a group"] = ((0, 1, 2), (1, 0, 0), (2, 0, 0)), 0
+    for name, (mul, identity) in tables.items():
+        group = FiniteGroup.make(mul, identity)
+        assert list(group.inv) == inverses_by_double_loop(mul, identity), name
+    assert FiniteGroup.make(*tables["not a group"]).inv == (0, 2, 2)
+    with pytest.raises(ValueError, match="element without inverse"):
+        FiniteGroup.make([[0, 1], [1, 1]], 0)
+
+
+def _rack_like_corpus():
+    """The derived rack of every rack-like corpus document, by file stem."""
+    out = {}
+    for path in sorted(Path(__file__).resolve().parent.parent.glob("corpus/*.json")):
+        kind, obj = load_path(str(path))
+        if kind == "rack":
+            out[path.stem] = obj
+        elif kind == "augmented_rack":
+            out[path.stem] = obj.derived_rack()
+        elif kind == "graph":
+            out[path.stem] = graph_to_rack(obj).derived_rack()
+    return out
+
+
+def test_abelianization_equals_the_dense_route_on_the_corpus():
+    racks_ = _rack_like_corpus()
+    assert len(racks_) == 23
+    for name, r in racks_.items():
+        p = associated_group_presentation(r)
+        assert abelianization(p) == abelianization_dense(p) == (len(rack_orbits(r)), []), name
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                # letters repeat and come with inverses, so sums reach +-3
+                st.lists(st.sampled_from([*range(1, n + 1), *range(-n, 0)]), max_size=6),
+                max_size=5,
+            ),
+        )
+    )
+)
+def test_abelianization_equals_the_dense_route_on_integer_presentations(case):
+    n, words = case
+    p = Presentation(tuple(f"x{i}" for i in range(n)), tuple(map(tuple, words)))
+    assert abelianization(p) == abelianization_dense(p)
+
+
+def test_abelianization_keeps_torsion_of_the_core():
+    # <a | a^2> and <a, b | a^2 b^2, a^2>: no unit pivot, so all of it is core
+    assert abelianization(Presentation(("a",), ((1, 1),))) == (0, [2])
+    assert abelianization(Presentation(("a", "b"), ((1, 1, 2, 2), (1, 1)))) == (0, [2, 2])
+    assert abelianization(Presentation(("a", "b"), ())) == (2, [])
+
+
+def test_abelianization_of_a_rack_leaves_no_core(monkeypatch):
+    snf, cells = racks.smith_normal_form, []
+
+    def counting(rows):
+        rows = list(rows)
+        cells.append(len(rows) * (len(rows[0]) if rows else 0))
+        return snf(rows)
+
+    monkeypatch.setattr(racks, "smith_normal_form", counting)
+    assert abelianization(associated_group_presentation(dihedral_quandle(60))) == (2, [])
+    assert cells == [0]
