@@ -268,22 +268,27 @@ def test_single_entry_action_corruption_detected():
         ).ok
 
 
+def _rack_like_corpus():
+    """The derived rack of every rack-like corpus document, by file stem."""
+    out = {}
+    for path in sorted(Path(__file__).resolve().parent.parent.glob("corpus/*.json")):
+        kind, obj = load_path(str(path))
+        if kind == "rack":
+            out[path.stem] = obj
+        elif kind == "augmented_rack":
+            out[path.stem] = obj.derived_rack()
+        elif kind == "graph":
+            out[path.stem] = graph_to_rack(obj).derived_rack()
+    return out
+
+
 def _permutation_generator_sets():
     """The generators of every permutation group a command or the corpus
     builds: S3 and D4 as the corpus builds them, the translations of each
     rack-like corpus document's derived rack (its inner group), and S5."""
     sets = {"s3": [(1, 0, 2), (0, 2, 1)], "d4": [(1, 2, 3, 0), (0, 3, 2, 1)]}
-    for path in sorted(Path(__file__).resolve().parent.parent.glob("corpus/*.json")):
-        kind, obj = load_path(str(path))
-        if kind == "rack":
-            r = obj
-        elif kind == "augmented_rack":
-            r = obj.derived_rack()
-        elif kind == "graph":
-            r = graph_to_rack(obj).derived_rack()
-        else:
-            continue
-        sets[path.stem] = [tuple(r.op[x][y] for x in range(r.size)) for y in range(r.size)]
+    for name, r in _rack_like_corpus().items():
+        sets[name] = [tuple(r.op[x][y] for x in range(r.size)) for y in range(r.size)]
     sets["s5"] = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
     return sets
 
@@ -318,20 +323,6 @@ def test_inverses_equal_the_double_loop():
         FiniteGroup.make([[0, 1], [1, 1]], 0)
 
 
-def _rack_like_corpus():
-    """The derived rack of every rack-like corpus document, by file stem."""
-    out = {}
-    for path in sorted(Path(__file__).resolve().parent.parent.glob("corpus/*.json")):
-        kind, obj = load_path(str(path))
-        if kind == "rack":
-            out[path.stem] = obj
-        elif kind == "augmented_rack":
-            out[path.stem] = obj.derived_rack()
-        elif kind == "graph":
-            out[path.stem] = graph_to_rack(obj).derived_rack()
-    return out
-
-
 def test_abelianization_equals_the_dense_route_on_the_corpus():
     racks_ = _rack_like_corpus()
     assert len(racks_) == 23
@@ -346,7 +337,8 @@ def test_abelianization_equals_the_dense_route_on_the_corpus():
         lambda n: st.tuples(
             st.just(n),
             st.lists(
-                # letters repeat and come with inverses, so sums reach +-3
+                # letters repeat and come with inverses, so exponent sums
+                # other than 0 and +-1 occur
                 st.lists(st.sampled_from([*range(1, n + 1), *range(-n, 0)]), max_size=6),
                 max_size=5,
             ),
